@@ -3,7 +3,7 @@
 All computational kernels work over exact rationals.  Two interchangeable
 implementations are supported: gmpy2.mpq (fast, used when importable) and
 fractions.Fraction (pure Python fallback).  Set CONGSYM_PURE_RATIONAL=1 to
-force the fallback; the `bench` CLI command compares both.
+force the fallback.
 
 The PRNG used for seeded random Hecke combinations is xorshift64* with a
 nonzero 64-bit state; seed s maps to state (s + 0x9E3779B97F4A7C15) | 1.
@@ -12,13 +12,11 @@ Default seed is 0 everywhere.
 
 import os
 from fractions import Fraction
-from math import gcd
 
 try:
     from gmpy2 import mpq as _mpq
     _HAVE_GMPY2 = True
 except ImportError:  # pragma: no cover
-    _mpq = None
     _HAVE_GMPY2 = False
 
 if _HAVE_GMPY2 and os.environ.get("CONGSYM_PURE_RATIONAL") != "1":
@@ -30,13 +28,6 @@ else:  # pragma: no cover
 
 ZERO = rat(0)
 ONE = rat(1)
-
-
-def make_rat(impl, a, b=1):
-    """Rational constructor for an explicitly named implementation (bench)."""
-    if impl == "gmpy2.mpq" and _HAVE_GMPY2:
-        return _mpq(a, b)
-    return Fraction(a, b)
 
 
 def as_fraction(x):

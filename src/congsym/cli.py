@@ -217,7 +217,7 @@ def cmd_hecke(args):
     if ctx.dim == 0:
         mat = []
     else:
-        mat = la.restrict_to_invariant_subspace(full, ctx.basis, S.one)
+        mat = la.restrict_to_invariant_subspace(full, ctx.basis)
     if args.json:
         _emit_json({"space": ctx.kind, "p": args.p,
                     "matrix": _matrix_strs(mat)})
@@ -259,7 +259,7 @@ def cmd_eigensystem(args):
     for a in (args.alpha or []):
         p = _alpha_prime(a)
         m = hk.hecke_double_coset(S, a)
-        r = la.restrict_to_invariant_subspace(m, ctx.basis, S.one)
+        r = la.restrict_to_invariant_subspace(m, ctx.basis)
         bad_ops[p] = r if p not in bad_ops else la.mat_add(bad_ops[p], r)
     es = spec.eigen_system(pieces[args.piece], L=args.L, seed=args.seed,
                            bad_ops=bad_ops or None)
@@ -311,8 +311,6 @@ def _add_common(sub):
                      help="weight k >= 2 (default 2)")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for all randomized choices (default 0)")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for Hecke columns (default 1)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable output")
 
@@ -367,9 +365,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.weight < 2:
         print("error: weight must be at least 2", file=sys.stderr)
-        return EXIT_PARSE
-    if args.threads < 1:
-        print("error: --threads must be positive", file=sys.stderr)
         return EXIT_PARSE
     try:
         alphas = getattr(args, "alpha", None)

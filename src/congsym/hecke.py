@@ -14,7 +14,8 @@ from .groups import (mat_mod, mat_mul, mat_det, mat_inv_mod, imat_inv_det1,
                      imat_adjugate, lift_to_sl2, gamma_generators,
                      find_det_element, GroupTooLarge, AMBIENT_CAP,
                      close_group, gl2_elements, IDENT)
-from .spaces import (sym_action, monomial, cusp_normalize, build_space)
+from .spaces import (sym_action, monomial, cusp_normalize, build_space,
+                     cuspidal_subspace)
 
 
 # ------------------------------------------------------- integer matrix HNF
@@ -541,12 +542,10 @@ def new_subspace(S, cusp_basis):
     for _, SH, alpha, _ in maps:
         if not current:
             break
-        images = [la.mat_vec(alpha, v) for v in current]
+        images = la.mat_mul(current, la.transpose(alpha))
         if la.is_zero_matrix(images):
             continue
-        ker = la.kernel_of_rows(images, S.one)
-        current = [[sum((c * x for c, x in zip(kv, col)), S.one * 0)
-                    for col in zip(*current)] for kv in ker]
+        current = la.mat_mul(la.kernel_of_rows(images), current)
         current = [v for v in current if any(x != 0 for x in v)]
     return current
 
@@ -557,11 +556,6 @@ def old_subspace(S, cusp_basis):
     maps = _all_degeneracy_data(S, S.k)
     rows = []
     for _, SH, _, beta in maps:
-        from .spaces import cuspidal_subspace
-        for v in cuspidal_subspace(SH):
-            img = la.mat_vec(beta, v)
-            if any(x != 0 for x in img):
-                rows.append(img)
-    if not rows:
-        return []
-    return la.row_space_basis(rows, S.one)
+        images = la.mat_mul(cuspidal_subspace(SH), la.transpose(beta))
+        rows.extend(img for img in images if any(x != 0 for x in img))
+    return la.row_space_basis(rows)

@@ -1,14 +1,63 @@
-"""Dense exact linear algebra over the rationals and number fields.
+"""Exact linear algebra over the rationals, number fields and Q[x].
 
 Matrices are lists of row lists acting on column vectors; vectors are lists.
-Entries may be backend rationals or NumberFieldElem; every routine is generic
-over a field given a multiplicative unit `one`.
+Each routine converts its input once to a sparse sympy DomainMatrix and its
+result back, over a domain read off the entries: QQ for backend rationals,
+QQ(a) for NumberFieldElem (a the root of the modulus), Q[x] for UniPoly.
 """
 
-from .backend import rat, XorShift64
-from .polys import UniPoly
+from collections import namedtuple
+from functools import lru_cache
 
-ONE = rat(1)
+from sympy import QQ, ZZ, AlgebraicNumber, CRootOf, Symbol
+from sympy.polys.densetools import dup_clear_denoms
+from sympy.polys.matrices import DomainMatrix
+
+from .backend import ONE, rat, XorShift64
+from .polys import UniPoly, NumberFieldElem, _to_sympy
+
+# a sympy domain K with the maps to it from the entries callers use and back
+_Domain = namedtuple("_Domain", "K to back")
+_RATIONALS = _Domain(QQ, lambda x: QQ(int(x.numerator), int(x.denominator)),
+                     lambda q: rat(int(q.numerator), int(q.denominator)))
+_to_qq, _from_qq = _RATIONALS.to, _RATIONALS.back
+_QX = QQ[Symbol("x")]
+_POLYNOMIALS = _Domain(
+    _QX, lambda f: _QX.ring.from_list([_to_qq(c) for c in reversed(f.coeffs)]),
+    lambda y: UniPoly([_from_qq(c) for c in reversed(y.to_dense())]))
+
+
+@lru_cache(maxsize=None)
+def _algebraic_field(modulus):
+    g = _to_sympy(modulus, Symbol("x"))
+    return QQ.algebraic_field(AlgebraicNumber((g, CRootOf(g, 0))))
+
+
+def _domain(*mats):
+    """QQ(a) when some entry is a NumberFieldElem, else QQ."""
+    field = next((x.field for rows in mats for row in rows for x in row
+                  if isinstance(x, NumberFieldElem)), None)
+    if field is None:
+        return _RATIONALS
+    K = _algebraic_field(field.modulus)
+
+    def to(x):
+        cs = x.coeffs if isinstance(x, NumberFieldElem) else [x]
+        return K.new([_to_qq(c) for c in reversed(cs)])
+
+    return _Domain(K, to, lambda y: field.elem(
+        [_from_qq(c) for c in reversed(y.to_list())]))
+
+
+def _dm(rows, dom):
+    dod = {i: nz for i, row in enumerate(rows)
+           if (nz := {j: dom.to(x) for j, x in enumerate(row) if x})}
+    return DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), dom.K)
+
+
+def _lists(a, dom):
+    zero = dom.back(a.domain.zero)
+    return [[dom.back(y) if y else zero for y in row] for row in a.to_list()]
 
 
 def identity_matrix(n, one=ONE):
@@ -21,32 +70,14 @@ def zero_matrix(n, m, one=ONE):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row_a = a[i]
-        row = []
-        for j in range(m):
-            s = row_a[0] * b[0][j]
-            for t in range(1, k):
-                if row_a[t] != 0:
-                    s = s + row_a[t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
+    if not a or not b:
+        return [[] for _ in a]
+    dom = _domain(a, b)
+    return _lists(_dm(a, dom) * _dm(b, dom), dom)
 
 
 def mat_vec(a, v):
-    return [sum_prod(row, v) for row in a]
-
-
-def sum_prod(row, v):
-    s = row[0] * v[0]
-    for t in range(1, len(v)):
-        if row[t] != 0 and v[t] != 0:
-            s = s + row[t] * v[t]
-    return s
+    return [row[0] for row in mat_mul(a, [[x] for x in v])]
 
 
 def mat_add(a, b):
@@ -65,172 +96,87 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def is_zero_matrix(a):
     return all(all(x == 0 for x in row) for row in a)
 
 
-def rref(rows, one=ONE):
-    """In-place-free reduced row echelon form; returns (rows, pivot_cols)."""
-    m = [[one * x for x in row] for row in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != one:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+def rref(rows):
+    """Reduced row echelon form (zero rows last) and the pivot columns."""
+    dom = _domain(rows)
+    red, pivots = _dm(rows, dom).rref()
+    return _lists(red, dom), list(pivots)
 
 
-def rref_and_kernel(rows, one=ONE):
-    """Reduced form plus a basis of the right kernel {x : A x = 0}."""
-    red, pivots = rref(rows, one)
-    ncols = len(rows[0]) if rows else 0
-    zero = one * 0
-    kernel = []
-    pivot_set = set(pivots)
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        v = [zero] * ncols
-        v[j] = one
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][j]
-        kernel.append(v)
-    return red, kernel
+def kernel(rows):
+    """Basis of {v : rows v = 0}: for each free column j in turn, v[j] = 1 and
+    v[c] = -red[r][j] at the pivot column c of row r of the reduced form."""
+    dom = _domain(rows)
+    red, pivots = _dm(rows, dom).rref()
+    return _lists(red.nullspace_from_rref(pivots), dom)
 
 
-def kernel(rows, one=ONE):
-    return rref_and_kernel(rows, one)[1]
-
-
-def kernel_of_rows(rows, one=ONE):
+def kernel_of_rows(rows):
     """Basis of {c : sum_i c_i * rows[i] = 0} (left kernel)."""
-    return kernel(transpose(rows), one) if rows else []
+    return kernel(transpose(rows))
 
 
-def row_space_basis(rows, one=ONE):
-    red, pivots = rref(rows, one)
+def row_space_basis(rows):
+    red, pivots = rref(rows)
     return red[: len(pivots)]
 
 
-def mat_rank(rows, one=ONE):
-    return len(rref(rows, one)[1])
+def mat_rank(rows):
+    return _dm(rows, _domain(rows)).rank()
 
 
-def solve_columns(basis, targets, one=ONE):
-    """Express each target vector in terms of the basis vectors.
-
-    basis and targets are lists of vectors of common length n.  Returns a list
-    of coordinate vectors; raises ValueError if some target is outside the span.
-    """
-    d, t = len(basis), len(targets)
-    if d == 0:
-        if any(any(x != 0 for x in v) for v in targets):
-            raise ValueError("target outside span of empty basis")
-        return [[] for _ in range(t)]
-    n = len(basis[0])
-    aug = [[one * basis[j][i] for j in range(d)] + [one * targets[k][i] for k in range(t)]
-           for i in range(n)]
-    red, pivots = rref(aug, one)
-    if any(p >= d for p in pivots):
-        raise ValueError("target vector outside span of basis")
-    zero = one * 0
-    coords = [[zero] * d for _ in range(t)]
-    for r, c in enumerate(pivots):
-        for k in range(t):
-            coords[k][c] = red[r][d + k]
-    return coords
+def in_row_space(rows, v):
+    return mat_rank(list(rows) + [v]) == mat_rank(rows)
 
 
-def restrict_to_invariant_subspace(m, basis, one=ONE):
-    """Matrix of m in the coordinates of an m-invariant basis."""
-    images = [mat_vec(m, b) for b in basis]
-    coords = solve_columns(basis, images, one)
-    # coords[j] are the coordinates of m*basis[j]; columns of the restriction
+def intersect_row_spaces(a_rows, b_rows):
+    """Basis of span(a_rows) ∩ span(b_rows)."""
+    combos = kernel_of_rows(list(a_rows) + list(b_rows))
+    return row_space_basis(mat_mul([c[:len(a_rows)] for c in combos], a_rows))
+
+
+def restrict_to_invariant_subspace(m, basis):
+    """Matrix of m in the coordinates of an m-invariant basis (column j holds
+    those of m * basis[j]), read off the reduced form of [B^t | m B^t]."""
     d = len(basis)
-    return [[coords[j][i] for j in range(d)] for i in range(d)]
+    if not d:
+        return []
+    dom = _domain(m, basis)
+    bt = _dm(basis, dom).transpose()
+    red, pivots = bt.hstack(_dm(m, dom) * bt).rref()
+    if tuple(pivots) != tuple(range(d)):
+        raise ValueError("basis is dependent or not invariant under the matrix")
+    return _lists(red.extract(list(range(d)), list(range(d, 2 * d))), dom)
 
 
-def charpoly(m, one=ONE):
-    """Characteristic polynomial det(xI - m) via Hessenberg reduction."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("charpoly requires a square matrix")
-    if n == 0:
-        return UniPoly([1])
-    zero = one * 0
-    h = [[one * x for x in row] for row in m]
-    for j in range(n - 2):
-        # ensure pivot at h[j+1][j]
-        if h[j + 1][j] == 0:
-            for i in range(j + 2, n):
-                if h[i][j] != 0:
-                    h[j + 1], h[i] = h[i], h[j + 1]
-                    for row in h:
-                        row[j + 1], row[i] = row[i], row[j + 1]
-                    break
-        if h[j + 1][j] == 0:
-            continue
-        pv = h[j + 1][j]
-        for i in range(j + 2, n):
-            if h[i][j] != 0:
-                u = h[i][j] / pv
-                h[i] = [x - u * y for x, y in zip(h[i], h[j + 1])]
-                for row in h:
-                    row[j + 1] = row[j + 1] + u * row[i]
-    # recurrence on leading principal minors of xI - h
-    polys = [[one]]  # p_0 = 1, coefficients low-to-high
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        # (x - h[k-1][k-1]) * p_{k-1}
-        cur = [zero] + list(prev)
-        d = h[k - 1][k - 1]
-        for i in range(len(prev)):
-            cur[i] = cur[i] - d * prev[i]
-        t = one
-        for i in range(k - 1, 0, -1):
-            t = t * h[i][i - 1]
-            c = h[i - 1][k - 1] * t
-            if c != 0:
-                pi = polys[i - 1]
-                for s in range(len(pi)):
-                    cur[s] = cur[s] - c * pi[s]
-        polys.append(cur)
-    return UniPoly(polys[n])
+def charpoly(m):
+    """Characteristic polynomial det(xI - m)."""
+    dom = _domain(m)
+    return UniPoly([dom.back(c) for c in reversed(_dm(m, dom).charpoly())])
 
 
-def mat_poly_eval(f, m, one=ONE):
-    """Evaluate a UniPoly at a square matrix."""
-    n = len(m)
-    result = zero_matrix(n, n, one)
-    for c in reversed(f.coeffs):
-        result = mat_mul(result, m)
-        for i in range(n):
-            result[i][i] = result[i][i] + one * c
-    return result
+def mat_poly_eval(f, m):
+    """f(m) for a UniPoly f.  Over QQ the Horner steps run on integers: for
+    m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
+    dom = _domain(m)
+    coeffs = [dom.to(c) for c in reversed(f.coeffs)]
+    if dom is not _RATIONALS:
+        return _lists(_dm(m, dom).eval_poly(coeffs), dom)
+    d, a = _dm(m, dom).clear_denoms(convert=True)
+    d = d.element
+    e, h = dup_clear_denoms([c * d ** i for i, c in enumerate(coeffs)],
+                            QQ, ZZ, convert=True)
+    fm = a.eval_poly(h).to_field() / QQ(e * d ** max(f.degree, 0))
+    return _lists(fm, dom)
+
+
+def det_poly_matrix(m):
+    """Determinant of a square matrix with UniPoly entries, over Q[x]."""
+    return _POLYNOMIALS.back(_dm(m, _POLYNOMIALS).det())
 
 
 def seeded_random_combination(ops, seed=0):
@@ -238,76 +184,7 @@ def seeded_random_combination(ops, seed=0):
     if not ops:
         raise ValueError("empty operator list")
     rng = XorShift64(seed)
-    n = len(ops[0])
-    out = zero_matrix(n, len(ops[0][0]) if n else 0, ONE)
-    for op in ops:
-        c = rng.randint(1, 9)
-        out = mat_add(out, mat_scale(op, rat(c)))
+    out = mat_scale(ops[0], rat(rng.randint(1, 9)))
+    for op in ops[1:]:
+        out = mat_add(out, mat_scale(op, rat(rng.randint(1, 9))))
     return out
-
-
-def det_poly_matrix(m):
-    """Determinant of a square matrix with UniPoly entries."""
-    n = len(m)
-    if n == 0:
-        return UniPoly([1])
-    if n == 1:
-        return m[0][0]
-    if n <= 8:
-        det = UniPoly()
-        for j in range(n):
-            if m[0][j].is_zero():
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            term = m[0][j] * det_poly_matrix(minor)
-            det = det + term if j % 2 == 0 else det - term
-        return det
-    # Bareiss fraction-free elimination; divisions are exact in Q[x]
-    a = [row[:] for row in m]
-    sign = 1
-    prev = UniPoly([1])
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num // prev
-            a[i][k] = UniPoly()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def intersect_row_spaces(a_rows, b_rows, one=ONE):
-    """Basis of span(a_rows) ∩ span(b_rows)."""
-    if not a_rows or not b_rows:
-        return []
-    combos = kernel_of_rows([list(r) for r in a_rows] + [list(r) for r in b_rows], one)
-    ra = len(a_rows)
-    vecs = []
-    for cd in combos:
-        v = [one * 0] * len(a_rows[0])
-        for i in range(ra):
-            if cd[i] != 0:
-                v = [x + cd[i] * y for x, y in zip(v, a_rows[i])]
-        vecs.append(v)
-    return row_space_basis(vecs, one)
-
-
-def in_row_space(rows, v, one=ONE):
-    try:
-        coords_of_vectors_in_basis(rows, [v], one)
-        return True
-    except ValueError:
-        return False
-
-
-def coords_of_vectors_in_basis(basis, vectors, one=ONE):
-    return solve_columns(basis, vectors, one)

@@ -136,9 +136,6 @@ class UniPoly:
             result = result * x + c
         return result
 
-    def shift_scale(self):
-        return self
-
     def to_str(self, var="x"):
         if self.is_zero():
             return "0"
@@ -354,4 +351,4 @@ def min_poly_of_nf_elem(e):
         if ker:
             v = ker[0]
             return UniPoly(v).monic()
-    raise AssertionError("no minimal polynomial found")
+    raise RuntimeError("no minimal polynomial found")

@@ -635,7 +635,7 @@ def cuspidal_subspace(S):
     info = boundary_map(S)
     if not info.cusps:
         return [list(v) for v in la.identity_matrix(S.dim, S.one)]
-    return la.kernel(la.transpose(info.matrix), S.one)
+    return la.kernel(la.transpose(info.matrix))
 
 
 def star_involution(S):
@@ -663,19 +663,9 @@ def plus_subspace(S, cusp_basis, iota):
     in ambient space coordinates."""
     if not cusp_basis:
         return []
-    restr = la.restrict_to_invariant_subspace(iota, cusp_basis, S.one)
-    d = len(cusp_basis)
-    shifted = [[restr[i][j] - (S.one if i == j else S.one * 0) for j in range(d)]
-               for i in range(d)]
-    ker = la.kernel(shifted, S.one)
-    out = []
-    for v in ker:
-        vec = S.zero_vector()
-        for c, b in zip(v, cusp_basis):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, b)]
-        out.append(vec)
-    return out
+    restr = la.restrict_to_invariant_subspace(iota, cusp_basis)
+    shifted = la.mat_sub(restr, la.identity_matrix(len(cusp_basis), S.one))
+    return la.mat_mul(la.kernel(shifted), cusp_basis)
 
 
 def cusp_count(Gamma):

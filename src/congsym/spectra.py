@@ -73,7 +73,7 @@ class SpectralContext:
                 self._ops[n] = []
             else:
                 self._ops[n] = la.restrict_to_invariant_subspace(
-                    self.full_op(n), self.basis, self.S.one)
+                    self.full_op(n), self.basis)
         return self._ops[n]
 
     def diamond(self, p):
@@ -83,7 +83,7 @@ class SpectralContext:
                 self._diamonds[p] = []
             else:
                 self._diamonds[p] = la.restrict_to_invariant_subspace(
-                    mat, self.basis, self.S.one)
+                    mat, self.basis)
         return self._diamonds[p]
 
     def good_primes(self, count=None, upto=None):
@@ -105,8 +105,7 @@ class HeckePiece:
         self.dual = None
 
     def restricted(self, mat):
-        return la.restrict_to_invariant_subspace(mat, self.space,
-                                                 self.ctx.S.one)
+        return la.restrict_to_invariant_subspace(mat, self.space)
 
     def op(self, n):
         return self.restricted(self.ctx.op(n))
@@ -114,19 +113,6 @@ class HeckePiece:
     def __repr__(self):
         lab = self.label.to_str() if self.label is not None else "?"
         return "HeckePiece(dim=%d, label=%s)" % (self.dimension, lab)
-
-
-def _combine(coeff_vecs, basis, one):
-    """Linear combinations of ctx-coordinate basis vectors."""
-    out = []
-    zero = one * 0
-    for cv in coeff_vecs:
-        vec = [zero] * len(basis[0])
-        for c, b in zip(cv, basis):
-            if c != 0:
-                vec = [x + c * y for x, y in zip(vec, b)]
-        out.append(vec)
-    return out
 
 
 def _generator_candidates(ops, seed, attempts=8):
@@ -145,9 +131,8 @@ def is_irreducible(piece, seed=0, attempts=8, n_ops=3):
         return True
     primes = piece.ctx.good_primes(count=n_ops)
     ops = [piece.op(p) for p in primes]
-    one = piece.ctx.S.one
     for T in _generator_candidates(ops, seed, attempts):
-        if is_irreducible_poly(la.charpoly(T, one)):
+        if is_irreducible_poly(la.charpoly(T)):
             return True
     return False
 
@@ -170,17 +155,17 @@ def decompose(ctx, seed=0):
         placed = False
         while idx < len(primes):
             p = primes[idx]
-            R = la.restrict_to_invariant_subspace(ctx.op(p), basis, one)
-            f = la.charpoly(R, one)
+            R = la.restrict_to_invariant_subspace(ctx.op(p), basis)
+            f = la.charpoly(R)
             fac = factor_rational_poly(f)
             if len(fac) > 1:
                 for g, e in fac:
-                    K = la.mat_poly_eval(g, R, one)
+                    K = la.mat_poly_eval(g, R)
                     Ke = K
                     for _ in range(e - 1):
                         Ke = la.mat_mul(Ke, K)
-                    W = la.kernel(Ke, one)
-                    stack.append((_combine(W, basis, one), idx + 1))
+                    W = la.kernel(Ke)
+                    stack.append((la.mat_mul(W, basis), idx + 1))
                 placed = True
                 break
             g, e = fac[0]
@@ -203,7 +188,7 @@ def decompose(ctx, seed=0):
     p0 = primes[0]
     for piece in pieces:
         piece.label_prime = p0
-        piece.label = la.charpoly(piece.op(p0), one)
+        piece.label = la.charpoly(piece.op(p0))
     def sort_key(piece):
         coeffs = [as_fraction(c) for c in piece.label.coeffs]
         return (piece.dimension, tuple(reversed(coeffs)))
@@ -224,10 +209,10 @@ def dual_vector_space(ctx, piece):
         if len(V) == piece.dimension:
             break
         R = ctx.op(p)
-        cp = la.charpoly(piece.restricted(R), one)
-        K = la.mat_poly_eval(cp, la.transpose(R), one)
-        W = la.kernel(K, one)
-        V = la.intersect_row_spaces(V, W, one)
+        cp = la.charpoly(piece.restricted(R))
+        K = la.mat_poly_eval(cp, la.transpose(R))
+        W = la.kernel(K)
+        V = la.intersect_row_spaces(V, W)
     if len(V) != piece.dimension:
         raise ValueError("dual space did not converge below the Sturm bound")
     piece.dual = V
@@ -287,12 +272,12 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     ops = [piece.op(p) for p in primes]
     found = None
     for T in _generator_candidates(ops, seed):
-        f = la.charpoly(T, one)
+        f = la.charpoly(T)
         fac = factor_rational_poly(f)
         if len(fac) != 1:
             continue
         g, e = fac[0]
-        if e == 1 or la.is_zero_matrix(la.mat_poly_eval(g, T, one)):
+        if e == 1 or la.is_zero_matrix(la.mat_poly_eval(g, T)):
             found = (T, g)
             break
     if found is None:
@@ -318,8 +303,9 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     Tt = la.transpose(T)
     M = [[lift(Tt[i][j]) - (gen_val if i == j else gen_val * 0)
           for j in range(d)] for i in range(d)]
-    kern = la.kernel(M, fone)
-    assert kern, "eigenfunctional must exist"
+    kern = la.kernel(M)
+    if not kern:
+        raise RuntimeError("no eigenfunctional: T^t - a has a zero kernel")
     c = kern[0]
     pivot = next(i for i, x in enumerate(c) if x != 0)
 

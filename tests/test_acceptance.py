@@ -53,7 +53,7 @@ def test_criterion_02_8e1_group(g_8e1):
     assert len(cusp) == 2
     alpha = hk.element_of_det(g_8e1, 97)
     mat = la.restrict_to_invariant_subspace(
-        hk.hecke_double_coset(S, alpha), cusp, S.one)
+        hk.hecke_double_coset(S, alpha), cusp)
     assert mat == la.mat_scale(la.identity_matrix(2, S.one), S.one * 18)
     done()
 
@@ -93,7 +93,7 @@ def test_criterion_05_ns_plus_13():
     assert ctx.kind == "plus" and ctx.dim == 3
     pieces = spec.decompose(ctx)
     assert [p.dimension for p in pieces] == [3]
-    assert la.charpoly(ctx.op(2), ctx.S.one) == UniPoly([-1, -1, 2, 1])
+    assert la.charpoly(ctx.op(2)) == UniPoly([-1, -1, 2, 1])
     es = spec.eigen_system(pieces[0], L=10)
     assert es.modulus == UniPoly([-1, -1, 2, 1])
     a = es.field.gen()

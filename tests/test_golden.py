@@ -1,0 +1,46 @@
+"""Golden outputs: the sha256 of the CLI's stdout for fixed commands.
+
+The determinism check of criterion 10 compares two runs of the same code;
+these hashes pin the outputs across versions, so a refactor that changes a
+basis, a label or an eigenvalue shows up here.  They were recorded before
+the exact linear algebra moved onto sympy's DomainMatrix.
+"""
+
+import hashlib
+
+import pytest
+
+from congsym.cli import main
+
+H155 = "16 [1,3,12,3] [1,1,12,7] [1,3,0,3] [1,0,2,3]"
+
+GOLDEN = {
+    "hecke gamma0 11 -p 2 --json":
+        "815a23a60a40597ed0fced93541a1e0ffc08201811ff35c04aa5edcd990a385a",
+    "hecke ns_plus 13 -p 2 --json":
+        "5d68a42d2945eb2799ecefc79c6cc3d2257e3915157a0ad9b2fab6bd7c1b8b49",
+    "hecke ns_plus 17 -p 3 --json":
+        "d811cfd183432ec4fe63074420a6b074aae65bb35f40215431933817f1ad7953",
+    "hecke gamma1 13 -p 2 --json":
+        "65164ec6da5bddd8608e795281dad8e59c5bdcaa4cbefa8bc7f0dce00e0ea8b9",
+    "hecke ns 11 -p 2 --json":
+        "19ccdd6e21d2d4cd2dd8939d8c253aaa3fb18d731bb94444c27863c78bb09804",
+    "decompose ns_plus 17 --json":
+        "fe757cdbdf518481eeb2f8c4b141bebe48ccc7f2fcefbe91a310c4966921738d",
+    "decompose gamma1 13 --json":
+        "cd0ee13b11df2dce24c932e3c0b29f258131ca82f037fa7c109c701667c2f110",
+    # a cubic coefficient field: the eigenvector is a kernel over Q(a)
+    "eigensystem ns_plus 13 -L 100 --json":
+        "5130801a98742af96b3e989535da35e7623badbe48d9b2c922aa653943e2e539",
+    "eigensystem gamma1 13 -L 100 --json":
+        "73000aed4507e8684b0774ec60fc1ed812809a4f8ff19054abb304dc4ddac544",
+    "eigensystem %s --seed 0 --json" % H155:
+        "d81c0e4269776baf94978465941566ebd52006ac6fe199393b44f58a495653f8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_stdout(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -1,6 +1,6 @@
-from congsym.backend import rat
+from congsym.backend import rat, XorShift64
 from congsym import linalg as la
-from congsym.polys import UniPoly
+from congsym.polys import UniPoly, NumberField, is_irreducible_poly
 
 
 def M(rows):
@@ -19,12 +19,13 @@ def test_mat_basics():
 def test_kernel_conventions():
     # right kernel: m v = 0
     m = M([[1, 1, 0], [0, 0, 1]])
-    ker = la.kernel(m, rat(1))
-    assert len(ker) == 1
+    ker = la.kernel(m)
+    # v[free] = 1 and v[pivot] = -(reduced entry): the basis callers print
+    assert ker == M([[-1, 1, 0]])
     for v in ker:
         assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in m)
     # left kernel: v m = 0
-    lk = la.kernel_of_rows(M([[1, 0], [2, 0], [0, 1]]), rat(1))
+    lk = la.kernel_of_rows(M([[1, 0], [2, 0], [0, 1]]))
     assert len(lk) == 1
     v = lk[0]
     assert v[0] * 1 + v[1] * 2 == 0 and v[2] == 0
@@ -32,27 +33,27 @@ def test_kernel_conventions():
 
 def test_rank_and_row_space():
     rows = M([[1, 2, 3], [2, 4, 6], [0, 1, 0]])
-    assert la.mat_rank(rows, rat(1)) == 2
-    basis = la.row_space_basis(rows, rat(1))
+    assert la.mat_rank(rows) == 2
+    basis = la.row_space_basis(rows)
     assert len(basis) == 2
-    assert la.in_row_space(basis, [rat(3), rat(7), rat(9)], rat(1))
-    assert not la.in_row_space(basis, [rat(0), rat(0), rat(1)], rat(1)) or True
+    assert la.in_row_space(basis, [rat(3), rat(7), rat(9)])
+    assert not la.in_row_space(basis, [rat(0), rat(0), rat(1)])
 
 
 def test_charpoly():
     m = M([[2, 0], [0, 3]])
-    assert la.charpoly(m, rat(1)) == UniPoly([6, -5, 1])
+    assert la.charpoly(m) == UniPoly([6, -5, 1])
     n = M([[0, 1], [-1, 0]])
-    f = la.charpoly(n, rat(1))
+    f = la.charpoly(n)
     assert f == UniPoly([1, 0, 1])
-    assert la.is_zero_matrix(la.mat_poly_eval(f, n, rat(1)))
+    assert la.is_zero_matrix(la.mat_poly_eval(f, n))
 
 
 def test_restrict_to_invariant_subspace():
     m = M([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     basis = [[rat(1), rat(0), rat(0)], [rat(0), rat(0), rat(1)]]
-    r = la.restrict_to_invariant_subspace(m, basis, rat(1))
-    assert la.charpoly(r, rat(1)) == UniPoly([3, -4, 1])
+    r = la.restrict_to_invariant_subspace(m, basis)
+    assert la.charpoly(r) == UniPoly([3, -4, 1])
 
 
 def test_seeded_combination_deterministic():
@@ -64,7 +65,7 @@ def test_seeded_combination_deterministic():
 def test_intersect_row_spaces():
     a = M([[1, 0, 0], [0, 1, 0]])
     b = M([[0, 1, 0], [0, 0, 1]])
-    inter = la.intersect_row_spaces(a, b, rat(1))
+    inter = la.intersect_row_spaces(a, b)
     assert len(inter) == 1
     assert inter[0][0] == 0 and inter[0][2] == 0
 
@@ -74,3 +75,34 @@ def test_det_poly_matrix():
     one = UniPoly([1])
     m = [[x, one * 0], [one * 0, x - 2]]
     assert la.det_poly_matrix(m) == x * (x - 2)
+
+
+def test_det_poly_matrix_large_is_charpoly():
+    # 10x10: det(xI - m) over Q[x] against the charpoly of m
+    rng = XorShift64(3)
+    n = 10
+    m = [[rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+         for _ in range(n)]
+    xim = [[UniPoly([-m[i][j], 1 if i == j else 0]) for j in range(n)]
+           for i in range(n)]
+    assert la.det_poly_matrix(xim) == la.charpoly(m)
+
+
+def test_number_field_kernel():
+    # T^t - a over Q(a), a a root of the charpoly of T; the halved matrix
+    # gives a modulus with non-integral coefficients
+    for scale in (rat(1), rat(1, 2)):
+        t = la.mat_scale(M([[0, 0, -1], [1, 0, 2], [0, 1, 1]]), scale)
+        g = la.charpoly(t)
+        assert g.degree == 3 and is_irreducible_poly(g)
+        field = NumberField(g)
+        a = field.gen()
+        tt = la.transpose(t)
+        shifted = [[field.elem([tt[i][j]]) - (a if i == j else 0)
+                    for j in range(3)] for i in range(3)]
+        ker = la.kernel(shifted)
+        assert len(ker) == 1
+        v = ker[0]
+        assert all(isinstance(x, type(a)) for x in v)
+        for i in range(3):
+            assert sum((tt[i][j] * v[j] for j in range(3)), -a * v[i]) == 0

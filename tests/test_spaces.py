@@ -130,9 +130,9 @@ def test_plus_minus_dimensions(s_ns_plus_13):
     cusp = cuspidal_subspace(S)
     iota = star_involution(S)
     plus = plus_subspace(S, cusp, iota)
-    restr = la.restrict_to_invariant_subspace(iota, cusp, S.one)
+    restr = la.restrict_to_invariant_subspace(iota, cusp)
     minus_dim = sum(1 for v in la.kernel(
-        la.mat_add(restr, la.identity_matrix(len(cusp), S.one)), S.one)
+        la.mat_add(restr, la.identity_matrix(len(cusp), S.one)))
         for _ in [0])
     assert len(plus) + minus_dim == len(cusp)
     assert len(plus) == 3

@@ -7,7 +7,6 @@ QQ(a) for NumberFieldElem (a the root of the modulus), Q[x] for UniPoly.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 
 from sympy import QQ, ZZ, AlgebraicNumber, CRootOf, Symbol
 from sympy.polys.densetools import dup_clear_denoms
@@ -27,19 +26,14 @@ _POLYNOMIALS = _Domain(
     lambda y: UniPoly([_from_qq(c) for c in reversed(y.to_dense())]))
 
 
-@lru_cache(maxsize=None)
-def _algebraic_field(modulus):
-    g = _to_sympy(modulus, Symbol("x"))
-    return QQ.algebraic_field(AlgebraicNumber((g, CRootOf(g, 0))))
-
-
 def _domain(*mats):
     """QQ(a) when some entry is a NumberFieldElem, else QQ."""
     field = next((x.field for rows in mats for row in rows for x in row
                   if isinstance(x, NumberFieldElem)), None)
     if field is None:
         return _RATIONALS
-    K = _algebraic_field(field.modulus)
+    g = _to_sympy(field.modulus, Symbol("x"))
+    K = QQ.algebraic_field(AlgebraicNumber((g, CRootOf(g, 0))))
 
     def to(x):
         cs = x.coeffs if isinstance(x, NumberFieldElem) else [x]
@@ -160,18 +154,15 @@ def charpoly(m):
 
 
 def mat_poly_eval(f, m):
-    """f(m) for a UniPoly f.  Over QQ the Horner steps run on integers: for
-    m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
-    dom = _domain(m)
-    coeffs = [dom.to(c) for c in reversed(f.coeffs)]
-    if dom is not _RATIONALS:
-        return _lists(_dm(m, dom).eval_poly(coeffs), dom)
-    d, a = _dm(m, dom).clear_denoms(convert=True)
+    """f(m) for a UniPoly f and a rational matrix m.  The Horner steps run on
+    integers: for m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
+    coeffs = [_to_qq(c) for c in reversed(f.coeffs)]
+    d, a = _dm(m, _RATIONALS).clear_denoms(convert=True)
     d = d.element
     e, h = dup_clear_denoms([c * d ** i for i, c in enumerate(coeffs)],
                             QQ, ZZ, convert=True)
     fm = a.eval_poly(h).to_field() / QQ(e * d ** max(f.degree, 0))
-    return _lists(fm, dom)
+    return _lists(fm, _RATIONALS)
 
 
 def det_poly_matrix(m):
@@ -184,7 +175,9 @@ def seeded_random_combination(ops, seed=0):
     if not ops:
         raise ValueError("empty operator list")
     rng = XorShift64(seed)
-    out = mat_scale(ops[0], rat(rng.randint(1, 9)))
-    for op in ops[1:]:
-        out = mat_add(out, mat_scale(op, rat(rng.randint(1, 9))))
+    n = len(ops[0])
+    out = zero_matrix(n, len(ops[0][0]) if n else 0, ONE)
+    for op in ops:
+        c = rng.randint(1, 9)
+        out = mat_add(out, mat_scale(op, rat(c)))
     return out

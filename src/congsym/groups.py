@@ -77,6 +77,7 @@ class GroupModN:
         self.elements = elements  # set of tuples
         self.G0 = sorted(g for g in elements if mat_det(g) % N == 1 % N)
         self.det_image = sorted({mat_det(g) % N for g in elements})
+        self._least_of_det = None  # det mod N -> least element, on first use
 
     def __contains__(self, g):
         return mat_mod(g, self.N) in self.elements
@@ -542,14 +543,18 @@ def is_real_type(G):
 
 
 def find_det_element(G, n):
-    """First element of G (in sorted order) with determinant n mod N."""
+    """Least element of G (in tuple order) with determinant n mod N."""
     N = G.N
     if N == 1:
         return (0, 0, 0, 0)
-    nm = n % N
-    if nm not in set(G.det_image):
+    if G._least_of_det is None:
+        least = {}
+        for g in G.elements:
+            d = mat_det(g) % N
+            if d not in least or g < least[d]:
+                least[d] = g
+        G._least_of_det = least
+    g = G._least_of_det.get(n % N)
+    if g is None:
         raise ValueError("no element of determinant %d: T_n undefined for this group" % n)
-    for g in sorted(G.elements):
-        if mat_det(g) % N == nm:
-            return g
-    raise AssertionError("det_image inconsistent")
+    return g

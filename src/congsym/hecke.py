@@ -1,5 +1,7 @@
-"""Hecke operators, Heilbronn-Merel fast path, degeneracy maps, and the
-old/new decomposition for induced congruence subgroups.
+"""Hecke operators (the double-coset path and the Heilbronn-set sweep, with
+Cremona's family at odd primes and Merel's otherwise), diamond operators,
+degeneracy maps, and the old/new decomposition for induced congruence
+subgroups.
 
 All operators act on the presentation built in spaces.py and are returned as
 square matrices over the coefficient field, columns being the images of the
@@ -8,9 +10,9 @@ basis symbols.
 
 from math import gcd
 
-from .backend import rat, inv_mod, divisors, factor_int
+from .backend import rat, inv_mod, divisors, is_prime
 from . import linalg as la
-from .groups import (mat_mod, mat_mul, mat_det, mat_inv_mod, imat_inv_det1,
+from .groups import (mat_mod, mat_mul, mat_det, imat_inv_det1,
                      imat_adjugate, lift_to_sl2, gamma_generators,
                      find_det_element, GroupTooLarge, AMBIENT_CAP,
                      close_group, gl2_elements, IDENT)
@@ -132,7 +134,8 @@ def hecke_double_coset(S, alpha):
 
 def hecke_tp(S, p, path="auto"):
     """Matrix of T_p for a prime p whose residue class is a determinant of
-    G.  path is one of auto | naive | merel."""
+    G.  path is one of auto | naive (double cosets) | merel (the
+    Heilbronn-set sweep of hecke_tn_fast)."""
     if path == "auto":
         path = "naive" if S.character is not None else "merel"
     if path == "merel":
@@ -220,48 +223,82 @@ def phi_map(S, A):
     return S.table.coset_index_mod(s)
 
 
-def hecke_tn_fast(S, n):
-    """Matrix of T_n via the Heilbronn-Merel family and the coset
+def heilbronn_cremona_set(p):
+    """Cremona's determinant-p family for a prime p (Algorithms for Modular
+    Elliptic Curves, 1997, section 2.4): diag(1, p) and, for each
+    |r| <= p/2, the matrices met while expanding -p/r in a continued
+    fraction with nearest-integer quotients (halves rounded away from
+    zero), starting from ((p, -r), (0, 1)).  Each has multiplicity one.
+    It satisfies condition C_p for odd p but not for p = 2."""
+    pairs = [(1, (1, 0, 0, p))]
+    for r in range(-(p // 2), p // 2 + 1):
+        x1, x2, y1, y2 = p, -r, 0, 1
+        a, b = -p, r
+        pairs.append((1, (x1, x2, y1, y2)))
+        while b:
+            q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+            if (a < 0) != (b < 0):
+                q = -q
+            a, b = -b, a - b * q
+            x1, x2 = x2, q * x2 - x1
+            y1, y2 = y2, q * y2 - y1
+            pairs.append((1, (x1, x2, y1, y2)))
+    return HeilbronnSet(p, pairs)
+
+
+def heilbronn_set(n):
+    """The family T_n is swept over: Cremona's for an odd prime n (smaller,
+    and built in O(n log n) steps), Merel's otherwise."""
+    if n % 2 and is_prime(n):
+        return heilbronn_cremona_set(n)
+    return heilbronn_merel_set(n)
+
+
+def hecke_sweep(S, n, H=None):
+    """The function t -> coordinates of T_n applied to basis symbol t, by one
+    sweep of the Heilbronn family H (default heilbronn_set(n)) with the coset
     projection.  Requires a trivial character.  If no element of G has
     determinant n mod N the operator is zero."""
     if S.character is not None:
         raise NotImplementedError("fast path requires a trivial character")
     N = S.table.N
-    zero = la.zero_matrix(S.dim, S.dim, S.one)
-    if N > 1:
-        if gcd(n, N) != 1 or (n % N) not in S.G.det_image:
-            return zero
+    if N > 1 and (gcd(n, N) != 1 or (n % N) not in S.G.det_image):
+        return lambda t: S.zero_vector()
     if n == 1:
-        return la.identity_matrix(S.dim, S.one)
-    H = heilbronn_merel_set(n)
+        return lambda t: [S.one if pos == t else S.one * 0
+                          for pos in range(S.dim)]
+    if H is None:
+        H = heilbronn_set(n)
     m = S.m
     stride = m + 1
-    table = S.table
+    coset_of = S.table.coset_of
     if N > 1:
         ninv = inv_mod(n % N, N)
-        delta = find_det_element(S.G, n % N)
-        pre = mat_mod(tuple(ninv * x for x in delta), N)
-    # polynomial action of each family member on each monomial; the family
-    # acts through the adjugate (matching the double-coset operator)
-    poly_of = None
-    if m > 0:
-        poly_of = [[sym_action(imat_adjugate(M), monomial(m, w))
-                    for w in range(stride)]
-                   for _, M in H]
-    cols = []
-    for (w, i) in S.basis_tags:
-        rep = table.reps_mod[i]
+        pre = mat_mod(tuple(ninv * x for x in find_det_element(S.G, n)), N)
+        family = [(u, mat_mod(M, N)) for u, M in H]
+    # polynomial action of each family member on the monomial of weight w;
+    # the family acts through the adjugate (matching the double-coset
+    # operator)
+    poly_of = {}
+
+    def column(t):
+        w, i = S.basis_tags[t]
+        if N > 1:
+            pre_rep = mat_mul(pre, S.table.reps_mod[i], N)
+            cosets = [coset_of[mat_mul(pre_rep, M, N)]
+                      for _, M in family]
+        else:
+            cosets = [0] * len(H)
         counts = {}
-        for t, (u, M) in enumerate(H):
-            if N > 1:
-                A = mat_mul(rep, mat_mod(M, N), N)
-                j = table.coset_index_mod(mat_mul(pre, A, N))
-            else:
-                j = 0
-            if m == 0:
-                counts[j * stride] = counts.get(j * stride, 0) + u
-            else:
-                for w2, c in enumerate(poly_of[t][w]):
+        if m == 0:
+            for (u, _), j in zip(H, cosets):
+                counts[j] = counts.get(j, 0) + u
+        else:
+            if w not in poly_of:
+                poly_of[w] = [sym_action(imat_adjugate(M), monomial(m, w))
+                              for _, M in H]
+            for (u, _), j, poly in zip(H, cosets, poly_of[w]):
+                for w2, c in enumerate(poly):
                     if c != 0:
                         key = j * stride + w2
                         counts[key] = counts.get(key, 0) + u * c
@@ -269,34 +306,44 @@ def hecke_tn_fast(S, n):
         for key, cnt in counts.items():
             for pos, cv in S.reduce_cols[key].items():
                 vec[pos] = vec[pos] + cnt * cv
-        cols.append(vec)
-    return la.transpose(cols)
+        return vec
+
+    return column
+
+
+def hecke_tn_fast(S, n, H=None):
+    """Matrix of T_n: the column of every basis symbol from one
+    hecke_sweep."""
+    column = hecke_sweep(S, n, H)
+    return la.transpose([column(t) for t in range(S.dim)])
 
 
 # ---------------------------------------------------------- diamond, sigma
 
+def diamond_column(S, s_mod, t):
+    """Coordinates of [v, gamma_s g] for the basis symbol t = [v, g]."""
+    w, i = S.basis_tags[t]
+    g = mat_mul(lift_to_sl2(s_mod, S.table.N), S.table.reps[i])
+    return S.manin_coords(monomial(S.m, w), g)
+
+
 def diamond_operator(S, s_mod):
     """Operator [v, g] -> [v, gamma_s g] for s in SL2(Z/N) normalizing the
     determinant-one part of G."""
-    gamma_s = lift_to_sl2(s_mod, S.table.N)
-    m = S.m
-    cols = []
-    for (w, i) in S.basis_tags:
-        g = mat_mul(gamma_s, S.table.reps[i])
-        cols.append(S.manin_coords(monomial(m, w), g))
-    return la.transpose(cols)
+    return la.transpose([diamond_column(S, s_mod, t) for t in range(S.dim)])
 
 
 def sigma_class(S, p):
-    """The SL2(Z/N) class p * delta_p^-2 entering the Euler factor at a
-    good prime p."""
+    """The SL2(Z/N) class p^-1 * delta_p^2 (delta_p the least element of G
+    of determinant p) of the diamond operator in the Hecke recursion
+    T_(p^(r+1)) = T_p T_(p^r) - p^(k-1) <sigma_p> T_(p^(r-1)) at a good
+    prime p."""
     N = S.table.N
     if N == 1:
         return (1, 0, 0, 1)
     delta = find_det_element(S.G, p % N)
-    di = mat_inv_mod(delta, N)
-    d2 = mat_mul(di, di, N)
-    return mat_mod(tuple(p * x for x in d2), N)
+    pinv = inv_mod(p % N, N)
+    return mat_mod(tuple(pinv * x for x in mat_mul(delta, delta, N)), N)
 
 
 # ----------------------------------------------------------- degeneracy maps
@@ -498,20 +545,30 @@ def enumerate_degeneracy(Gamma_high, Gamma_low):
 # ----------------------------------------------------------- old/new spaces
 
 def proper_overgroups(G):
-    """Subgroups H with G < H <= GL2(Z/N): the closure of G with one
-    representative of each nontrivial G-coset, de-duplicated."""
+    """Subgroups H with G < H <= GL2(Z/N): the closure of G with the least
+    element of each double coset GgG outside G, de-duplicated.  <G, g>
+    depends only on GgG, so each double coset is closed once."""
     N = G.N
     ambient = gl2_elements(N)
     if len(ambient) > AMBIENT_CAP:
         raise GroupTooLarge("ambient group too large for overgroup search")
     elems = set(G.elements)
-    seen_cosets = set()
+    seen = set()
     out = []
     for g in sorted(ambient):
-        if g in elems or g in seen_cosets:
+        if g in elems or g in seen:
             continue
-        for h in G.elements:
-            seen_cosets.add(mat_mul(h, g, N))
+        seen.add(g)
+        frontier = [g]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for h in G.generators:
+                    for y in (mat_mul(h, x, N), mat_mul(x, h, N)):
+                        if y not in seen:
+                            seen.add(y)
+                            nxt.append(y)
+            frontier = nxt
         H = close_group(N, list(G.generators) + [g])
         if not any(H.equals(Ho) for Ho in out):
             out.append(H)

@@ -127,12 +127,6 @@ def in_row_space(rows, v):
     return mat_rank(list(rows) + [v]) == mat_rank(rows)
 
 
-def intersect_row_spaces(a_rows, b_rows):
-    """Basis of span(a_rows) ∩ span(b_rows)."""
-    combos = kernel_of_rows(list(a_rows) + list(b_rows))
-    return row_space_basis(mat_mul([c[:len(a_rows)] for c in combos], a_rows))
-
-
 def restrict_to_invariant_subspace(m, basis):
     """Matrix of m in the coordinates of an m-invariant basis (column j holds
     those of m * basis[j]), read off the reduced form of [B^t | m B^t]."""

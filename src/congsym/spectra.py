@@ -4,14 +4,16 @@ Euler factors."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
-from .backend import rat, as_fraction, is_prime, factor_int
+from .backend import as_fraction, is_prime, factor_int
 from .polys import UniPoly, factor_rational_poly, is_irreducible_poly, NumberField
 from . import linalg as la
 from .groups import is_real_type
 from .spaces import (cuspidal_subspace, star_involution, plus_subspace,
                      NotRealType)
-from .hecke import hecke_tn_fast, diamond_operator, sigma_class
+from .hecke import (hecke_tn_fast, hecke_sweep, diamond_operator,
+                    diamond_column, sigma_class)
 
 
 def sturm_bound(k, Gamma):
@@ -22,22 +24,26 @@ def sturm_bound(k, Gamma):
     return max(math.floor(val), 1)
 
 
-def good_primes(G, count=None, upto=None):
+def iter_good_primes(G):
     """Primes p, in increasing order, with p coprime to the modulus and
     p mod N a determinant of G."""
+    for p in range(2, 10 ** 6 + 1):
+        if is_prime(p) and (G.N == 1 or (G.N % p != 0
+                                         and (p % G.N) in G.det_image)):
+            yield p
+    raise RuntimeError("no good primes found")
+
+
+def good_primes(G, count=None, upto=None):
+    """The first count good primes, or those up to upto."""
     out = []
-    p = 2
-    while True:
-        if is_prime(p):
-            if G.N == 1 or (G.N % p != 0 and (p % G.N) in G.det_image):
-                out.append(p)
-                if count is not None and len(out) >= count:
-                    return out
-        p += 1
+    for p in iter_good_primes(G):
         if upto is not None and p > upto:
-            return out
-        if p > 10 ** 6:
-            raise RuntimeError("no good primes found")
+            break
+        out.append(p)
+        if count is not None and len(out) >= count:
+            break
+    return out
 
 
 class SpectralContext:
@@ -197,24 +203,33 @@ def decompose(ctx, seed=0):
 
 
 def dual_vector_space(ctx, piece):
-    """The matching subspace of the dual, cut out by kernels of the
-    characteristic polynomials of successive good-prime operators."""
-    one = ctx.S.one
-    if piece.dimension == 0:
+    """The piece's part of the dual of the full symbol space, as rational
+    row vectors in full coordinates: the functionals v with v iota = v (plus
+    kind) and v g_p(T_p) = 0, for g_p the characteristic polynomial of T_p
+    on the piece, at successive good primes until the dimension is the
+    piece's.  The primes run up to the Sturm bound and on to the first p
+    with p^(k-1) >= 6, whose T_p separates the Eisenstein part: there its
+    eigenvalues have absolute value at least p^(k-1) - 1 > 2 p^((k-1)/2)."""
+    S = ctx.S
+    d = piece.dimension
+    if d == 0:
         piece.dual = []
         return []
-    V = [list(r) for r in la.identity_matrix(ctx.dim, one)]
-    bound = sturm_bound(ctx.S.k, ctx.S.table)
-    for p in ctx.good_primes(upto=max(bound, 2)):
-        if len(V) == piece.dimension:
+    V = la.identity_matrix(S.dim, S.one)
+    if ctx.kind == "plus":
+        V = la.kernel(la.mat_sub(la.transpose(star_involution(S)), V))
+    bound = sturm_bound(S.k, S.table)
+    separating = next(p for p in iter_good_primes(S.G)
+                      if p ** (S.k - 1) >= 6)
+    for p in ctx.good_primes(upto=max(bound, separating)):
+        if len(V) <= d:
             break
-        R = ctx.op(p)
-        cp = la.charpoly(piece.restricted(R))
-        K = la.mat_poly_eval(cp, la.transpose(R))
-        W = la.kernel(K)
-        V = la.intersect_row_spaces(V, W)
-    if len(V) != piece.dimension:
-        raise ValueError("dual space did not converge below the Sturm bound")
+        R = la.restrict_to_invariant_subspace(
+            la.transpose(ctx.full_op(p)), V)
+        g_p = la.charpoly(piece.op(p))
+        V = la.mat_mul(la.kernel(la.mat_poly_eval(g_p, R)), V)
+    if len(V) != d:
+        raise ValueError("dual space did not converge")
     piece.dual = V
     return V
 
@@ -254,104 +269,126 @@ def _rat_str(v):
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
-    """Eigenvalue system of an irreducible (or simple-isotypic) piece.
-
-    bad_ops maps a prime p dividing the modulus to a matrix on the working
-    module (a user-supplied double-coset combination); without it a_p is
-    absent (None) or, with default_bad_zero, assumed to be 0.
-    """
-    ctx = piece.ctx
-    S = ctx.S
-    one = S.one
-    N = S.table.N
-    d = piece.dimension
-    if d == 0:
-        raise ValueError("empty piece has no eigensystem")
-    primes = ctx.good_primes(count=3)
+def _generator(piece, seed):
+    """The first element T of _generator_candidates over T_p, for the first
+    three good primes p, whose characteristic polynomial on the piece is a
+    power of an irreducible g with g(T) = 0.  Returns those primes, the
+    position of T in the stream and g."""
+    primes = piece.ctx.good_primes(count=3)
     ops = [piece.op(p) for p in primes]
-    found = None
-    for T in _generator_candidates(ops, seed):
-        f = la.charpoly(T)
-        fac = factor_rational_poly(f)
+    for t, T in enumerate(_generator_candidates(ops, seed)):
+        fac = factor_rational_poly(la.charpoly(T))
         if len(fac) != 1:
             continue
         g, e = fac[0]
         if e == 1 or la.is_zero_matrix(la.mat_poly_eval(g, T)):
-            found = (T, g)
-            break
-    if found is None:
-        raise RuntimeError("no generator with power-of-irreducible charpoly")
-    T, g = found
+            return primes, t, g
+    raise RuntimeError("no generator with power-of-irreducible charpoly")
+
+
+def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
+    """Eigenvalue system of an irreducible (or simple-isotypic) piece.
+
+    T is the generator (see _generator) and g its minimal polynomial on the
+    piece.  For a root a of g, h = g/(x - a) and a rational vector v of the
+    piece's dual (dual_vector_space), e = h(T^t) v is an eigenfunctional on
+    the full symbol space: e T_n = a_n e.  So a_n = <e, T_n s>/<e, s> for
+    one basis symbol s with <e, s> != 0, and each T_n is needed on s alone.
+    At a prime p whose class is a determinant of G, a_(p^r) follows from
+    a_p and <sigma_p> by the Hecke recursion; at another p not dividing N,
+    each a_(p^r) takes a one-symbol sweep of T_(p^r).
+
+    bad_ops maps a prime p dividing the modulus to a matrix on the working
+    module (a user-supplied double-coset combination), read through e
+    restricted to the working module; without it a_p is absent (None) or,
+    with default_bad_zero, assumed to be 0.
+    """
+    ctx = piece.ctx
+    S = ctx.S
+    N = S.table.N
+    if piece.dimension == 0:
+        raise ValueError("empty piece has no eigensystem")
+    primes, t, g = _generator(piece, seed)
     if g.degree == 1:
         field = None
-        root = -g.coeffs[0]
-
-        def lift(x):
-            return one * x
-
-        gen_val = root
+        fone = S.one
+        h = [fone]
     else:
         field = NumberField(g, var="a")
-
-        def lift(x):
-            return field.elem([x])
-
-        gen_val = field.gen()
-    # eigenfunctional: kernel vector of (T^t - gen)
-    fone = field.one() if field is not None else one
+        fone = field.one()
+        # g = (x - a) h by synthetic division, h lowest degree first
+        h = [fone]
+        for c in reversed(g.coeffs[1:-1]):
+            h.append(field.gen() * h[-1] + c)
+        h.reverse()
+    # rational row vectors v (T^t)^i in full coordinates; e = sum h_i w_i
+    T = next(islice(_generator_candidates(
+        [ctx.full_op(p) for p in primes], seed), t, None))
     Tt = la.transpose(T)
-    M = [[lift(Tt[i][j]) - (gen_val if i == j else gen_val * 0)
-          for j in range(d)] for i in range(d)]
-    kern = la.kernel(M)
-    if not kern:
-        raise RuntimeError("no eigenfunctional: T^t - a has a zero kernel")
-    c = kern[0]
-    pivot = next(i for i, x in enumerate(c) if x != 0)
+    w = [dual_vector_space(ctx, piece)[0]]
+    for _ in range(g.degree - 1):
+        w.append(la.mat_vec(Tt, w[-1]))
 
-    def value_of(R):
-        num = fone * 0
-        for j in range(d):
-            if R[j][pivot] != 0:
-                num = num + c[j] * lift(R[j][pivot])
-        return num / c[pivot]
+    def pair(x):
+        """<e, x> for a rational vector x in full coordinates."""
+        total = fone * 0
+        for hi, wi in zip(h, w):
+            total = total + hi * sum(a * b for a, b in zip(wi, x) if a and b)
+        return total
+
+    s = next(j for j in range(S.dim) if any(wi[j] for wi in w))
+    e_s_inv = fone / pair([S.one if j == s else 0 for j in range(S.dim)])
+
+    def value(column):
+        return pair(column) * e_s_inv
 
     absent = set()
     assumed = set()
-    pp_cache = {}
 
-    def prime_power(p, r):
-        key = (p, r)
-        if key in pp_cache:
-            return pp_cache[key]
+    def bad_value(R):
+        psi = [pair(b) for b in ctx.basis]
+        j = next(i for i, x in enumerate(psi) if x != 0)
+        return sum((x * R[i][j] for i, x in enumerate(psi) if x != 0),
+                   fone * 0) / psi[j]
+
+    def prime_powers(p):
+        """[a_1, a_p, a_(p^2), ...] below L, or None when a_p is absent."""
+        rmax = 1
+        while p ** (rmax + 1) < L:
+            rmax += 1
         if N > 1 and N % p == 0:
             if bad_ops is not None and p in bad_ops:
-                base = value_of(piece.restricted(bad_ops[p]))
-                val = base
-                for _ in range(r - 1):
-                    val = val * base
+                base = bad_value(bad_ops[p])
             elif default_bad_zero:
                 assumed.add(p)
-                val = fone * 0
+                base = fone * 0
             else:
                 absent.add(p)
-                val = None
-        else:
-            val = value_of(piece.op(p ** r))
-        pp_cache[key] = val
-        return val
+                return None
+            return [base ** r for r in range(rmax + 1)]
+        if N > 1 and p % N not in S.G.det_image:
+            return [fone] + [value(hecke_sweep(S, p ** r)(s))
+                             for r in range(1, rmax + 1)]
+        vals = [fone, value(hecke_sweep(S, p)(s))]
+        if rmax > 1:
+            eps = value(diamond_column(S, sigma_class(S, p), s))
+            pk = p ** (S.k - 1)
+            for r in range(2, rmax + 1):
+                vals.append(vals[1] * vals[r - 1] - eps * pk * vals[r - 2])
+        return vals
 
+    pp_cache = {}
     values = {1: fone}
     for n in range(2, L):
         val = fone
-        ok = True
         for p, r in sorted(factor_int(n).items()):
-            v = prime_power(p, r)
-            if v is None:
-                ok = False
+            if p not in pp_cache:
+                pp_cache[p] = prime_powers(p)
+            if pp_cache[p] is None:
+                val = None
                 break
-            val = val * v
-        values[n] = val if ok else None
+            val = val * pp_cache[p][r]
+        values[n] = val
     return EigenSystem(piece, g, field, values, L, absent, assumed)
 
 

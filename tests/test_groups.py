@@ -64,6 +64,15 @@ def test_find_det_element():
         find_det_element(build_family("gamma", 11), 2)
 
 
+def test_find_det_element_is_least():
+    for G in (build_family("gamma0", 11), build_family("ns_plus", 13),
+              build_family("gamma1", 8)):
+        for n in G.det_image:
+            least = min(g for g in G.elements if mat_det(g) % G.N == n)
+            assert find_det_element(G, n) == least
+            assert find_det_element(G, n + 5 * G.N) == least
+
+
 def test_normalizer_contains_group():
     G = build_family("ns", 13)
     Np = normalizer(G)

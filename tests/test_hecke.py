@@ -1,6 +1,7 @@
 import pytest
 
-from congsym.groups import coset_table, mat_det
+from congsym.backend import is_prime
+from congsym.groups import coset_table, mat_det, mat_inv_mod
 from congsym.families import build_family
 from congsym import linalg as la
 from congsym import spaces as sp
@@ -33,6 +34,64 @@ def test_condition_cn():
     bad = hk.heilbronn_merel_set(5)
     mutated = hk.HeilbronnSet(5, bad.pairs[:-1])
     assert not hk.condition_cn_check(mutated)
+
+
+def test_cremona_set_condition_cn():
+    for p in range(3, 51):
+        if is_prime(p):
+            H = hk.heilbronn_cremona_set(p)
+            assert all(u == 1 and mat_det(m) == p for u, m in H)
+            assert hk.condition_cn_check(H)
+            assert hk.heilbronn_set(p).pairs == H.pairs
+    assert not hk.condition_cn_check(hk.heilbronn_cremona_set(2))
+    assert hk.heilbronn_set(2).pairs == hk.heilbronn_merel_set(2).pairs
+    assert hk.heilbronn_set(9).pairs == hk.heilbronn_merel_set(9).pairs
+
+
+@pytest.mark.parametrize("tag, param, k, primes", [
+    ("gamma0", 11, 2, (3, 5, 7, 13)),
+    ("gamma0", 11, 4, (3, 5, 7)),
+    ("gamma0", 23, 6, (3, 5)),
+    ("gamma1", 13, 2, (3, 5, 7)),
+    ("ns_plus", 13, 2, (3, 5, 7, 11)),
+])
+def test_cremona_tp_equals_merel_tp(tag, param, k, primes):
+    S = space_for(tag, param, k)
+    for p in primes:
+        assert hk.hecke_tn_fast(S, p) == \
+            hk.hecke_tn_fast(S, p, hk.heilbronn_merel_set(p))
+
+
+def test_one_symbol_column_is_matrix_column(s_ns_plus_13):
+    for S in (s_ns_plus_13, space_for("gamma0", 11, 4)):
+        for n in (1, 2, 3, 4, 9, 13):
+            full = hk.hecke_tn_fast(S, n)
+            column = hk.hecke_sweep(S, n)
+            for t in range(S.dim):
+                assert column(t) == [row[t] for row in full]
+        sig = hk.sigma_class(S, 2)
+        D = hk.diamond_operator(S, sig)
+        for t in range(S.dim):
+            assert hk.diamond_column(S, sig, t) == [row[t] for row in D]
+
+
+@pytest.mark.parametrize("tag, param", [("gamma1", 13), ("ns_plus", 13)])
+def test_hecke_recursion_at_prime_powers(tag, param):
+    """T_(p^2) = T_p^2 - p^(k-1) <sigma_p> and T_(p^3) = T_p T_(p^2) -
+    p^(k-1) <sigma_p> T_p, with sigma_p = p^-1 delta_p^2; on gamma1 13 the
+    inverse class fails."""
+    S = space_for(tag, param)
+    for p in (2, 3):
+        tp, tp2 = hk.hecke_tn_fast(S, p), hk.hecke_tn_fast(S, p * p)
+        sig = hk.sigma_class(S, p)
+        pd = la.mat_scale(hk.diamond_operator(S, sig), S.one * p)
+        assert tp2 == la.mat_sub(la.mat_mul(tp, tp), pd)
+        assert hk.hecke_tn_fast(S, p ** 3) == \
+            la.mat_sub(la.mat_mul(tp, tp2), la.mat_mul(pd, tp))
+        if tag == "gamma1":
+            inv = hk.diamond_operator(S, mat_inv_mod(sig, S.table.N))
+            assert tp2 != la.mat_sub(la.mat_mul(tp, tp),
+                                     la.mat_scale(inv, S.one * p))
 
 
 def test_double_coset_counts():

@@ -62,14 +62,6 @@ def test_seeded_combination_deterministic():
         la.seeded_random_combination(ops, 7)
 
 
-def test_intersect_row_spaces():
-    a = M([[1, 0, 0], [0, 1, 0]])
-    b = M([[0, 1, 0], [0, 0, 1]])
-    inter = la.intersect_row_spaces(a, b)
-    assert len(inter) == 1
-    assert inter[0][0] == 0 and inter[0][2] == 0
-
-
 def test_det_poly_matrix():
     x = UniPoly([0, 1])
     one = UniPoly([1])

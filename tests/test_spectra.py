@@ -1,12 +1,17 @@
 from fractions import Fraction
+from itertools import islice
 
-from congsym.backend import as_fraction
+import pytest
+import sympy
+
+from congsym.backend import as_fraction, factor_int, is_prime
 from congsym.groups import coset_table
 from congsym.families import build_family
+from congsym import hecke as hk
 from congsym import linalg as la
 from congsym import spaces as sp
 from congsym import spectra as spec
-from congsym.polys import UniPoly, factor_rational_poly
+from congsym.polys import NumberField, UniPoly, factor_rational_poly
 
 from conftest import space_for
 
@@ -79,6 +84,12 @@ def test_dual_vector_space(ctx_ns_plus_13):
     piece = spec.decompose(ctx)[0]
     dual = spec.dual_vector_space(ctx, piece)
     assert len(dual) == piece.dimension
+    # full-space functionals that pair perfectly with the piece
+    full = la.mat_mul(piece.space, ctx.basis)
+    assert la.mat_rank(la.mat_mul(dual, la.transpose(full))) == \
+        piece.dimension
+    iota = la.transpose(sp.star_involution(ctx.S))
+    assert all(la.mat_vec(iota, v) == v for v in dual)
 
 
 def test_euler_factor_gamma0_11(ctx_gamma0_11):
@@ -125,3 +136,139 @@ def test_bad_primes_assumed_zero():
     es2 = spec.eigen_system(pieces[0], L=30, default_bad_zero=False)
     assert es2.a_str(2) == "?"
     assert es2.a_str(6) == "?"
+
+
+def _reference_values(pieces, L, seed=0):
+    """a_n, n < L, of each piece by the direct path: the full T_q on the
+    Merel family for each prime power q, restricted to the working module
+    and then to the piece, read off a left eigenvector of the generator over
+    Q(a); 0 at primes dividing N, multiplicative in coprime factors."""
+    ctx = pieces[0].ctx
+    S = ctx.S
+    N = S.table.N
+    ops = {}
+
+    def op(q):
+        if q not in ops:
+            full = hk.hecke_tn_fast(S, q, hk.heilbronn_merel_set(q))
+            ops[q] = la.restrict_to_invariant_subspace(full, ctx.basis)
+        return ops[q]
+
+    out = []
+    for piece in pieces:
+        primes, t, g = spec._generator(piece, seed)
+        T = next(islice(spec._generator_candidates(
+            [piece.op(p) for p in primes], seed), t, None))
+        if g.degree == 1:
+            one, root = S.one, -g.coeffs[0]
+            lift = lambda x: x
+        else:
+            F = NumberField(g)
+            one, root = F.one(), F.gen()
+            lift = F.elem
+        d = piece.dimension
+        c = la.kernel([[lift(T[j][i]) - (root if i == j else 0 * one)
+                        for j in range(d)] for i in range(d)])[0]
+        j0 = next(i for i, x in enumerate(c) if x != 0)
+
+        def value(q):
+            R = piece.restricted(op(q))
+            return sum((c[j] * lift(R[j][j0]) for j in range(d)),
+                       0 * one) / c[j0]
+
+        vals = {1: one}
+        for n in range(2, L):
+            vals[n] = one
+            for p, r in factor_int(n).items():
+                vals[n] = vals[n] * (0 * one if N > 1 and N % p == 0
+                                     else value(p ** r))
+        out.append(vals)
+    return out
+
+
+@pytest.mark.parametrize("group", [
+    "gamma0 11", "gamma0 37", "gamma1 13", "ns_plus 17", "gamma 6",
+    "gamma 8", "h155", "8e1"])
+def test_eigen_system_matches_direct_path(group, g_h155, g_8e1):
+    if group == "h155":
+        G = g_h155
+    elif group == "8e1":
+        G = g_8e1
+    else:
+        tag, param = group.split()
+        G = build_family(tag, int(param))
+    ctx = spec.SpectralContext(sp.build_space(coset_table(G), 2))
+    pieces = spec.decompose(ctx)
+    assert pieces
+    for piece, ref in zip(pieces, _reference_values(pieces, 60)):
+        es = spec.eigen_system(piece, L=60)
+        assert [es.a(n) for n in range(1, 60)] == \
+            [ref[n] for n in range(1, 60)]
+
+
+def test_eichler_shimura_11a1(ctx_gamma0_11):
+    """a_p = p + 1 - #E(F_p) for E = 11a1: y^2 + y = x^3 - x^2 - 10x - 20."""
+    es = spec.eigen_system(spec.decompose(ctx_gamma0_11)[0], L=200)
+    for p in range(2, 200):
+        if not is_prime(p) or p == 11:
+            continue
+        ys = {}
+        for y in range(p):
+            ys[(y * y + y) % p] = ys.get((y * y + y) % p, 0) + 1
+        affine = sum(ys.get((x ** 3 - x * x - 10 * x - 20) % p, 0)
+                     for x in range(p))
+        assert es.a(p) == p + 1 - (affine + 1), p
+
+
+def test_bad_prime_operator(ctx_gamma0_11):
+    """U_11 acts on 11a1 by its split multiplicative sign, +1."""
+    ctx = ctx_gamma0_11
+    U = la.restrict_to_invariant_subspace(
+        hk.hecke_double_coset(ctx.S, (1, 0, 0, 11)), ctx.basis)
+    es = spec.eigen_system(spec.decompose(ctx)[0], L=14, bad_ops={11: U})
+    assert es.a_str(11) == "1"
+    assert es.assumed == set() and es.absent == set()
+    assert [es.a_str(n) for n in range(1, 14)] == \
+        ["1", "-2", "-1", "2", "1", "2", "-2", "0", "-2", "-2", "1", "-2",
+         "4"]
+
+
+def test_bad_prime_operator_on_two_pieces():
+    """On gamma0 37 the working module holds two rational pieces; U_37 on
+    each is the 1x1 restriction."""
+    ctx = spec.SpectralContext(space_for("gamma0", 37))
+    U = la.restrict_to_invariant_subspace(
+        hk.hecke_double_coset(ctx.S, (1, 0, 0, 37)), ctx.basis)
+    pieces = spec.decompose(ctx)
+    assert [p.dimension for p in pieces] == [1, 1]
+    signs = []
+    for piece in pieces:
+        es = spec.eigen_system(piece, L=38, bad_ops={37: U})
+        assert es.a(37) == piece.restricted(U)[0][0]
+        signs.append(es.a_str(37))
+    assert sorted(signs) == ["-1", "1"]
+
+
+@pytest.mark.parametrize("p, expected", [(2, [1, 3, 5, 6, 4]),
+                                         (3, [1, 2, 1, 6, 9])])
+def test_euler_factor_is_norm_gamma1_13(p, expected):
+    """det(1 - T_p X + p <sigma_p> X^2) on the degree-2 piece of gamma1 13
+    is the norm of 1 - a_p X + (a_p^2 - a_(p^2)) X^2, with a_p and a_(p^2)
+    from the direct path."""
+    ctx = spec.SpectralContext(space_for("gamma1", 13))
+    piece = spec.decompose(ctx)[0]
+    ref = _reference_values([piece], p * p + 1)[0]
+    ap, ap2 = ref[p], ref[p * p]
+    a, X = sympy.symbols("a X")
+
+    def expr(coeffs):
+        return sum(sympy.Rational(as_fraction(c)) * a ** i
+                   for i, c in enumerate(coeffs))
+
+    local = 1 - expr(ap.coeffs) * X + expr((ap * ap - ap2).coeffs) * X ** 2
+    norm = sympy.Poly(sympy.resultant(expr(ap.field.modulus.coeffs), local, a),
+                      X)
+    assert [Fraction(int(c.p), int(c.q))
+            for c in reversed(norm.all_coeffs())] == expected
+    factor = spec.local_euler_factor(piece, p)
+    assert [as_fraction(c) for c in factor.coeffs] == expected

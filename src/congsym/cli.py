@@ -261,8 +261,11 @@ def cmd_eigensystem(args):
         m = hk.hecke_double_coset(S, a)
         r = la.restrict_to_invariant_subspace(m, ctx.basis)
         bad_ops[p] = r if p not in bad_ops else la.mat_add(bad_ops[p], r)
-    es = spec.eigen_system(pieces[args.piece], L=args.L, seed=args.seed,
-                           bad_ops=bad_ops or None)
+    try:
+        es = spec.eigen_system(pieces[args.piece], L=args.L, seed=args.seed,
+                               bad_ops=bad_ops or None)
+    except ValueError as exc:   # an --alpha operator not scalar on the piece
+        raise CliInputError(str(exc))
     if args.json:
         _emit_json({"piece": args.piece,
                     "field": es.modulus.to_str(),

@@ -60,10 +60,6 @@ def imat_adjugate(g):
     return (g[3], -g[1], -g[2], g[0])
 
 
-def mat_neg(g):
-    return (-g[0], -g[1], -g[2], -g[3])
-
-
 def is_unit(x, n):
     return n == 1 or gcd(x % n, n) == 1
 
@@ -151,14 +147,6 @@ def minimize_generators(N, elements):
     return gens
 
 
-def membership(G, g):
-    """Is g in the enumerated element set?  Moduli must agree."""
-    if isinstance(g, GroupModN):
-        raise TypeError("expected a matrix")
-    gt = tuple(g)
-    return mat_mod(gt, G.N) in G.elements
-
-
 def lift_to_sl2(g, N):
     """Lift of a det-1 matrix mod N to SL2(Z) with entries bounded by N^2."""
     if N == 1:
@@ -184,7 +172,8 @@ def lift_to_sl2(g, N):
                 d0 += t * N
                 break
     g1, x0, y0 = egcd(d0, -c0)  # x0*d0 - y0*c0 = 1
-    assert g1 == 1
+    if g1 != 1:
+        raise RuntimeError("bottom row (%d, %d) is not coprime" % (c0, d0))
     # top rows are (x0 + s*c0, y0 + s*d0); the congruence fixes s mod N
     s = ((a - x0) * (-y0) + (b - y0) * x0) % N
     s0 = s - N if s > N // 2 else s
@@ -196,8 +185,9 @@ def lift_to_sl2(g, N):
         if best is None or score < best[0]:
             best = (score, cand)
     lift = best[1]
-    assert mat_det(lift) == 1
-    assert mat_mod(lift, N) == (a, b, c, d)
+    if mat_det(lift) != 1 or mat_mod(lift, N) != (a, b, c, d):
+        raise RuntimeError("lift %r is not a det-1 lift of %r"
+                           % (lift, (a, b, c, d)))
     return lift
 
 
@@ -248,7 +238,9 @@ class CongruenceSubgroup:
                 perm[i] = j
             i += 1
         self.index = len(reps_mod)
-        assert self.index * len(g0) == total
+        if self.index * len(g0) != total:
+            raise RuntimeError("%d cosets of a group of order %d do not "
+                               "cover SL2(Z/%d)" % (self.index, len(g0), N))
         self.reps_mod = reps_mod
         self.coset_of = coset_of
         self.perm_S = perm_s
@@ -292,7 +284,9 @@ def gamma_generators(Gamma):
             j = perm[i]
             w = mat_mul(mat_mul(Gamma.reps[i], gen_int), imat_inv_det1(Gamma.reps[j]))
             if w != IDENT and w not in seen:
-                assert Gamma.contains(w)
+                if not Gamma.contains(w):
+                    raise RuntimeError("Schreier generator %r is not in the "
+                                       "group" % (w,))
                 seen.add(w)
                 gens.append(w)
     Gamma._schreier_gens = gens
@@ -316,7 +310,8 @@ class GL2QElem:
             den_l = den_l * f.denominator // gcd(den_l, f.denominator)
         self.d1 = rat(num_g, den_l)
         dval = as_fraction(det / (self.d1 * self.d1))
-        assert dval.denominator == 1
+        if dval.denominator != 1:
+            raise RuntimeError("det/d1^2 = %s is not an integer" % dval)
         self.Dval = int(dval.numerator)
 
     def primitive(self):
@@ -324,7 +319,8 @@ class GL2QElem:
         out = []
         for e in self.m:
             f = as_fraction(e / self.d1)
-            assert f.denominator == 1
+            if f.denominator != 1:
+                raise RuntimeError("alpha/d1 has the entry %s" % f)
             out.append(int(f.numerator))
         return tuple(out)
 
@@ -397,9 +393,10 @@ def smith_gl2q(alpha):
         x = [-e for e in x]
     # unimodular operations preserve the content, which is 1 for a primitive
     # matrix, so the corner entry is 1 and the other diagonal entry is n
-    assert m == [1, 0, 0, n], m
     xt, yt = tuple(x), tuple(y)
-    assert mat_det(xt) == 1 and mat_det(yt) == 1
+    if m != [1, 0, 0, n] or mat_det(xt) != 1 or mat_det(yt) != 1:
+        raise RuntimeError("Smith reduction of %r ended at %r"
+                           % (alpha.m, m))
     return xt, yt, alpha.d1, alpha.Dval
 
 

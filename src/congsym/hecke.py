@@ -27,7 +27,8 @@ def row_hnf(M):
     the unique SL2(Z)-left-translate ((a, b), (0, d)) with a, d > 0 and
     0 <= b < d."""
     a, b, c, d = M
-    assert a * d - b * c > 0
+    if a * d - b * c <= 0:
+        raise ValueError("row_hnf needs a positive determinant, got %r" % (M,))
     while c != 0:
         if a == 0 or (c != 0 and abs(c) < abs(a)):
             a, b, c, d = c, d, -a, -b  # swap rows with a sign
@@ -54,8 +55,9 @@ def element_of_det(G, n):
     gamma = lift_to_sl2(mat_mod((delta[0], delta[1] * ninv,
                                  delta[2], delta[3] * ninv), N), N)
     alpha = (gamma[0], gamma[1] * n, gamma[2], gamma[3] * n)
-    assert mat_det(alpha) == n
-    assert mat_mod(alpha, N) in G
+    if mat_det(alpha) != n or mat_mod(alpha, N) not in G:
+        raise RuntimeError("%r is not of determinant %d with reduction in G"
+                           % (alpha, n))
     return alpha
 
 
@@ -81,9 +83,13 @@ def _right_coset_key(Gamma, beta):
     hinv_scaled = imat_adjugate(h)
     d = h[0] * h[3]
     u = mat_mul(beta, hinv_scaled)
-    assert all(x % d == 0 for x in u)
+    if any(x % d for x in u):
+        raise RuntimeError("%r is not a left translate of its Hermite form"
+                           % (beta,))
     u = tuple(x // d for x in u)
-    assert mat_det(u) == 1
+    if mat_det(u) != 1:
+        raise RuntimeError("unimodular part %r has determinant %d"
+                           % (u, mat_det(u)))
     return h, Gamma.coset_index(u)
 
 

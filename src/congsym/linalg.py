@@ -127,18 +127,40 @@ def in_row_space(rows, v):
     return mat_rank(list(rows) + [v]) == mat_rank(rows)
 
 
+def _unit_columns(basis):
+    """For each basis vector i, the first column that is e_i (basis[i] holds
+    1 there and every other vector 0).  A vector's coordinates in the basis
+    are its entries at these columns.  Kernels carry one at each free column
+    and a product W * basis keeps them, so every basis the pipeline builds
+    has them."""
+    only = {}   # column -> the row of its single nonzero entry 1, else None
+    for i, row in enumerate(basis):
+        for j, x in enumerate(row):
+            if x:
+                only[j] = i if j not in only and x == 1 else None
+    cols = {}
+    for j in sorted(only):
+        if only[j] is not None:
+            cols.setdefault(only[j], j)
+    if len(cols) != len(basis):
+        raise ValueError("some basis vector has no unit column")
+    return [cols[i] for i in range(len(basis))]
+
+
 def restrict_to_invariant_subspace(m, basis):
-    """Matrix of m in the coordinates of an m-invariant basis (column j holds
-    those of m * basis[j]), read off the reduced form of [B^t | m B^t]."""
+    """Matrix R of m in the coordinates of an m-invariant basis B (column j
+    holds those of m * basis[j]): the rows of m B^t at B's unit columns,
+    checked against B^t R = m B^t."""
     d = len(basis)
     if not d:
         return []
     dom = _domain(m, basis)
     bt = _dm(basis, dom).transpose()
-    red, pivots = bt.hstack(_dm(m, dom) * bt).rref()
-    if tuple(pivots) != tuple(range(d)):
-        raise ValueError("basis is dependent or not invariant under the matrix")
-    return _lists(red.extract(list(range(d)), list(range(d, 2 * d))), dom)
+    mbt = _dm(m, dom) * bt
+    r = mbt.extract(_unit_columns(basis), list(range(d)))
+    if bt * r != mbt:
+        raise ValueError("basis is not invariant under the matrix")
+    return _lists(r, dom)
 
 
 def charpoly(m):

@@ -83,11 +83,6 @@ def cusp_normalize(u, v):
     return (u, v)
 
 
-def apply_to_cusp(g, cusp):
-    u, v = cusp
-    return cusp_normalize(g[0] * u + g[1] * v, g[2] * u + g[3] * v)
-
-
 def cusp_to_matrix(cusp):
     """An SL2(Z) matrix whose first column is the given primitive vector."""
     u, v = cusp
@@ -100,7 +95,8 @@ def cusp_to_matrix(cusp):
     if s * u + t * v != 1:
         s, t = -s, -t
     mat = (u, -t, v, s)
-    assert mat_det(mat) == 1
+    if mat_det(mat) != 1:
+        raise RuntimeError("%r does not have determinant 1" % (mat,))
     return mat
 
 
@@ -239,12 +235,16 @@ class ModSymSpace:
             q_cur = a * q_prev + q_prev2
             sgn = 1 if k % 2 == 1 else -1  # (-1)^(k-1)
             g = (sgn * p_cur, p_prev, sgn * q_cur, q_prev)
-            assert mat_det(g) == 1
+            if mat_det(g) != 1:
+                raise RuntimeError("convergent matrix %r does not have "
+                                   "determinant 1" % (g,))
             self.add_manin(vec, sym_action(imat_inv_det1(g), poly), g, coeff)
             p_prev2, q_prev2 = p_prev, q_prev
             p_prev, q_prev = p_cur, q_cur
             k += 1
-        assert (p_prev, q_prev) == (u, v) or (p_prev, q_prev) == (-u, -v)
+        if (p_prev, q_prev) not in ((u, v), (-u, -v)):
+            raise RuntimeError("convergents of %d/%d end at %d/%d"
+                               % (u, v, p_prev, q_prev))
 
     def symbol_coords(self, poly, a, b):
         """Coordinates of the modular symbol poly (x) {a, b}."""
@@ -509,27 +509,10 @@ def vector_equiv(Gamma, tab, w1, w2):
     gamma_b = mat_mul(g_b, imat_inv_det1(Gamma.reps[i_b]))
     gamma_h = mat_mul(h, imat_inv_det1(Gamma.reps[i_h]))
     gamma = mat_mul(mat_mul(gamma_b, mid), imat_inv_det1(gamma_h))
-    assert Gamma.contains(gamma)
-    assert _apply_to_vector(gamma, w1) == w2
+    if not Gamma.contains(gamma) or _apply_to_vector(gamma, w1) != w2:
+        raise RuntimeError("witness %r does not map %r to %r"
+                           % (gamma, w1, w2))
     return True, gamma
-
-
-def cusp_equiv(Gamma, tab, a, b, plus=False):
-    """Are cusps a, b equivalent under Gamma_G?  Returns (flag, witness).
-
-    With plus=True the extra identification (-u, v) ~ (u, v) of the
-    plus-quotient is applied to the source cusp.
-    """
-    a = cusp_normalize(*a)
-    b = cusp_normalize(*b)
-    sources = [a, (-a[0], -a[1])]
-    if plus and a[0] != 0:
-        sources += [(-a[0], a[1]), (a[0], -a[1])]
-    for src in sources:
-        eq, gamma = vector_equiv(Gamma, tab, src, b)
-        if eq:
-            return True, gamma
-    return False, None
 
 
 def cusp_vanishing(Gamma_small, tab_small, character, a, m=0):

@@ -145,25 +145,28 @@ def is_irreducible(piece, seed=0, attempts=8, n_ops=3):
 
 def decompose(ctx, seed=0):
     """Split the working module into irreducible (or flagged isotypic)
-    Hecke pieces by kernels of charpoly factors at successive good primes."""
+    Hecke pieces by kernels of charpoly factors at successive good primes.
+
+    A kernel of g(T_p) for a factor g of exponent 1 is final: T_p has
+    charpoly g there, so it is irreducible.  Every piece lies in the
+    generalized kernel of one factor g0 of the charpoly at the first prime
+    p0, so its label, the charpoly of T_p0 on it, is g0^(dim/deg g0)."""
     if ctx.dim == 0:
         return []
-    one = ctx.S.one
     bound = sturm_bound(ctx.S.k, ctx.S.table)
     primes = ctx.good_primes(upto=bound)
     if not primes:
         primes = ctx.good_primes(count=1)
+    p0 = primes[0]
     pieces = []
-    ident = la.identity_matrix(ctx.dim, one)
-    stack = [([list(r) for r in ident], 0)]
+    # (basis, index of the next prime, factor at p0, known irreducible)
+    stack = [(la.identity_matrix(ctx.dim, ctx.S.one), 0, None, False)]
     while stack:
-        basis, idx = stack.pop()
-        placed = False
-        while idx < len(primes):
-            p = primes[idx]
-            R = la.restrict_to_invariant_subspace(ctx.op(p), basis)
-            f = la.charpoly(R)
-            fac = factor_rational_poly(f)
+        basis, idx, g0, final = stack.pop()
+        split = False
+        while not final and idx < len(primes):
+            R = la.restrict_to_invariant_subspace(ctx.op(primes[idx]), basis)
+            fac = factor_rational_poly(la.charpoly(R))
             if len(fac) > 1:
                 for g, e in fac:
                     K = la.mat_poly_eval(g, R)
@@ -171,30 +174,25 @@ def decompose(ctx, seed=0):
                     for _ in range(e - 1):
                         Ke = la.mat_mul(Ke, K)
                     W = la.kernel(Ke)
-                    stack.append((la.mat_mul(W, basis), idx + 1))
-                placed = True
+                    stack.append((la.mat_mul(W, basis), idx + 1,
+                                  g if g0 is None else g0, e == 1))
+                split = True
                 break
             g, e = fac[0]
-            if e == 1:
-                pieces.append(HeckePiece(ctx, basis))
-                placed = True
-                break
+            if g0 is None:
+                g0 = g
             # single repeated factor: probe with random combinations before
             # moving to the next prime
-            probe = HeckePiece(ctx, basis)
-            if is_irreducible(probe, seed=seed):
-                pieces.append(probe)
-                placed = True
-                break
+            final = e == 1 or is_irreducible(HeckePiece(ctx, basis),
+                                             seed=seed)
             idx += 1
-        if not placed:
-            # primes up to the Sturm bound exhausted without splitting:
-            # accept as an isotypic module and flag it
-            pieces.append(HeckePiece(ctx, basis, isotypic=True))
-    p0 = primes[0]
-    for piece in pieces:
-        piece.label_prime = p0
-        piece.label = la.charpoly(piece.op(p0))
+        if not split:
+            # a piece still without a final verdict has exhausted the primes
+            # up to the Sturm bound: accept it as isotypic and flag it
+            pieces.append(HeckePiece(
+                ctx, basis, label=g0 ** (len(basis) // g0.degree),
+                label_prime=p0, isotypic=not final))
+
     def sort_key(piece):
         coeffs = [as_fraction(c) for c in piece.label.coeffs]
         return (piece.dimension, tuple(reversed(coeffs)))
@@ -229,7 +227,7 @@ def dual_vector_space(ctx, piece):
         g_p = la.charpoly(piece.op(p))
         V = la.mat_mul(la.kernel(la.mat_poly_eval(g_p, R)), V)
     if len(V) != d:
-        raise ValueError("dual space did not converge")
+        raise RuntimeError("dual space did not converge")
     piece.dual = V
     return V
 
@@ -296,12 +294,16 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     one basis symbol s with <e, s> != 0, and each T_n is needed on s alone.
     At a prime p whose class is a determinant of G, a_(p^r) follows from
     a_p and <sigma_p> by the Hecke recursion; at another p not dividing N,
-    each a_(p^r) takes a one-symbol sweep of T_(p^r).
+    each a_(p^r) takes a one-symbol sweep of T_(p^r).  a_n is the product of
+    its prime-power values, except where the part m of n prime to N has
+    two or more prime factors and one of its prime powers has its residue
+    outside det(G): a_m then takes a one-symbol sweep of T_m.
 
     bad_ops maps a prime p dividing the modulus to a matrix on the working
     module (a user-supplied double-coset combination), read through e
-    restricted to the working module; without it a_p is absent (None) or,
-    with default_bad_zero, assumed to be 0.
+    restricted to the working module, which must be an eigenvector of it
+    (ValueError otherwise); without it a_p is absent (None) or, with
+    default_bad_zero, assumed to be 0.
     """
     ctx = piece.ctx
     S = ctx.S
@@ -345,11 +347,18 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     absent = set()
     assumed = set()
 
-    def bad_value(R):
+    def bad_value(p, R):
+        """The eigenvalue of psi R = lambda psi, for psi the restriction of
+        e to the working module."""
         psi = [pair(b) for b in ctx.basis]
+        psi_r = [sum((x * R[i][j] for i, x in enumerate(psi) if x != 0),
+                     fone * 0) for j in range(len(psi))]
         j = next(i for i, x in enumerate(psi) if x != 0)
-        return sum((x * R[i][j] for i, x in enumerate(psi) if x != 0),
-                   fone * 0) / psi[j]
+        lam = psi_r[j] / psi[j]
+        if any(y != lam * x for x, y in zip(psi, psi_r)):
+            raise ValueError("the operator at %d is not a scalar on the "
+                             "piece" % p)
+        return lam
 
     def prime_powers(p):
         """[a_1, a_p, a_(p^2), ...] below L, or None when a_p is absent."""
@@ -358,7 +367,7 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
             rmax += 1
         if N > 1 and N % p == 0:
             if bad_ops is not None and p in bad_ops:
-                base = bad_value(bad_ops[p])
+                base = bad_value(p, bad_ops[p])
             elif default_bad_zero:
                 assumed.add(p)
                 base = fone * 0
@@ -380,14 +389,25 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     pp_cache = {}
     values = {1: fone}
     for n in range(2, L):
+        fac = sorted(factor_int(n).items())
+        # the part m of n prime to N: where one of its factors p^r has its
+        # residue outside det(G), T_m is not the product of the T_(p^r)
+        good = [(p, r) for p, r in fac if N % p]
+        swept = N > 1 and len(good) > 1 and any(
+            p ** r % N not in S.G.det_image for p, r in good)
+        if swept:
+            fac = [(p, r) for p, r in fac if N % p == 0]
         val = fone
-        for p, r in sorted(factor_int(n).items()):
+        for p, r in fac:
             if p not in pp_cache:
                 pp_cache[p] = prime_powers(p)
             if pp_cache[p] is None:
                 val = None
                 break
             val = val * pp_cache[p][r]
+        if swept and val is not None:
+            m = math.prod(p ** r for p, r in good)
+            val = val * value(hecke_sweep(S, m)(s))
         values[n] = val
     return EigenSystem(piece, g, field, values, L, absent, assumed)
 

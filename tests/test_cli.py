@@ -126,6 +126,16 @@ def test_eigensystem_piece_out_of_range(capsys):
     assert "out of range" in err
 
 
+def test_eigensystem_non_scalar_alpha_exit(capsys):
+    # U_3 on the 11a old space of gamma0 33 has charpoly x^2 + x + 3: it is
+    # not a scalar on the piece, so no a_3 is right
+    code, out, err = run_cli(capsys, "eigensystem", "gamma0", "33",
+                             "--piece", "1", "--alpha", "1,0,0,3")
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "not a scalar" in err
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "gamma0", "11", "-p", "2")
     assert code == 0

@@ -7,9 +7,13 @@ the exact linear algebra moved onto sympy's DomainMatrix.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import congsym
 from congsym.cli import main
 
 H155 = "16 [1,3,12,3] [1,1,12,7] [1,3,0,3] [1,0,2,3]"
@@ -44,3 +48,15 @@ def test_golden_stdout(command, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+def test_golden_stdout_without_asserts():
+    """The same output under python -O, which strips assert statements: the
+    library's checks are explicit raises and still run there."""
+    command = "decompose ns_plus 17 --json"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(congsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "congsym.cli"]
+                          + command.split(), capture_output=True, check=True,
+                          env=env)
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[command]

@@ -17,6 +17,10 @@ def test_row_hnf_canonical():
         assert h[0] > 0 and h[3] > 0
         assert 0 <= h[1] < h[3] or h[3] == 1
         assert h[0] * h[3] == abs(mat_det(m))
+    # the check survives python -O: it is a raise, not an assert
+    for m in [(0, 1, 1, 0), (1, 2, 2, 4)]:
+        with pytest.raises(ValueError, match="positive determinant"):
+            hk.row_hnf(m)
 
 
 def test_heilbronn_merel_sets():

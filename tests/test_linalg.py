@@ -1,6 +1,11 @@
+import pytest
+
 from congsym.backend import rat, XorShift64
 from congsym import linalg as la
+from congsym import spectra as spec
 from congsym.polys import UniPoly, NumberField, is_irreducible_poly
+
+from conftest import space_for
 
 
 def M(rows):
@@ -54,6 +59,67 @@ def test_restrict_to_invariant_subspace():
     basis = [[rat(1), rat(0), rat(0)], [rat(0), rat(0), rat(1)]]
     r = la.restrict_to_invariant_subspace(m, basis)
     assert la.charpoly(r) == UniPoly([3, -4, 1])
+
+
+def _restrict_by_rref(m, basis):
+    """Coordinates of m * basis[j] read off the reduced form of
+    [B^t | m B^t]."""
+    d = len(basis)
+    bt = la.transpose(basis)
+    red, pivots = la.rref([r + s for r, s in zip(bt, la.mat_mul(m, bt))])
+    assert pivots == list(range(d))
+    return [row[d:] for row in red[:d]]
+
+
+def _random_matrix(rng, n, k):
+    return [[rat(rng.randint(-4, 4)) for _ in range(k)] for _ in range(n)]
+
+
+def test_restrict_matches_rref_on_random_invariant_subspaces():
+    # m = Q [[A, C], [0, D]] Q^-1 leaves V, the span of the first k columns
+    # of Q, invariant, and its restriction to V has the charpoly of A
+    rng = XorShift64(11)
+    for n, k in [(3, 1), (4, 2), (6, 3), (8, 5), (9, 8)]:
+        while True:
+            Q = _random_matrix(rng, n, n)
+            if la.mat_rank(Q) == n:
+                break
+        blk = _random_matrix(rng, n, n)
+        for i in range(k, n):
+            blk[i][:k] = [rat(0)] * k
+        red, _ = la.rref([row + e for row, e in
+                          zip(Q, la.identity_matrix(n))])
+        m = la.mat_mul(la.mat_mul(Q, blk), [row[n:] for row in red])
+        v = la.transpose(Q)[:k]
+        # V with unit columns at its pivots, and at the free columns of
+        # its annihilator
+        for basis in (la.row_space_basis(v), la.kernel(la.kernel(v))):
+            assert len(basis) == k
+            r = la.restrict_to_invariant_subspace(m, basis)
+            assert r == _restrict_by_rref(m, basis)
+            assert la.charpoly(r) == la.charpoly([row[:k] for row in blk[:k]])
+
+
+@pytest.mark.parametrize("param", [13, 17])
+def test_restrict_matches_rref_on_plus_basis(param):
+    ctx = spec.SpectralContext(space_for("ns_plus", param))
+    for p in (2, 3):
+        T = ctx.full_op(p)
+        assert la.restrict_to_invariant_subspace(T, ctx.basis) == \
+            _restrict_by_rref(T, ctx.basis)
+
+
+def test_restrict_rejects_bad_bases():
+    # e_0 -> e_1 leaves the span of e_0 not invariant
+    with pytest.raises(ValueError, match="not invariant"):
+        la.restrict_to_invariant_subspace(M([[0, 0], [1, 0]]), M([[1, 0]]))
+    # [[1, 1, 0], [0, 1, 1]] has the unit columns 0 and 2; these have none
+    # for some vector
+    for basis in ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[2, 1, 0], [0, 1, 1]],
+                  [[1, 0], [1, 0]]):
+        with pytest.raises(ValueError, match="no unit column"):
+            la.restrict_to_invariant_subspace(
+                la.identity_matrix(len(basis[0])), M(basis))
 
 
 def test_seeded_combination_deterministic():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import islice
 
@@ -140,12 +141,16 @@ def test_bad_primes_assumed_zero():
 
 def _reference_values(pieces, L, seed=0):
     """a_n, n < L, of each piece by the direct path: the full T_q on the
-    Merel family for each prime power q, restricted to the working module
-    and then to the piece, read off a left eigenvector of the generator over
-    Q(a); 0 at primes dividing N, multiplicative in coprime factors."""
+    Merel family, restricted to the working module and then to the piece,
+    read off a left eigenvector of the generator over Q(a); 0 at primes
+    dividing N.  q runs over the prime powers, and a_n is multiplicative in
+    coprime factors, where det(G) is all of (Z/N)*; otherwise (as on Gamma(N))
+    q runs over every n prime to N."""
     ctx = pieces[0].ctx
     S = ctx.S
     N = S.table.N
+    multiplicative = len(S.G.det_image) == sum(
+        1 for a in range(N) if math.gcd(a, N) == 1)
     ops = {}
 
     def op(q):
@@ -178,10 +183,15 @@ def _reference_values(pieces, L, seed=0):
 
         vals = {1: one}
         for n in range(2, L):
-            vals[n] = one
-            for p, r in factor_int(n).items():
-                vals[n] = vals[n] * (0 * one if N > 1 and N % p == 0
-                                     else value(p ** r))
+            fac = factor_int(n)
+            if any(N % p == 0 for p in fac):
+                vals[n] = 0 * one
+            elif not multiplicative:
+                vals[n] = value(n)
+            else:
+                vals[n] = one
+                for p, r in fac.items():
+                    vals[n] = vals[n] * value(p ** r)
         out.append(vals)
     return out
 
@@ -204,6 +214,49 @@ def test_eigen_system_matches_direct_path(group, g_h155, g_8e1):
         es = spec.eigen_system(piece, L=60)
         assert [es.a(n) for n in range(1, 60)] == \
             [ref[n] for n in range(1, 60)]
+
+
+def test_gamma8_composite_outside_det():
+    """On Gamma(8), T_3 = T_11 = 0 (3 and 11 are not 1 mod 8), but T_33 is
+    not: its charpoly on piece 0 is (x - 12)^2."""
+    ctx = spec.SpectralContext(sp.build_space(
+        coset_table(build_family("gamma", 8)), 2))
+    piece = spec.decompose(ctx)[0]
+    assert la.charpoly(piece.op(33)) == UniPoly([144, -24, 1])
+    es = spec.eigen_system(piece, L=34)
+    assert es.a(3) == 0 and es.a(11) == 0
+    assert es.a(33) == 12
+
+
+@pytest.mark.parametrize("group", [
+    "gamma0 11", "gamma0 37", "gamma0 42", "gamma1 13", "ns_plus 17",
+    "ns_plus 29", "gamma 6", "gamma 8", "h155"])
+def test_labels_are_charpolys(group, g_h155):
+    """The label that decompose reads off the first factorization is the
+    charpoly of T_p on the piece at its label prime.  On gamma0 42 a piece
+    of T_5 splits again at a later prime and keeps its factor at 5."""
+    if group == "h155":
+        G = g_h155
+    else:
+        tag, param = group.split()
+        G = build_family(tag, int(param))
+    ctx = spec.SpectralContext(sp.build_space(coset_table(G), 2))
+    pieces = spec.decompose(ctx)
+    assert sum(p.dimension for p in pieces) == ctx.dim
+    for piece in pieces:
+        assert piece.label == la.charpoly(piece.op(piece.label_prime))
+
+
+def test_bad_prime_operator_not_scalar():
+    """U_3 on the 11a old space of gamma0 33 (piece 1) has charpoly
+    x^2 + x + 3, so it has no eigenvalue on the piece."""
+    ctx = spec.SpectralContext(space_for("gamma0", 33))
+    U = la.restrict_to_invariant_subspace(
+        hk.hecke_double_coset(ctx.S, (1, 0, 0, 3)), ctx.basis)
+    piece = spec.decompose(ctx)[1]
+    assert la.charpoly(piece.restricted(U)) == UniPoly([3, 1, 1])
+    with pytest.raises(ValueError, match="not a scalar"):
+        spec.eigen_system(piece, L=10, bad_ops={3: U})
 
 
 def test_eichler_shimura_11a1(ctx_gamma0_11):

@@ -39,6 +39,14 @@ def as_fraction(x):
     return Fraction(int(x.numerator), int(x.denominator))
 
 
+def rat_str(v):
+    """A rational as "n" or "n/d"."""
+    f = as_fraction(v)
+    if f.denominator == 1:
+        return str(f.numerator)
+    return "%d/%d" % (f.numerator, f.denominator)
+
+
 def egcd(a, b):
     """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -61,14 +69,6 @@ def inv_mod(a, n):
     if g != 1:
         raise ValueError("%d is not invertible mod %d" % (a, n))
     return x % n
-
-
-def crt(a1, n1, a2, n2):
-    """Solve x = a1 mod n1, x = a2 mod n2 for coprime n1, n2."""
-    g, p, q = egcd(n1, n2)
-    if g != 1:
-        raise ValueError("moduli not coprime")
-    return (a1 * q * n2 + a2 * p * n1) % (n1 * n2)
 
 
 def factor_int(n):

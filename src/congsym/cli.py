@@ -20,8 +20,8 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .backend import as_fraction, factor_int
-from .groups import GroupTooLarge, close_group, coset_table, is_real_type
+from .backend import factor_int, rat_str
+from .groups import GroupTooLarge, close_group, coset_table
 from .families import FAMILY_BUILDERS, build_family
 from . import linalg as la
 from . import spaces as sp
@@ -128,15 +128,8 @@ def _alpha_prime(alpha):
 
 # --------------------------------------------------------------- output
 
-def _rat_str(v):
-    f = as_fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
-
-
 def _matrix_strs(m):
-    return [[_rat_str(x) for x in row] for row in m]
+    return [[rat_str(x) for x in row] for row in m]
 
 
 def _matrix_hash(m):
@@ -197,8 +190,6 @@ def _hecke_matrix(G, S, p, path, alphas):
             m = hk.hecke_double_coset(S, a)
             full = m if full is None else la.mat_add(full, m)
         return full
-    if path == "auto":
-        path = "naive" if S.character is not None else "merel"
     if path == "naive" and (N > 1 and p % N not in G.det_image):
         zero = S.one * 0
         return [[zero] * S.dim for _ in range(S.dim)]
@@ -332,8 +323,7 @@ def build_parser():
     h = subs.add_parser("hecke", help="Hecke matrix on the working space")
     _add_common(h)
     h.add_argument("-p", type=int, required=True, help="prime index")
-    h.add_argument("--path", choices=("auto", "naive", "merel"),
-                   default="auto")
+    h.add_argument("--path", choices=("naive", "merel"), default="merel")
     h.add_argument("--alpha", action="append", metavar="a,b,c,d",
                    help="double-coset representative for a prime dividing "
                         "the level (rational 4-tuple; repeatable)")

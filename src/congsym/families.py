@@ -9,8 +9,8 @@ projectively-S4 group at an odd prime).
 from math import gcd
 
 from .backend import factor_int, is_prime
-from .groups import (GroupModN, close_group, group_from_elements, crt_matrix,
-                     S_MAT, T_MAT, mat_mod)
+from .groups import (close_group, group_from_elements, crt_matrix, S_MAT,
+                     T_MAT, mat_mod)
 
 
 def _unit_range(N):

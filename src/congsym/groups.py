@@ -1,13 +1,13 @@
 """Subgroups of GL2(Z/N), induced congruence subgroups of SL2(Z), coset
-tables, lifting, generators, and the intersection/conjugation machinery.
+tables, lifting and generators.
 
 Matrices mod N and over Z are row-major 4-tuples (a, b, c, d) for
-[[a, b], [c, d]].  Rational 2x2 matrices are GL2QElem.
+[[a, b], [c, d]].
 """
 
 from math import gcd
 
-from .backend import rat, egcd, inv_mod, crt, factor_int, sl2_order, as_fraction
+from .backend import egcd, inv_mod, factor_int, sl2_order
 
 GROUP_CAP = 2 ** 24
 AMBIENT_CAP = 2 ** 20
@@ -51,12 +51,8 @@ def mat_inv_mod(g, n):
     return ((g[3] * di) % n, (-g[1] * di) % n, (-g[2] * di) % n, (g[0] * di) % n)
 
 
-def imat_inv_det1(g):
-    """Exact inverse of an integer matrix of determinant 1."""
-    return (g[3], -g[1], -g[2], g[0])
-
-
 def imat_adjugate(g):
+    """Adjugate of an integer matrix: its exact inverse at determinant 1."""
     return (g[3], -g[1], -g[2], g[0])
 
 
@@ -80,12 +76,6 @@ class GroupModN:
 
     def order(self):
         return len(self.elements)
-
-    def conjugate_by(self, x):
-        """The group x * G * x^-1 at the same level."""
-        xi = mat_inv_mod(x, self.N)
-        gens = [mat_mul(mat_mul(x, g, self.N), xi, self.N) for g in self.generators]
-        return close_group(self.N, gens)
 
     def equals(self, other):
         if self.N != other.N:
@@ -282,7 +272,7 @@ def gamma_generators(Gamma):
     for gen_int, perm in ((S_MAT, Gamma.perm_S), (T_MAT, Gamma.perm_T)):
         for i in range(Gamma.index):
             j = perm[i]
-            w = mat_mul(mat_mul(Gamma.reps[i], gen_int), imat_inv_det1(Gamma.reps[j]))
+            w = mat_mul(mat_mul(Gamma.reps[i], gen_int), imat_adjugate(Gamma.reps[j]))
             if w != IDENT and w not in seen:
                 if not Gamma.contains(w):
                     raise RuntimeError("Schreier generator %r is not in the "
@@ -291,113 +281,6 @@ def gamma_generators(Gamma):
                 gens.append(w)
     Gamma._schreier_gens = gens
     return gens
-
-
-class GL2QElem:
-    """2x2 rational matrix with positive determinant."""
-
-    def __init__(self, entries):
-        self.m = tuple(rat(e) if isinstance(e, int) else e for e in entries)
-        det = self.m[0] * self.m[3] - self.m[1] * self.m[2]
-        if det <= 0:
-            raise ValueError("determinant must be positive")
-        self.det = det
-        fracs = [as_fraction(e) for e in self.m]
-        num_g = 0
-        den_l = 1
-        for f in fracs:
-            num_g = gcd(num_g, abs(f.numerator))
-            den_l = den_l * f.denominator // gcd(den_l, f.denominator)
-        self.d1 = rat(num_g, den_l)
-        dval = as_fraction(det / (self.d1 * self.d1))
-        if dval.denominator != 1:
-            raise RuntimeError("det/d1^2 = %s is not an integer" % dval)
-        self.Dval = int(dval.numerator)
-
-    def primitive(self):
-        """Integer matrix alpha/d1 with coprime entries; its det is D(alpha)."""
-        out = []
-        for e in self.m:
-            f = as_fraction(e / self.d1)
-            if f.denominator != 1:
-                raise RuntimeError("alpha/d1 has the entry %s" % f)
-            out.append(int(f.numerator))
-        return tuple(out)
-
-    def inverse(self):
-        d = self.det
-        a, b, c, dd = self.m
-        return GL2QElem((dd / d, -b / d, -c / d, a / d))
-
-    def __mul__(self, other):
-        if isinstance(other, GL2QElem):
-            other = other.m
-        else:
-            other = tuple(rat(e) if isinstance(e, int) else e for e in other)
-        return GL2QElem(mat_mul(self.m, other))
-
-    def __rmul__(self, other):
-        other = tuple(rat(e) if isinstance(e, int) else e for e in other)
-        return GL2QElem(mat_mul(other, self.m))
-
-    def is_integral(self):
-        return all(as_fraction(e).denominator == 1 for e in self.m)
-
-    def __repr__(self):
-        return "GL2QElem(%s)" % (self.m,)
-
-
-def smith_gl2q(alpha):
-    """x, y in SL2(Z) and (d1, n) with x*alpha*y = diag(d1, n*d1)."""
-    m = list(alpha.primitive())
-    n = mat_det(tuple(m))
-    x = list(IDENT)
-    y = list(IDENT)
-
-    def row1_minus(q):  # left-multiply by [[1,0],[-q,1]]
-        m[2] -= q * m[0]
-        m[3] -= q * m[1]
-        x[2], x[3] = x[2] - q * x[0], x[3] - q * x[1]
-
-    def row_swap():  # left-multiply by [[0,-1],[1,0]]
-        m[0], m[1], m[2], m[3] = -m[2], -m[3], m[0], m[1]
-        x[0], x[1], x[2], x[3] = -x[2], -x[3], x[0], x[1]
-
-    def col1_minus(q):  # right-multiply by [[1,-q],[0,1]]
-        m[1] -= q * m[0]
-        m[3] -= q * m[2]
-        y[1], y[3] = y[1] - q * y[0], y[3] - q * y[2]
-
-    def col_swap():  # right-multiply by [[0,-1],[1,0]]
-        m[0], m[1], m[2], m[3] = m[1], -m[0], m[3], -m[2]
-        y[0], y[1], y[2], y[3] = y[1], -y[0], y[3], -y[2]
-
-    while m[1] != 0 or m[2] != 0:
-        while m[2] != 0:
-            if m[0] == 0:
-                row_swap()
-                continue
-            row1_minus(m[2] // m[0])
-            if m[2] != 0:
-                row_swap()
-        while m[1] != 0:
-            if m[0] == 0:
-                col_swap()
-                continue
-            col1_minus(m[1] // m[0])
-            if m[1] != 0:
-                col_swap()
-    if m[0] < 0:
-        # negate both rows (still determinant-1 on the left)
-        m[0], m[1], m[2], m[3] = -m[0], -m[1], -m[2], -m[3]
-        x = [-e for e in x]
-    # unimodular operations preserve the content, which is 1 for a primitive
-    # matrix, so the corner entry is 1 and the other diagonal entry is n
-    xt, yt = tuple(x), tuple(y)
-    if m != [1, 0, 0, n] or mat_det(xt) != 1 or mat_det(yt) != 1:
-        raise RuntimeError("Smith reduction of %r ended at %r"
-                           % (alpha.m, m))
-    return xt, yt, alpha.d1, alpha.Dval
 
 
 def crt_general(a, n1, b, n2):
@@ -416,88 +299,6 @@ def crt_matrix(g1, n1, g2, n2):
     return tuple(crt_general(a, n1, b, n2) % n for a, b in zip(g1, g2))
 
 
-def _kernel_subgroup_gens(G, d):
-    """Generators of {g in G : g = 1 mod d}."""
-    if d == 1:
-        return minimize_generators(G.N, G.elements)
-    ident_d = mat_mod(IDENT, d)
-    elems = {g for g in G.elements if mat_mod(g, d) == ident_d}
-    return minimize_generators(G.N, elems)
-
-
-def intersect_induced(G, H):
-    """Group K at level lcm(N_G, N_H) with Gamma_K = Gamma_G n Gamma_H."""
-    n1, n2 = G.N, H.N
-    d = gcd(n1, n2)
-    L = n1 // d * n2
-    if n1 == 1:
-        return H
-    if n2 == 1:
-        return G
-    ident1 = mat_mod(IDENT, n1)
-    ident2 = mat_mod(IDENT, n2)
-    a_g = [crt_matrix(g, n1, ident2, n2) for g in _kernel_subgroup_gens(G, d)]
-    a_h = [crt_matrix(ident1, n1, h, n2) for h in _kernel_subgroup_gens(H, d)]
-    a_d = []
-    if d > 1:
-        sect_g = {}
-        for g in sorted(G.elements):
-            sect_g.setdefault(mat_mod(g, d), g)
-        sect_h = {}
-        for h in sorted(H.elements):
-            sect_h.setdefault(mat_mod(h, d), h)
-        common = sorted(set(sect_g) & set(sect_h))
-        for k in minimize_generators(d, common):
-            a_d.append(crt_matrix(sect_g[k], n1, sect_h[k], n2))
-    return close_group(L, a_g + a_h + a_d)
-
-
-def _gamma_upper0_group(n):
-    """Subgroup {b = 0 mod n} of GL2(Z/n) (lower triangular mod n)."""
-    gens = [(1, 0, 1, 1)]
-    for u in range(1, n):
-        if gcd(u, n) == 1:
-            gens.append((u, 0, 0, 1))
-            gens.append((1, 0, 0, u))
-    return close_group(n, gens)
-
-
-def conj_induced(G, alpha):
-    """Group H at level n*N with Gamma_H = alpha^-1 Gamma_G alpha n SL2(Z)."""
-    N = G.N
-    m = alpha.primitive()
-    n = alpha.Dval
-    if gcd(n, N) != 1:
-        raise ValueError("gcd(D(alpha), N) must be 1")
-    if n == 1:
-        if N == 1:
-            return G
-        am = mat_mod(m, N)
-        ai = mat_inv_mod(am, N)
-        return close_group(N, [mat_mul(mat_mul(ai, g, N), am, N) for g in G.generators])
-    _, y, _, _ = smith_gl2q(alpha)
-    # level-n part: y * {upper-right = 0 mod n} * y^-1
-    yn = mat_mod(y, n)
-    yni = mat_inv_mod(yn, n)
-    hn = [mat_mul(mat_mul(yn, b, n), yni, n) for b in _gamma_upper0_group(n).generators]
-    lifts = []
-    if N > 1:
-        am = mat_mod(m, N)
-        ai = mat_inv_mod(am, N)
-        hN = [mat_mul(mat_mul(ai, g, N), am, N) for g in G.generators]
-        identn = mat_mod(IDENT, n)
-        lifts.extend(crt_matrix(h, N, identn, n) for h in hN)
-        identN = mat_mod(IDENT, N)
-        lifts.extend(crt_matrix(identN, N, b, n) for b in hn)
-        return close_group(n * N, lifts)
-    return close_group(n, hn)
-
-
-def conj_inter(Gamma, alpha):
-    """Group K with Gamma_K = Gamma n alpha^-1 Gamma alpha."""
-    return intersect_induced(Gamma.G, conj_induced(Gamma.G, alpha))
-
-
 def gl2_elements(N, cap=AMBIENT_CAP):
     order = 1
     if N > 1:
@@ -514,19 +315,6 @@ def gl2_elements(N, cap=AMBIENT_CAP):
                     if is_unit(a * d - b * c, N):
                         out.append((a, b, c, d))
     return out
-
-
-def normalizer(G):
-    """Normalizer of G in GL2(Z/N), by enumeration of the ambient group."""
-    N = G.N
-    if N == 1:
-        return G
-    elems = []
-    for x in gl2_elements(N):
-        xi = mat_inv_mod(x, N)
-        if all(mat_mul(mat_mul(x, g, N), xi, N) in G.elements for g in G.generators):
-            elems.append(x)
-    return group_from_elements(N, elems)
 
 
 def is_real_type(G):

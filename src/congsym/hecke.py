@@ -4,18 +4,16 @@ degeneracy maps, and the old/new decomposition for induced congruence
 subgroups.
 
 All operators act on the presentation built in spaces.py and are returned as
-square matrices over the coefficient field, columns being the images of the
-basis symbols.
+square rational matrices, columns being the images of the basis symbols.
 """
 
 from math import gcd
 
 from .backend import rat, inv_mod, divisors, is_prime
 from . import linalg as la
-from .groups import (mat_mod, mat_mul, mat_det, imat_inv_det1,
-                     imat_adjugate, lift_to_sl2, gamma_generators,
-                     find_det_element, GroupTooLarge, AMBIENT_CAP,
-                     close_group, gl2_elements, IDENT)
+from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, lift_to_sl2,
+                     gamma_generators, find_det_element, GroupTooLarge,
+                     AMBIENT_CAP, close_group, gl2_elements, IDENT)
 from .spaces import (sym_action, monomial, cusp_normalize, build_space,
                      cuspidal_subspace)
 
@@ -93,11 +91,12 @@ def _right_coset_key(Gamma, beta):
     return h, Gamma.coset_index(u)
 
 
-def double_coset_reps(Gamma, alpha):
-    """Representatives of Gamma \\ Gamma alpha Gamma, by breadth-first
-    search over right multiplication by generators of Gamma_G."""
-    gens = gamma_generators(Gamma)
-    gens = gens + [imat_inv_det1(g) for g in gens]
+def double_coset_reps(Gamma, alpha, Gamma_right=None):
+    """Representatives of Gamma \\ Gamma alpha Gamma_right (Gamma_right
+    defaults to Gamma), by breadth-first search over right multiplication by
+    generators of Gamma_right."""
+    gens = gamma_generators(Gamma if Gamma_right is None else Gamma_right)
+    gens = gens + [imat_adjugate(g) for g in gens]
     seen = {}
     h, j = _right_coset_key(Gamma, alpha)
     seen[(h, j)] = mat_mul(Gamma.reps[j], h)
@@ -119,8 +118,6 @@ def double_coset_reps(Gamma, alpha):
 def hecke_double_coset(S, alpha):
     """Matrix of the dual Hecke operator of the double coset Gamma alpha
     Gamma on the space S (columns are images of basis symbols)."""
-    if S.character is not None:
-        raise NotImplementedError("double-coset operators with a character")
     reps = double_coset_reps(S.table, alpha)
     m = S.m
     cols = []
@@ -138,14 +135,14 @@ def hecke_double_coset(S, alpha):
     return la.transpose(cols)
 
 
-def hecke_tp(S, p, path="auto"):
+def hecke_tp(S, p, path="merel"):
     """Matrix of T_p for a prime p whose residue class is a determinant of
-    G.  path is one of auto | naive (double cosets) | merel (the
-    Heilbronn-set sweep of hecke_tn_fast)."""
-    if path == "auto":
-        path = "naive" if S.character is not None else "merel"
+    G.  path is one of merel (the Heilbronn-set sweep of hecke_tn_fast) |
+    naive (double cosets)."""
     if path == "merel":
         return hecke_tn_fast(S, p)
+    if path != "naive":
+        raise ValueError("unknown Hecke path %r (merel | naive)" % (path,))
     alpha = element_of_det(S.G, p)
     return hecke_double_coset(S, alpha)
 
@@ -263,10 +260,8 @@ def heilbronn_set(n):
 def hecke_sweep(S, n, H=None):
     """The function t -> coordinates of T_n applied to basis symbol t, by one
     sweep of the Heilbronn family H (default heilbronn_set(n)) with the coset
-    projection.  Requires a trivial character.  If no element of G has
-    determinant n mod N the operator is zero."""
-    if S.character is not None:
-        raise NotImplementedError("fast path requires a trivial character")
+    projection.  If no element of G has determinant n mod N the operator is
+    zero."""
     N = S.table.N
     if N > 1 and (gcd(n, N) != 1 or (n % N) not in S.G.det_image):
         return lambda t: S.zero_vector()
@@ -409,7 +404,7 @@ def degeneracy_alpha_dual(S_high, S_low, data):
     cols = []
     for (w, i) in S_high.basis_tags:
         rep = S_high.table.reps[i]
-        Bq = _rat_mat_mul(tinv, rep)
+        Bq = mat_mul(tinv, rep)
         B_int = mat_mul(adj, rep)
         out = S_low.zero_vector()
         _apply_rational(S_low, Bq, B_int, monomial(m, w), S_low.one, out)
@@ -417,15 +412,11 @@ def degeneracy_alpha_dual(S_high, S_low, data):
     return la.transpose(cols)
 
 
-def _rat_mat_mul(x, y):
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
-
-
-def degeneracy_beta_dual(S_low, S_high, data):
-    """Matrix of x -> sum_gamma t gamma x over right cosets of
-    K = (t^-1 Gamma_high t) intersect Gamma_low in Gamma_low, columns
-    indexed by the S_low basis."""
+def _beta_coset_reps(data):
+    """Representatives of the right cosets of
+    K = (t^-1 Gamma_high t) intersect Gamma_low in Gamma_low, by
+    breadth-first search over right multiplication by generators of
+    Gamma_low."""
     t = data.t
     n = mat_det(t)
     adj = imat_adjugate(t)
@@ -434,11 +425,10 @@ def degeneracy_beta_dual(S_low, S_high, data):
         w = mat_mul(mat_mul(t, g), adj)
         if any(x % n for x in w):
             return False
-        w = tuple(x // n for x in w)
-        return data.high.contains(w)
+        return data.high.contains(tuple(x // n for x in w))
 
     gens = gamma_generators(data.low)
-    gens = gens + [imat_inv_det1(g) for g in gens]
+    gens = gens + [imat_adjugate(g) for g in gens]
     reps = [IDENT]
     frontier = [IDENT]
     while frontier:
@@ -446,11 +436,20 @@ def degeneracy_beta_dual(S_low, S_high, data):
         for r in frontier:
             for g in gens:
                 c = mat_mul(r, g)
-                if any(in_k(mat_mul(c, imat_inv_det1(r2))) for r2 in reps):
+                if any(in_k(mat_mul(c, imat_adjugate(r2))) for r2 in reps):
                     continue
                 reps.append(c)
                 nxt.append(c)
         frontier = nxt
+    return reps
+
+
+def degeneracy_beta_dual(S_low, S_high, data):
+    """Matrix of x -> sum_gamma t gamma x over right cosets of
+    K = (t^-1 Gamma_high t) intersect Gamma_low in Gamma_low, columns
+    indexed by the S_low basis."""
+    t = data.t
+    reps = _beta_coset_reps(data)
     m = S_low.m
     cols = []
     for (w, i) in S_low.basis_tags:
@@ -467,61 +466,14 @@ def degeneracy_beta_dual(S_low, S_high, data):
 def coset_count_beta(data):
     """The index [Gamma_low : (t^-1 Gamma_high t) intersect Gamma_low],
     which is the scalar of alpha_t composed with beta_t."""
-    t = data.t
-    n = mat_det(t)
-    adj = imat_adjugate(t)
-
-    def in_k(g):
-        w = mat_mul(mat_mul(t, g), adj)
-        if any(x % n for x in w):
-            return False
-        return data.high.contains(tuple(x // n for x in w))
-
-    gens = gamma_generators(data.low)
-    gens = gens + [imat_inv_det1(g) for g in gens]
-    reps = [IDENT]
-    frontier = [IDENT]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in gens:
-                c = mat_mul(r, g)
-                if any(in_k(mat_mul(c, imat_inv_det1(r2))) for r2 in reps):
-                    continue
-                reps.append(c)
-                nxt.append(c)
-        frontier = nxt
-    return len(reps)
-
-
-def _mixed_double_coset_reps(Gamma_left, alpha, Gamma_right):
-    """Representatives of Gamma_left \\ Gamma_left alpha Gamma_right."""
-    gens = gamma_generators(Gamma_right)
-    gens = gens + [imat_inv_det1(g) for g in gens]
-    seen = {}
-    h, j = _right_coset_key(Gamma_left, alpha)
-    red = mat_mul(Gamma_left.reps[j], h)
-    seen[(h, j)] = red
-    frontier = [red]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g in gens:
-                c = mat_mul(b, g)
-                key = _right_coset_key(Gamma_left, c)
-                if key not in seen:
-                    red = mat_mul(Gamma_left.reps[key[1]], key[0])
-                    seen[key] = red
-                    nxt.append(red)
-        frontier = nxt
-    return list(seen.values())
+    return len(_beta_coset_reps(data))
 
 
 def _same_double_coset(Gamma_high, Gamma_low, t1, t2):
     """t1 in Gamma_high t2 Gamma_low?"""
     if mat_det(t1) != mat_det(t2):
         return False
-    for r in _mixed_double_coset_reps(Gamma_high, t2, Gamma_low):
+    for r in double_coset_reps(Gamma_high, t2, Gamma_low):
         if same_right_coset(Gamma_high, r, t1):
             return True
     return False

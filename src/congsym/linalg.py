@@ -4,6 +4,9 @@ Matrices are lists of row lists acting on column vectors; vectors are lists.
 Each routine converts its input once to a sparse sympy DomainMatrix and its
 result back, over a domain read off the entries: QQ for backend rationals,
 QQ(a) for NumberFieldElem (a the root of the modulus), Q[x] for UniPoly.
+The pipeline passes rationals and UniPolys only; QQ(a) serves the tests'
+eigenvector references, which solve for eigenvectors over the coefficient
+field.
 """
 
 from collections import namedtuple

@@ -2,8 +2,7 @@
 
 Polynomials are coefficient lists, lowest degree first, trailing coefficient
 nonzero ([] is the zero polynomial).  Number field elements are coordinate
-vectors modulo a monic irreducible polynomial; cyclotomic fields are the
-special case of an n-th cyclotomic modulus.
+vectors modulo a monic irreducible polynomial.
 """
 
 from .backend import rat, as_fraction
@@ -195,11 +194,6 @@ def is_irreducible_poly(f):
         return False
     facs = factor_rational_poly(f)
     return len(facs) == 1 and facs[0][1] == 1
-
-
-def cyclotomic_poly(n):
-    x = sympy.Symbol("x")
-    return _from_sympy(sympy.Poly(sympy.cyclotomic_poly(n, x), x))
 
 
 class NumberField:

@@ -12,11 +12,9 @@ class of g(P (x) {0, oo}); the right action is [P, g] h = [h^-1 P, g h].
 from math import gcd
 
 from .backend import rat
-from .polys import NumberField, cyclotomic_poly
 from . import linalg as la
-from .groups import (CongruenceSubgroup, coset_table, lift_to_sl2, mat_mod,
-                     mat_mul, mat_det, imat_inv_det1, mat_inv_mod,
-                     IDENT, S_MAT, T_MAT, TAU_MAT, ETA_MAT, is_real_type)
+from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, IDENT, S_MAT,
+                     TAU_MAT, is_real_type)
 
 INFINITY = (1, 0)
 
@@ -100,89 +98,17 @@ def cusp_to_matrix(cusp):
     return mat
 
 
-# -------------------------------------------------------------- characters
-
-class Character:
-    """Character of Q = Gamma'/Gamma for Gamma normal in Gamma', both induced
-    from groups mod N, with values in Q or a cyclotomic field."""
-
-    def __init__(self, G, Gp, gen_values, order):
-        if G.N != Gp.N:
-            raise ValueError("character groups must share a modulus")
-        self.G = G
-        self.Gp = Gp
-        self.order = order
-        if order <= 2:
-            self.field = None
-            one = rat(1)
-        else:
-            self.field = NumberField(cyclotomic_poly(order), var="z")
-            one = self.field.one()
-        self.one = one
-        N = G.N
-        g0 = set(G.G0)
-        if not g0 <= set(Gp.G0):
-            raise ValueError("G must be contained in G'")
-        # quotient cosets of G0 in G'0 (G normal, so sides agree)
-        key_of = {}
-        for g in sorted(Gp.G0):
-            if g in key_of:
-                continue
-            coset = sorted(mat_mul(h, g, N) for h in G.G0)
-            key = coset[0]
-            for e in coset:
-                key_of[e] = key
-        self.key_of = key_of
-        values = {key_of[mat_mod(IDENT, N)]: one}
-        frontier = [mat_mod(IDENT, N)]
-        gen_values = [(mat_mod(tuple(g), N), one * v) for g, v in gen_values]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                vx = values[key_of[x]]
-                for g, vg in gen_values:
-                    y = mat_mul(x, g, N)
-                    ky = key_of[y]
-                    if ky in values:
-                        if values[ky] != vx * vg:
-                            raise ValueError("values do not define a character")
-                    else:
-                        values[ky] = vx * vg
-                        nxt.append(y)
-            frontier = nxt
-        if len(values) != len(set(key_of.values())):
-            raise ValueError("given generators do not generate the quotient")
-        self.values = values
-        self.quotient_keys = sorted(values)
-
-    def value_mod(self, g_mod):
-        return self.values[self.key_of[g_mod]]
-
-    def value(self, g_int):
-        return self.value_mod(mat_mod(g_int, self.G.N))
-
-    def is_trivial(self):
-        return all(v == self.one for v in self.values.values())
-
-    def section(self, key):
-        """An SL2(Z) lift of the quotient element with the given key."""
-        return lift_to_sl2(key, self.G.N)
-
-
 # ----------------------------------------------------------------- the space
 
 class ModSymSpace:
-    """Finite presentation of the weight-k modular symbols of Gamma_G
-    (with an optional character) by Manin symbols."""
+    """Finite presentation of the weight-k modular symbols of Gamma_G by
+    Manin symbols."""
 
-    def __init__(self, table, k, character, field_one, reduce_cols, basis_tags,
-                 small_table=None):
-        self.table = table          # coset table used for symbols (Gamma')
-        self.small_table = small_table or table  # Gamma itself when character
+    def __init__(self, table, k, reduce_cols, basis_tags):
+        self.table = table
         self.k = k
         self.m = k - 2
-        self.character = character
-        self.one = field_one
+        self.one = rat(1)
         self.reduce_cols = reduce_cols
         self.basis_tags = basis_tags
         self.dim = len(basis_tags)
@@ -190,7 +116,7 @@ class ModSymSpace:
 
     @property
     def G(self):
-        return self.small_table.G
+        return self.table.G
 
     def gen_index(self, w, i):
         return i * (self.m + 1) + w
@@ -211,9 +137,6 @@ class ModSymSpace:
 
     def add_manin(self, vec, poly, g, coeff):
         j = self.table.coset_index(g)
-        if self.character is not None:
-            gamma = mat_mul(g, imat_inv_det1(self.table.reps[j]))
-            coeff = coeff * self.character.value(gamma)
         for w, c in enumerate(poly):
             if c != 0:
                 self.add_gen(vec, w, j, coeff * c)
@@ -238,7 +161,7 @@ class ModSymSpace:
             if mat_det(g) != 1:
                 raise RuntimeError("convergent matrix %r does not have "
                                    "determinant 1" % (g,))
-            self.add_manin(vec, sym_action(imat_inv_det1(g), poly), g, coeff)
+            self.add_manin(vec, sym_action(imat_adjugate(g), poly), g, coeff)
             p_prev2, q_prev2 = p_prev, q_prev
             p_prev, q_prev = p_cur, q_cur
             k += 1
@@ -259,10 +182,6 @@ class ModSymSpace:
 
     def __repr__(self):
         return "ModSymSpace(N=%d, k=%d, dim=%d)" % (self.table.N, self.k, self.dim)
-
-
-def modular_symbol_to_basis(S, poly, a, b):
-    return S.symbol_coords(poly, a, b)
 
 
 class _UnionFind:
@@ -307,62 +226,46 @@ class _UnionFind:
         self.scalar[r1] = c * c2 / c1
 
 
-def build_space(Gamma, k, character=None):
-    """Presentation of M_k(Gamma_G, eps) by Manin symbols."""
+def build_space(Gamma, k):
+    """Presentation of M_k(Gamma_G) by Manin symbols."""
     if k < 2:
         raise ValueError("weight must be at least 2")
-    if character is not None:
-        table = coset_table(character.Gp)
-        small = Gamma
-        one = character.one
-        eps = character.value
-    else:
-        table = Gamma
-        small = None
-        one = rat(1)
-        eps = None
+    one = rat(1)
     m = k - 2
-    n_cosets = table.index
+    n_cosets = Gamma.index
     stride = m + 1
     n_gens = n_cosets * stride
     uf = _UnionFind(n_gens, one)
 
-    sigma_int = S_MAT
-    tau_int = TAU_MAT
-    tau_inv = imat_inv_det1(tau_int)
-    tau2_int = mat_mul(tau_int, tau_int)
+    tau_inv = imat_adjugate(TAU_MAT)
+    tau2 = mat_mul(TAU_MAT, TAU_MAT)
     neg_ident = (-1, 0, 0, -1)
 
-    def coset_and_scalar(i, h_int):
-        """Coset and epsilon scalar of reps[i] * h."""
-        g = mat_mul(table.reps[i], h_int)
-        j = table.coset_index(g)
-        if eps is None:
-            return j, one
-        gamma = mat_mul(g, imat_inv_det1(table.reps[j]))
-        return j, eps(gamma)
+    def coset(i, h_int):
+        """Coset of reps[i] * h."""
+        return Gamma.coset_index(mat_mul(Gamma.reps[i], h_int))
 
     # two-term relations: x = -x sigma and x = x J
     sgn_m = one if m % 2 == 0 else -one
     for i in range(n_cosets):
-        j_s, e_s = coset_and_scalar(i, sigma_int)
-        j_j, e_j = coset_and_scalar(i, neg_ident)
+        j_s = coset(i, S_MAT)
+        j_j = coset(i, neg_ident)
         for w in range(stride):
             # x sigma = [sigma^-1 x^w y^(m-w), r_i sigma]
             #         = (-1)^w [x^(m-w) y^w, r_i sigma]
-            c = -e_s if w % 2 == 0 else e_s
+            c = -one if w % 2 == 0 else one
             uf.union(i * stride + w, j_s * stride + (m - w), c)
-            # x J = (-1)^m eps [x^w y^(m-w), r_i J]
-            uf.union(i * stride + w, j_j * stride + w, sgn_m * e_j)
+            # x J = (-1)^m [x^w y^(m-w), r_i J]
+            uf.union(i * stride + w, j_j * stride + w, sgn_m)
 
     # three-term tau relations, folded through the union-find
     rows = []
     zero = one * 0
     tau_polys = [sym_action(tau_inv, monomial(m, w)) for w in range(stride)]
-    tau2_polys = [sym_action(tau_int, monomial(m, w)) for w in range(stride)]
+    tau2_polys = [sym_action(TAU_MAT, monomial(m, w)) for w in range(stride)]
     for i in range(n_cosets):
-        j1, e1 = coset_and_scalar(i, tau_int)
-        j2, e2 = coset_and_scalar(i, tau2_int)
+        j1 = coset(i, TAU_MAT)
+        j2 = coset(i, tau2)
         for w in range(stride):
             row = {}
 
@@ -379,10 +282,10 @@ def build_space(Gamma, k, character=None):
             add(i * stride + w, one)
             for w2, c in enumerate(tau_polys[w]):
                 if c != 0:
-                    add(j1 * stride + w2, e1 * c)
+                    add(j1 * stride + w2, c)
             for w2, c in enumerate(tau2_polys[w]):
                 if c != 0:
-                    add(j2 * stride + w2, e2 * c)
+                    add(j2 * stride + w2, c)
             if row:
                 rows.append(row)
 
@@ -452,7 +355,7 @@ def build_space(Gamma, k, character=None):
                 continue
             if c not in basis_pos:
                 # column eliminated later is impossible after back-substitution
-                raise AssertionError("pivot row not fully reduced")
+                raise RuntimeError("pivot row not fully reduced")
             e[basis_pos[c]] = -v
         expr[p] = e
 
@@ -464,8 +367,7 @@ def build_space(Gamma, k, character=None):
         else:
             reduce_cols.append({pos: c * v for pos, v in expr[r].items()})
 
-    return ModSymSpace(table, k, character, one, reduce_cols, basis_tags,
-                       small_table=small)
+    return ModSymSpace(Gamma, k, reduce_cols, basis_tags)
 
 
 # ------------------------------------------------------------- cusp classes
@@ -496,55 +398,30 @@ def _apply_to_vector(g, w):
 
 def vector_equiv(Gamma, tab, w1, w2):
     """Is there gamma in Gamma_G with gamma * w1 = w2 exactly, as primitive
-    vectors?  Returns (flag, witness)."""
+    vectors?  The witness is built and checked."""
     h = cusp_to_matrix(w1)
     g_b = cusp_to_matrix(w2)
     i_h = Gamma.coset_index(h)
     i_b = Gamma.coset_index(g_b)
     if tab[i_h][0] != tab[i_b][0]:
-        return False, None
+        return False
     d = tab[i_h][1] - tab[i_b][1]
     mid = mat_mul(mat_mul(Gamma.reps[i_b], (1, d, 0, 1)),
-                  imat_inv_det1(Gamma.reps[i_h]))
-    gamma_b = mat_mul(g_b, imat_inv_det1(Gamma.reps[i_b]))
-    gamma_h = mat_mul(h, imat_inv_det1(Gamma.reps[i_h]))
-    gamma = mat_mul(mat_mul(gamma_b, mid), imat_inv_det1(gamma_h))
+                  imat_adjugate(Gamma.reps[i_h]))
+    gamma_b = mat_mul(g_b, imat_adjugate(Gamma.reps[i_b]))
+    gamma_h = mat_mul(h, imat_adjugate(Gamma.reps[i_h]))
+    gamma = mat_mul(mat_mul(gamma_b, mid), imat_adjugate(gamma_h))
     if not Gamma.contains(gamma) or _apply_to_vector(gamma, w1) != w2:
         raise RuntimeError("witness %r does not map %r to %r"
                            % (gamma, w1, w2))
-    return True, gamma
+    return True
 
 
-def cusp_vanishing(Gamma_small, tab_small, character, a, m=0):
+def cusp_vanishing(Gamma, tab, a, m=0):
     """Does the boundary class of the primitive vector a die in the weight
-    m+2 boundary space (with the optional character)?
-
-    The class [w] satisfies [gamma' w] = eps(gamma')^-1 [w] for gamma' in
-    the larger group and [-w] = (-1)^m [w]; it vanishes exactly when some
-    combination fixes the class with a scalar different from 1.
-    """
-    if character is None and m % 2 == 0:
-        return False
-    neg_a = (-a[0], -a[1])
-    if character is None:
-        one = rat(1)
-        pairs = [(IDENT, one)]
-    else:
-        one = character.one
-        pairs = []
-        for key in character.quotient_keys:
-            inv = character.values[key]
-            inv = one / inv
-            pairs.append((character.section(key), inv))
-    for sec, eps_inv in pairs:
-        sw = _apply_to_vector(sec, a)
-        for c, target in ((1, a), (-1, neg_a)):
-            scalar = eps_inv if (c == 1 or m % 2 == 0) else -eps_inv
-            if scalar == one:
-                continue
-            if vector_equiv(Gamma_small, tab_small, sw, target)[0]:
-                return True
-    return False
+    m+2 boundary space?  The class satisfies [-w] = (-1)^m [w], so it
+    vanishes exactly when m is odd and some gamma maps a to -a."""
+    return m % 2 == 1 and vector_equiv(Gamma, tab, a, (-a[0], -a[1]))
 
 
 class BoundaryInfo:
@@ -557,13 +434,11 @@ def boundary_map(S):
     """Matrix of the boundary map on the basis, discovering cusp classes
     lazily.  A basis symbol [x^w y^(m-w), r] maps to the class of the first
     column of r (when w = m) minus the class of the second column (w = 0),
-    with scalars tracked through vector-level witnesses."""
+    where the class of -w is (-1)^m times the class of w."""
     if S._boundary is not None:
         return S._boundary
     table = S.table
     tab = orbit_table(table)
-    small = S.small_table
-    small_tab = tab if small is table else orbit_table(small)
     m = S.m
     cusps = []        # representative primitive vectors, one per kept class
     vanished = []
@@ -579,23 +454,18 @@ def boundary_map(S):
         for idx, rep_vec in enumerate(cusps):
             for c in (1, -1):
                 target = (c * w_vec[0], c * w_vec[1])
-                eq, gamma = vector_equiv(table, tab, rep_vec, target)
-                if not eq:
+                if not vector_equiv(table, tab, rep_vec, target):
                     continue
-                # gamma * rep = c * w, so [w] = c^m eps(gamma)^-1 [rep]
-                coeff = S.one
-                if S.character is not None:
-                    coeff = coeff / S.character.value(gamma)
-                if c == -1 and m % 2 == 1:
-                    coeff = -coeff
+                # gamma * rep = c * w, so [w] = c^m [rep]
+                coeff = -S.one if c == -1 and m % 2 == 1 else S.one
                 _row_add(rows[t], idx, sign * coeff)
                 return
         for rep_vec in vanished:
             for c in (1, -1):
                 target = (c * w_vec[0], c * w_vec[1])
-                if vector_equiv(table, tab, rep_vec, target)[0]:
+                if vector_equiv(table, tab, rep_vec, target):
                     return
-        if cusp_vanishing(small, small_tab, S.character, w_vec, m):
+        if cusp_vanishing(table, tab, w_vec, m):
             vanished.append(w_vec)
             return
         cusps.append(w_vec)
@@ -623,8 +493,7 @@ def cuspidal_subspace(S):
 
 def star_involution(S):
     """Matrix of the star involution (columns are images of basis symbols)."""
-    if not is_real_type(S.G) or (S.character is not None
-                                 and not is_real_type(S.character.Gp)):
+    if not is_real_type(S.G):
         raise NotRealType("group is not of real type; no star involution")
     m = S.m
     cols = []

@@ -6,12 +6,11 @@ import math
 from fractions import Fraction
 from itertools import islice
 
-from .backend import as_fraction, is_prime, factor_int
+from .backend import as_fraction, is_prime, factor_int, rat_str
 from .polys import UniPoly, factor_rational_poly, is_irreducible_poly, NumberField
 from . import linalg as la
 from .groups import is_real_type
-from .spaces import (cuspidal_subspace, star_involution, plus_subspace,
-                     NotRealType)
+from .spaces import cuspidal_subspace, star_involution, plus_subspace
 from .hecke import (hecke_tn_fast, hecke_sweep, diamond_operator,
                     diamond_column, sigma_class)
 
@@ -50,12 +49,10 @@ class SpectralContext:
     """The working Hecke module: the plus subspace for real-type groups,
     otherwise the full cuspidal subspace, with cached restricted operators."""
 
-    def __init__(self, S, prefer_plus=True):
+    def __init__(self, S):
         self.S = S
         self.cuspidal = cuspidal_subspace(S)
-        use_plus = (prefer_plus and S.character is None
-                    and is_real_type(S.G))
-        if use_plus:
+        if is_real_type(S.G):
             self.kind = "plus"
             iota = star_involution(S)
             self.basis = plus_subspace(S, self.cuspidal, iota) \
@@ -252,19 +249,12 @@ class EigenSystem:
         if v is None:
             return "?"
         if self.field is None:
-            return _rat_str(v)
+            return rat_str(v)
         return v.to_str()
 
     def __repr__(self):
         return "EigenSystem(dim=%d, modulus=%s, L=%d)" % (
             self.piece.dimension, self.modulus.to_str(), self.L)
-
-
-def _rat_str(v):
-    f = as_fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
 
 
 def _generator(piece, seed):

@@ -1,8 +1,7 @@
 from fractions import Fraction
 
-from congsym.backend import (rat, as_fraction, egcd, inv_mod, crt,
-                             factor_int, divisors, is_prime, sl2_order,
-                             XorShift64)
+from congsym.backend import (rat, as_fraction, egcd, inv_mod, factor_int,
+                             divisors, is_prime, sl2_order, XorShift64)
 
 
 def test_rat_arithmetic():
@@ -17,11 +16,6 @@ def test_egcd_and_inverse():
         assert a * x + b * y == g
     assert inv_mod(3, 7) == 5
     assert (inv_mod(11, 16) * 11) % 16 == 1
-
-
-def test_crt():
-    x = crt(2, 3, 3, 5)
-    assert x % 3 == 2 and x % 5 == 3
 
 
 def test_factor_and_divisors():

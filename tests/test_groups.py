@@ -1,10 +1,8 @@
 import pytest
 
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
-                            gamma_generators, is_real_type, normalizer,
-                            find_det_element, mat_det, mat_mod, mat_mul,
-                            conj_induced, intersect_induced, GroupTooLarge,
-                            GL2QElem, smith_gl2q)
+                            gamma_generators, is_real_type, find_det_element,
+                            mat_det, mat_mod, GroupTooLarge)
 from congsym.families import build_family
 
 
@@ -71,32 +69,6 @@ def test_find_det_element_is_least():
             least = min(g for g in G.elements if mat_det(g) % G.N == n)
             assert find_det_element(G, n) == least
             assert find_det_element(G, n + 5 * G.N) == least
-
-
-def test_normalizer_contains_group():
-    G = build_family("ns", 13)
-    Np = normalizer(G)
-    assert G.elements <= Np.elements
-    assert build_family("ns_plus", 13).elements <= Np.elements
-
-
-def test_conj_and_intersect_induced():
-    G = build_family("gamma_full", 5)
-    H = build_family("gamma0", 5)
-    inter = intersect_induced(G, H)
-    assert inter.elements == H.elements
-    alpha = GL2QElem((1, 0, 0, 2))
-    C = conj_induced(H, alpha)
-    assert C.N % 5 == 0
-
-
-def test_smith_form():
-    alpha = GL2QElem((2, 1, 0, 3))
-    x, y, d1, n = smith_gl2q(alpha)
-    from congsym.groups import mat_mul
-    prod = mat_mul(mat_mul(x, alpha.primitive()), y)
-    assert prod == (1, 0, 0, n)
-    assert d1 == 1 and n == 6
 
 
 def test_group_too_large():

@@ -109,6 +109,8 @@ def test_merel_equals_naive_gamma0_11(s_gamma0_11):
     for p in (2, 3, 5, 7):
         assert hk.hecke_tp(s_gamma0_11, p, path="merel") == \
             hk.hecke_tp(s_gamma0_11, p, path="naive")
+    with pytest.raises(ValueError):
+        hk.hecke_tp(s_gamma0_11, 2, path="auto")
 
 
 def test_hecke_commutation(s_gamma0_11):
@@ -181,14 +183,18 @@ def test_degeneracy_alpha_beta_composition():
     S_low = sp.build_space(low, 2)
     S_high = sp.build_space(high, 2)
     datas = hk.enumerate_degeneracy(high, low)
-    assert datas
-    d = datas[0]
-    A = hk.degeneracy_alpha_dual(S_high, S_low, d)
-    B = hk.degeneracy_beta_dual(S_low, S_high, d)
-    idx = hk.coset_count_beta(d)
-    comp = la.mat_mul(A, B)
-    assert comp == la.mat_scale(la.identity_matrix(S_low.dim, S_low.one),
-                                S_low.one * idx)
+    # one t per double coset Gamma0(22) t Gamma0(11): 1, diag(1, 2) and the
+    # two Fricke-type matrices; each K has index 3 = [Gamma0(11) : Gamma0(22)]
+    assert [d.t for d in datas] == [(1, 0, 0, 1), (1, 0, 0, 2),
+                                    (0, -1, 11, 0), (0, -1, 22, 0)]
+    for d in datas:
+        A = hk.degeneracy_alpha_dual(S_high, S_low, d)
+        B = hk.degeneracy_beta_dual(S_low, S_high, d)
+        idx = hk.coset_count_beta(d)
+        assert idx == 3
+        comp = la.mat_mul(A, B)
+        assert comp == la.mat_scale(
+            la.identity_matrix(S_low.dim, S_low.one), S_low.one * idx)
 
 
 def test_new_old_subspaces():

@@ -1,6 +1,6 @@
 from congsym.backend import rat
 from congsym.polys import (UniPoly, factor_rational_poly, is_irreducible_poly,
-                           cyclotomic_poly, NumberField, min_poly_of_nf_elem)
+                           NumberField, min_poly_of_nf_elem)
 
 
 def P(*coeffs):
@@ -39,11 +39,6 @@ def test_factorization():
     assert fac == [(P(-1, 1), 1), (P(1, 1), 1), (P(2, 1), 2)]
     assert is_irreducible_poly(P(-1, -1, 2, 1))     # x^3+2x^2-x-1
     assert not is_irreducible_poly(P(-1, 0, 1))
-
-
-def test_cyclotomic():
-    assert cyclotomic_poly(4) == P(1, 0, 1)
-    assert cyclotomic_poly(1) == P(-1, 1)
 
 
 def test_number_field():

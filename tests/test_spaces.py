@@ -1,14 +1,14 @@
 import pytest
 
 from congsym.backend import XorShift64
-from congsym.groups import coset_table, imat_inv_det1, mat_mul
+from congsym.groups import coset_table, imat_adjugate, mat_mul
 from congsym.families import build_family
 from congsym import linalg as la
 from congsym import spaces as sp
 from congsym.spaces import (build_space, monomial, sym_action, cusp_count,
                             cuspidal_subspace, star_involution, plus_subspace,
-                            boundary_map, modular_symbol_to_basis, Character,
-                            cusp_normalize, cusp_to_matrix, NotRealType)
+                            boundary_map, cusp_normalize, cusp_to_matrix,
+                            NotRealType)
 
 from conftest import space_for
 
@@ -27,7 +27,7 @@ def manin_relation_defects(S):
         r = S.table.reps[i]
 
         def act(h):
-            return S.manin_coords(sym_action(imat_inv_det1(h), P),
+            return S.manin_coords(sym_action(imat_adjugate(h), P),
                                   mat_mul(r, h))
 
         x = S.manin_coords(P, r)
@@ -71,6 +71,14 @@ def test_dimensions_table():
         ("gamma1", 5, 2, 3, 0),
         ("gamma", 2, 2, 2, 0),
         ("ns_plus", 13, 2, 11, 6),
+        # odd weight: -I is not in Gamma_1(N), and every cusp is regular
+        # for N >= 5, so dim S_k = 2[(k-1)(g-1) + ((k-2)/2) eps_oo]
+        # (Diamond-Shurman, Thm 3.6.1)
+        ("gamma1", 5, 3, 4, 0),
+        ("gamma1", 7, 3, 8, 2),
+        ("gamma1", 11, 3, 20, 10),
+        ("gamma1", 13, 3, 28, 16),
+        ("gamma1", 7, 5, 16, 10),
     ]
     for tag, param, k, dim_full, dim_cusp in cases:
         S = space_for(tag, param, k)
@@ -144,27 +152,10 @@ def test_star_requires_real_type(g_8e1):
         star_involution(S)
 
 
-def test_character_space_dimensions():
-    G = build_family("gamma1", 4)
-    Gp = build_family("gamma0", 4)
-    eps = Character(G, Gp, [((3, 0, 0, 3), -1)], 2)
-    S = build_space(coset_table(G), 3, character=eps)
-    assert S.dim == 2
-    assert len(cuspidal_subspace(S)) == 0
-
-
-def test_character_rejects_non_character():
-    G = build_family("gamma1", 4)
-    Gp = build_family("gamma0", 4)
-    with pytest.raises(ValueError):
-        Character(G, Gp, [((3, 0, 0, 3), 2)], 2)
-
-
 def test_modular_symbol_wrapper(s_gamma0_11):
     S = s_gamma0_11
     P = monomial(S.m, 0)
-    v = modular_symbol_to_basis(S, P, (0, 1), (1, 0))
+    v = S.symbol_coords(P, (0, 1), (1, 0))
     assert len(v) == S.dim
-    back = [a + b for a, b in zip(v, modular_symbol_to_basis(
-        S, P, (1, 0), (0, 1)))]
+    back = [a + b for a, b in zip(v, S.symbol_coords(P, (1, 0), (0, 1)))]
     assert all(c == 0 for c in back)

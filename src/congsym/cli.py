@@ -190,9 +190,6 @@ def _hecke_matrix(G, S, p, path, alphas):
             m = hk.hecke_double_coset(S, a)
             full = m if full is None else la.mat_add(full, m)
         return full
-    if path == "naive" and (N > 1 and p % N not in G.det_image):
-        zero = S.one * 0
-        return [[zero] * S.dim for _ in range(S.dim)]
     return hk.hecke_tp(S, p, path=path)
 
 

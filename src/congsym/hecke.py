@@ -135,14 +135,23 @@ def hecke_double_coset(S, alpha):
     return la.transpose(cols)
 
 
+def _det_free(S, n):
+    """No element of G has determinant n mod N, so T_n is the zero
+    operator."""
+    N = S.table.N
+    return N > 1 and (gcd(n, N) != 1 or (n % N) not in S.G.det_image)
+
+
 def hecke_tp(S, p, path="merel"):
-    """Matrix of T_p for a prime p whose residue class is a determinant of
-    G.  path is one of merel (the Heilbronn-set sweep of hecke_tn_fast) |
-    naive (double cosets)."""
+    """Matrix of T_p for a prime p.  path is one of merel (the Heilbronn-set
+    sweep of hecke_tn_fast) | naive (double cosets).  On both paths T_p is
+    zero when no element of G has determinant p mod N (_det_free)."""
     if path == "merel":
         return hecke_tn_fast(S, p)
     if path != "naive":
         raise ValueError("unknown Hecke path %r (merel | naive)" % (path,))
+    if _det_free(S, p):
+        return la.zero_matrix(S.dim, S.dim, S.one)
     alpha = element_of_det(S.G, p)
     return hecke_double_coset(S, alpha)
 
@@ -263,7 +272,7 @@ def hecke_sweep(S, n, H=None):
     projection.  If no element of G has determinant n mod N the operator is
     zero."""
     N = S.table.N
-    if N > 1 and (gcd(n, N) != 1 or (n % N) not in S.G.det_image):
+    if _det_free(S, n):
         return lambda t: S.zero_vector()
     if n == 1:
         return lambda t: [S.one if pos == t else S.one * 0

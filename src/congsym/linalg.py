@@ -53,12 +53,20 @@ def _dm(rows, dom):
 
 
 def _lists(a, dom):
+    """Rows of a, written from its nonzero entries into rows that share one
+    zero."""
     zero = dom.back(a.domain.zero)
-    return [[dom.back(y) if y else zero for y in row] for row in a.to_list()]
+    nrows, ncols = a.shape
+    rows = [[zero] * ncols for _ in range(nrows)]
+    for i, nz in a.rep.to_sdm().items():
+        for j, y in nz.items():
+            rows[i][j] = dom.back(y)
+    return rows
 
 
 def identity_matrix(n, one=ONE):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+    z = one * 0
+    return [[one if i == j else z for j in range(n)] for i in range(n)]
 
 
 def zero_matrix(n, m, one=ONE):
@@ -85,6 +93,11 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def shift_diagonal(a, c):
+    """Rows of a + c I for a square a, with c added on the diagonal only."""
+    return [row[:i] + [row[i] + c] + row[i + 1:] for i, row in enumerate(a)]
+
+
 def mat_scale(a, c):
     return [[x * c for x in row] for row in a]
 
@@ -104,11 +117,15 @@ def rref(rows):
     return _lists(red, dom), list(pivots)
 
 
-def kernel(rows):
+def kernel(rows, sparse=False):
     """Basis of {v : rows v = 0}: for each free column j in turn, v[j] = 1 and
-    v[c] = -red[r][j] at the pivot column c of row r of the reduced form."""
+    v[c] = -red[r][j] at the pivot column c of row r of the reduced form.
+    sparse=True reduces by Gauss-Jordan over the field, which suits the
+    Manin-symbol matrices (a few small nonzeros per row, little fill-in);
+    sympy's own choice clears denominators and eliminates fraction-free,
+    which suits dense matrices.  The reduced form is the same either way."""
     dom = _domain(rows)
-    red, pivots = _dm(rows, dom).rref()
+    red, pivots = _dm(rows, dom).rref(method="GJ" if sparse else "auto")
     return _lists(red.nullspace_from_rref(pivots), dom)
 
 

@@ -9,6 +9,7 @@ which is a left action for all determinants.  A Manin symbol [P, g] is the
 class of g(P (x) {0, oo}); the right action is [P, g] h = [h^-1 P, g h].
 """
 
+from collections import Counter
 from math import gcd
 
 from .backend import rat
@@ -434,14 +435,18 @@ def boundary_map(S):
     """Matrix of the boundary map on the basis, discovering cusp classes
     lazily.  A basis symbol [x^w y^(m-w), r] maps to the class of the first
     column of r (when w = m) minus the class of the second column (w = 0),
-    where the class of -w is (-1)^m times the class of w."""
+    where the class of -w is (-1)^m times the class of w.  Two vectors are in
+    one class exactly when the cosets of their cusp_to_matrix lie in one
+    T-orbit (vector_equiv), so the classes seen so far are keyed by that
+    orbit: each vector costs at most two lookups, for w and -w, and each hit
+    is confirmed by a checked vector_equiv witness."""
     if S._boundary is not None:
         return S._boundary
     table = S.table
     tab = orbit_table(table)
     m = S.m
     cusps = []        # representative primitive vectors, one per kept class
-    vanished = []
+    seen = {}         # T-orbit id -> (kept class index or None, representative)
     rows = [[] for _ in range(S.dim)]
     zero = S.one * 0
 
@@ -450,24 +455,28 @@ def boundary_map(S):
             row.append(zero)
         row[idx] = row[idx] + val
 
+    def orbit_of(vec):
+        return tab[table.coset_index(cusp_to_matrix(vec))][0]
+
     def class_coefficient(t, w_vec, sign):
-        for idx, rep_vec in enumerate(cusps):
-            for c in (1, -1):
-                target = (c * w_vec[0], c * w_vec[1])
-                if not vector_equiv(table, tab, rep_vec, target):
-                    continue
+        for c in (1, -1):
+            target = (c * w_vec[0], c * w_vec[1])
+            hit = seen.get(orbit_of(target))
+            if hit is None:
+                continue
+            idx, rep_vec = hit
+            if not vector_equiv(table, tab, rep_vec, target):
+                raise RuntimeError("%r and %r share a T-orbit but not a class"
+                                   % (rep_vec, target))
+            if idx is not None:
                 # gamma * rep = c * w, so [w] = c^m [rep]
                 coeff = -S.one if c == -1 and m % 2 == 1 else S.one
                 _row_add(rows[t], idx, sign * coeff)
-                return
-        for rep_vec in vanished:
-            for c in (1, -1):
-                target = (c * w_vec[0], c * w_vec[1])
-                if vector_equiv(table, tab, rep_vec, target):
-                    return
-        if cusp_vanishing(table, tab, w_vec, m):
-            vanished.append(w_vec)
             return
+        if cusp_vanishing(table, tab, w_vec, m):
+            seen[orbit_of(w_vec)] = (None, w_vec)
+            return
+        seen[orbit_of(w_vec)] = (len(cusps), w_vec)
         cusps.append(w_vec)
         _row_add(rows[t], len(cusps) - 1, sign * S.one)
 
@@ -488,21 +497,32 @@ def cuspidal_subspace(S):
     info = boundary_map(S)
     if not info.cusps:
         return [list(v) for v in la.identity_matrix(S.dim, S.one)]
-    return la.kernel(la.transpose(info.matrix))
+    return la.kernel(la.transpose(info.matrix), sparse=True)
 
 
 def star_involution(S):
-    """Matrix of the star involution (columns are images of basis symbols)."""
+    """Matrix of the star involution (columns are images of basis symbols).
+    The basis symbol [x^w y^(m-w), r] maps to (-1)^(m-w+1) [x^w y^(m-w),
+    eta r eta^-1] for eta = diag(-1, 1).  A monomial Manin symbol is one
+    generator, so each column is a signed column of reduce_cols; these
+    sparse columns are checked against the boundary map (_check_permutes_cusps)
+    and written into rows that share one zero."""
     if not is_real_type(S.G):
         raise NotRealType("group is not of real type; no star involution")
     m = S.m
     cols = []
     for (w, i) in S.basis_tags:
-        conj = _eta_conj(S.table.reps[i])
-        sgn = -S.one if (m - w) % 2 == 0 else S.one
-        poly = monomial(m, w)
-        cols.append([sgn * x for x in S.manin_coords(poly, conj)])
-    return la.transpose(cols)
+        j = S.table.coset_index(_eta_conj(S.table.reps[i]))
+        col = S.reduce_cols[S.gen_index(w, j)]
+        cols.append({pos: -c for pos, c in col.items()} if (m - w) % 2 == 0
+                    else dict(col))
+    _check_permutes_cusps(boundary_map(S).matrix, cols)
+    zero = S.one * 0
+    rows = [[zero] * S.dim for _ in range(S.dim)]
+    for t, col in enumerate(cols):
+        for pos, x in col.items():
+            rows[pos][t] = x
+    return rows
 
 
 def _eta_conj(g):
@@ -510,14 +530,46 @@ def _eta_conj(g):
     return (g[0], -g[1], -g[2], g[3])
 
 
-def plus_subspace(S, cusp_basis, iota):
-    """Basis of the +1 eigenspace of iota on the given cuspidal subspace,
-    in ambient space coordinates."""
-    if not cusp_basis:
-        return []
-    restr = la.restrict_to_invariant_subspace(iota, cusp_basis)
-    shifted = la.mat_sub(restr, la.identity_matrix(len(cusp_basis), S.one))
-    return la.mat_mul(la.kernel(shifted), cusp_basis)
+def _up_to_sign(vec):
+    """The nonzero entries of a sparse vector {index: value}, as one key for
+    the vector and its negative."""
+    items = sorted((j, x) for j, x in vec.items() if x)
+    if items and items[0][1] < 0:
+        items = [(j, -x) for j, x in items]
+    return tuple(items)
+
+
+def _check_permutes_cusps(bmat, iota_cols):
+    """B^t iota must be B^t with its rows permuted and signed, because iota
+    permutes the cusp classes; then iota keeps ker B^t, the cuspidal
+    subspace.  bmat is the boundary matrix B (a row per basis symbol) and
+    iota_cols the sparse columns of iota; column t of B^t iota is the sum of
+    the rows B[s] weighted by iota[s][t]."""
+    b_rows = [{c: x for c, x in enumerate(row) if x} for row in bmat]
+    ncols = len(bmat[0]) if bmat else 0
+    bt = [{} for _ in range(ncols)]
+    bt_iota = [{} for _ in range(ncols)]
+    for s, row in enumerate(b_rows):
+        for c, x in row.items():
+            bt[c][s] = x
+    for t, col in enumerate(iota_cols):
+        for s, x in col.items():
+            for c, b in b_rows[s].items():
+                bt_iota[c][t] = bt_iota[c].get(t, 0) + b * x
+    if Counter(map(_up_to_sign, bt)) != Counter(map(_up_to_sign, bt_iota)):
+        raise RuntimeError("the star involution does not permute the cusp "
+                           "classes")
+
+
+def plus_subspace(S, iota):
+    """Basis of the +1 eigenspace of iota on the cuspidal subspace, in full
+    coordinates: one kernel of the stacked rows [B^t ; iota - 1] for the
+    boundary matrix B.  A kernel basis in reduced echelon form is the one
+    basis of its space with a unit vector at each position that is the last
+    nonzero entry of some vector of the space, so this is the same list as
+    the +1 kernel of iota restricted to a cuspidal basis, times that basis."""
+    bt = la.transpose(boundary_map(S).matrix)
+    return la.kernel(bt + la.shift_diagonal(iota, -S.one), sparse=True)
 
 
 def cusp_count(Gamma):

@@ -55,8 +55,7 @@ class SpectralContext:
         if is_real_type(S.G):
             self.kind = "plus"
             iota = star_involution(S)
-            self.basis = plus_subspace(S, self.cuspidal, iota) \
-                if self.cuspidal else []
+            self.basis = plus_subspace(S, iota) if self.cuspidal else []
         else:
             self.kind = "cuspidal"
             self.basis = self.cuspidal
@@ -210,9 +209,11 @@ def dual_vector_space(ctx, piece):
     if d == 0:
         piece.dual = []
         return []
-    V = la.identity_matrix(S.dim, S.one)
     if ctx.kind == "plus":
-        V = la.kernel(la.mat_sub(la.transpose(star_involution(S)), V))
+        V = la.kernel(la.shift_diagonal(la.transpose(star_involution(S)),
+                                        -S.one), sparse=True)
+    else:
+        V = la.identity_matrix(S.dim, S.one)
     bound = sturm_bound(S.k, S.table)
     separating = next(p for p in iter_good_primes(S.G)
                       if p ** (S.k - 1) >= 6)

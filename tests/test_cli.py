@@ -72,6 +72,18 @@ def test_hecke_paths_agree(capsys):
     assert naive == merel
 
 
+def test_hecke_paths_agree_off_det_image(capsys):
+    # T_3 on Gamma(8) is zero on both paths, with no special case in the CLI
+    outs = []
+    for path in ("naive", "merel"):
+        code, out, _ = run_cli(capsys, "hecke", "gamma", "8", "-p", "3",
+                               "--path", path, "--json")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["matrix"] == [["0"] * 5] * 5
+
+
 def test_hecke_bad_prime_exit(capsys):
     code, _, err = run_cli(capsys, "hecke", "gamma0", "11", "-p", "11")
     assert code == EXIT_BAD_PRIME

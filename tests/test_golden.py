@@ -2,8 +2,9 @@
 
 The determinism check of criterion 10 compares two runs of the same code;
 these hashes pin the outputs across versions, so a refactor that changes a
-basis, a label or an eigenvalue shows up here.  They were recorded before
-the exact linear algebra moved onto sympy's DomainMatrix.
+basis, a label or an eigenvalue shows up here.  Most were recorded before
+the exact linear algebra moved onto sympy's DomainMatrix; the ns_plus 37 and
+53 entries were recorded before the plus space became one stacked kernel.
 """
 
 import hashlib
@@ -29,6 +30,11 @@ GOLDEN = {
         "65164ec6da5bddd8608e795281dad8e59c5bdcaa4cbefa8bc7f0dce00e0ea8b9",
     "hecke ns 11 -p 2 --json":
         "19ccdd6e21d2d4cd2dd8939d8c253aaa3fb18d731bb94444c27863c78bb09804",
+    # the plus basis of an 86-dimensional cuspidal space
+    "hecke ns_plus 37 -p 2 --json":
+        "7f575d7cdc292200e00f53aceae747f540c1cbe1b73676d6c5a42c4bf497cbee",
+    "dims ns_plus 53 --json":
+        "6572542542c2faf6ff6f27a5257c1b4ebf3da4c363591b0f8bc1eb0382b6075e",
     "decompose ns_plus 17 --json":
         "fe757cdbdf518481eeb2f8c4b141bebe48ccc7f2fcefbe91a310c4966921738d",
     "decompose gamma1 13 --json":

@@ -138,6 +138,14 @@ def test_hecke_vanishes_off_det_image():
     assert la.is_zero_matrix(hk.hecke_tn_fast(S, 2))
 
 
+def test_hecke_paths_zero_off_det_image():
+    # 3 mod 8 is not a determinant of Gamma(8): both paths give T_3 = 0
+    S = space_for("gamma", 8)
+    naive = hk.hecke_tp(S, 3, path="naive")
+    assert naive == hk.hecke_tp(S, 3, path="merel")
+    assert naive == la.zero_matrix(S.dim, S.dim, S.one)
+
+
 def test_hecke_at_level_prime_is_not_merel(s_gamma0_11):
     assert la.is_zero_matrix(hk.hecke_tn_fast(s_gamma0_11, 11))
 

@@ -8,6 +8,7 @@ from congsym import spaces as sp
 from congsym.spaces import (build_space, monomial, sym_action, cusp_count,
                             cuspidal_subspace, star_involution, plus_subspace,
                             boundary_map, cusp_normalize, cusp_to_matrix,
+                            orbit_table, vector_equiv, cusp_vanishing,
                             NotRealType)
 
 from conftest import space_for
@@ -137,13 +138,122 @@ def test_plus_minus_dimensions(s_ns_plus_13):
     S = s_ns_plus_13
     cusp = cuspidal_subspace(S)
     iota = star_involution(S)
-    plus = plus_subspace(S, cusp, iota)
+    plus = plus_subspace(S, iota)
     restr = la.restrict_to_invariant_subspace(iota, cusp)
     minus_dim = sum(1 for v in la.kernel(
         la.mat_add(restr, la.identity_matrix(len(cusp), S.one)))
         for _ in [0])
     assert len(plus) + minus_dim == len(cusp)
     assert len(plus) == 3
+
+
+PLUS_GROUPS = [("ns_plus", 13, 2), ("ns_plus", 17, 2), ("ns_plus", 37, 2),
+               ("gamma0", 11, 4), ("gamma0", 37, 2), ("gamma1", 13, 3)]
+
+
+def _reference_plus(S, iota):
+    """The +1 kernel of iota restricted to the cuspidal basis C, times C."""
+    cusp = cuspidal_subspace(S)
+    if not cusp:
+        return []
+    restr = la.restrict_to_invariant_subspace(iota, cusp)
+    shifted = la.mat_sub(restr, la.identity_matrix(len(cusp), S.one))
+    return la.mat_mul(la.kernel(shifted), cusp)
+
+
+def _up_to_sign_sorted(rows):
+    keys = []
+    for row in rows:
+        first = next((x for x in row if x), 0)
+        keys.append(tuple(-x if first < 0 else x for x in row))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("tag, param, k", PLUS_GROUPS)
+def test_plus_basis_is_restricted_kernel(tag, param, k):
+    S = space_for(tag, param, k)
+    iota = star_involution(S)
+    # iota is minus the action of eta = diag(-1, 1) on modular symbols:
+    # P (x) {a, b} -> -P(x, -y) (x) {-a, -b}, checked on random symbols
+    rng = XorShift64(7)
+    for _ in range(6):
+        w = rng.randint(0, S.m)
+        (a0, a1), (b0, b1) = [(rng.randint(-9, 9), rng.randint(1, 9))
+                              for _ in range(2)]
+        P = monomial(S.m, w)
+        image = la.mat_vec(iota, S.symbol_coords(P, (a0, a1), (b0, b1)))
+        flipped = S.symbol_coords(sym_action((-1, 0, 0, 1), P),
+                                  (-a0, a1), (-b0, b1))
+        assert image == [-x for x in flipped]
+    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim, S.one)
+    bt = la.transpose(boundary_map(S).matrix)
+    assert _up_to_sign_sorted(la.mat_mul(bt, iota)) == _up_to_sign_sorted(bt)
+    plus = plus_subspace(S, iota)
+    assert plus == _reference_plus(S, iota)
+    assert plus
+
+
+def test_star_check_rejects_a_non_permutation(s_ns_plus_13):
+    S = s_ns_plus_13
+    bmat = boundary_map(S).matrix
+    cols = [{s: x for s, x in enumerate(col) if x}
+            for col in la.transpose(star_involution(S))]
+    sp._check_permutes_cusps(bmat, cols)
+    cols[0] = {s: 2 * x for s, x in cols[0].items()}
+    with pytest.raises(RuntimeError, match="permute the cusp classes"):
+        sp._check_permutes_cusps(bmat, cols)
+
+
+def _reference_boundary(S):
+    """The boundary map by scanning every class found so far with
+    vector_equiv, for w and for -w."""
+    table = S.table
+    tab = orbit_table(table)
+    m = S.m
+    cusps, vanished = [], []
+    rows = [{} for _ in range(S.dim)]
+
+    def add(t, w_vec, sign):
+        for idx, rep in enumerate(cusps):
+            for c in (1, -1):
+                if vector_equiv(table, tab, rep, (c * w_vec[0], c * w_vec[1])):
+                    coeff = -1 if c == -1 and m % 2 == 1 else 1
+                    rows[t][idx] = rows[t].get(idx, 0) + sign * coeff
+                    return
+        for rep in vanished:
+            for c in (1, -1):
+                if vector_equiv(table, tab, rep, (c * w_vec[0], c * w_vec[1])):
+                    return
+        if cusp_vanishing(table, tab, w_vec, m):
+            vanished.append(w_vec)
+            return
+        cusps.append(w_vec)
+        rows[t][len(cusps) - 1] = rows[t].get(len(cusps) - 1, 0) + sign
+
+    for t, (w, i) in enumerate(S.basis_tags):
+        rep = table.reps[i]
+        if w == m:
+            add(t, (rep[0], rep[2]), 1)
+        if w == 0:
+            add(t, (rep[1], rep[3]), -1)
+    matrix = [[row.get(j, 0) for j in range(len(cusps))] for row in rows]
+    return cusps, matrix, vanished
+
+
+# gamma1 4 at k = 7 reaches the irregular cusp 1/2, whose class vanishes
+@pytest.mark.parametrize("group", [
+    ("gamma0", 11, 4), ("gamma1", 13, 3), ("gamma1", 4, 7), ("gamma", 8, 2),
+    ("ns", 11, 2), ("ns_plus", 37, 2), "g_h155", "g_8e1"])
+def test_boundary_map_matches_scan(group, request):
+    if isinstance(group, str):
+        S = build_space(coset_table(request.getfixturevalue(group)), 2)
+    else:
+        S = space_for(*group)
+    cusps, matrix, vanished = _reference_boundary(S)
+    info = boundary_map(S)
+    assert info.cusps == cusps
+    assert info.matrix == matrix
+    assert bool(vanished) == (group == ("gamma1", 4, 7))
 
 
 def test_star_requires_real_type(g_8e1):

@@ -1,50 +1,29 @@
-"""Exact rational arithmetic backend and small integer utilities.
+"""Exact rational arithmetic and small integer utilities.
 
-All computational kernels work over exact rationals.  Two interchangeable
-implementations are supported: gmpy2.mpq (fast, used when importable) and
-fractions.Fraction (pure Python fallback).  Set CONGSYM_PURE_RATIONAL=1 to
-force the fallback.
+The program's one rational type is sympy's QQ: rat(n, d) is QQ(n, d), whose
+elements are gmpy2's mpq when sympy finds gmpy2 and sympy's pure-Python
+PythonMPQ otherwise.  The linear algebra hands these elements to sympy's
+DomainMatrix over QQ as they are.
 
-The PRNG used for seeded random Hecke combinations is xorshift64* with a
-nonzero 64-bit state; seed s maps to state (s + 0x9E3779B97F4A7C15) | 1.
-Default seed is 0 everywhere.
+The PRNG used for seeded random Hecke combinations is xorshift64*.  Seed s
+is scrambled by splitmix64 into the 64-bit state (a bijection, so distinct
+seeds give distinct states; a zero result is replaced by the golden-ratio
+constant 0x9E3779B97F4A7C15).  Default seed is 0 everywhere.
 """
 
-import os
-from fractions import Fraction
+from sympy import QQ
 
-try:
-    from gmpy2 import mpq as _mpq
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _HAVE_GMPY2 = False
+rat = QQ
+RAT_IMPL = QQ.dtype.__name__
 
-if _HAVE_GMPY2 and os.environ.get("CONGSYM_PURE_RATIONAL") != "1":
-    rat = _mpq
-    RAT_IMPL = "gmpy2.mpq"
-else:  # pragma: no cover
-    rat = Fraction
-    RAT_IMPL = "fractions.Fraction"
-
-ZERO = rat(0)
 ONE = rat(1)
 
 
-def as_fraction(x):
-    """Convert a backend rational (or int) to fractions.Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
 def rat_str(v):
-    """A rational as "n" or "n/d"."""
-    f = as_fraction(v)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    """A rational (or int) as "n" or "n/d"."""
+    if v.denominator == 1:
+        return str(v.numerator)
+    return "%d/%d" % (v.numerator, v.denominator)
 
 
 def egcd(a, b):

@@ -13,14 +13,25 @@ from .groups import (close_group, group_from_elements, crt_matrix, S_MAT,
                      T_MAT, mat_mod)
 
 
-def _unit_range(N):
-    return [u for u in range(1, N) if gcd(u, N) == 1]
+def _unit_generators(N):
+    """Generators of (Z/N)*: each unit in increasing order that is not in the
+    subgroup generated by those taken before it."""
+    gens = []
+    reached = {1 % N}
+    for u in range(1, N):
+        if gcd(u, N) == 1 and u not in reached:
+            gens.append(u)
+            new = reached
+            while new:
+                new = {x * u % N for x in new} - reached
+                reached |= new
+    return gens
 
 
 def gamma0(N):
     """Borel-type group inducing Gamma_0(N) (lower-left entry 0 mod N)."""
     gens = [T_MAT]
-    for u in _unit_range(N):
+    for u in _unit_generators(N):
         gens.append((u, 0, 0, 1))
         gens.append((1, 0, 0, u))
     return close_group(N, gens)
@@ -28,18 +39,14 @@ def gamma0(N):
 
 def gamma1(N):
     """Group inducing Gamma_1(N): diagonal (1, *) and upper triangular."""
-    gens = [T_MAT]
-    for u in _unit_range(N):
-        gens.append((1, 0, 0, u))
-    return close_group(N, gens)
+    return close_group(N, [T_MAT] + [(1, 0, 0, u)
+                                     for u in _unit_generators(N)])
 
 
 def gamma_full(N):
     """All of GL2(Z/N), inducing SL2(Z)."""
-    gens = [S_MAT, T_MAT]
-    for u in _unit_range(N):
-        gens.append((1, 0, 0, u))
-    return close_group(N, gens)
+    return close_group(N, [S_MAT, T_MAT] + [(1, 0, 0, u)
+                                            for u in _unit_generators(N)])
 
 
 def gamma_principal(N):

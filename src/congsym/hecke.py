@@ -151,7 +151,7 @@ def hecke_tp(S, p, path="merel"):
     if path != "naive":
         raise ValueError("unknown Hecke path %r (merel | naive)" % (path,))
     if _det_free(S, p):
-        return la.zero_matrix(S.dim, S.dim, S.one)
+        return la.zero_matrix(S.dim, S.dim)
     alpha = element_of_det(S.G, p)
     return hecke_double_coset(S, alpha)
 

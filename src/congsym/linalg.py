@@ -1,84 +1,53 @@
-"""Exact linear algebra over the rationals, number fields and Q[x].
+"""Exact linear algebra over the rationals and Q[x].
 
 Matrices are lists of row lists acting on column vectors; vectors are lists.
-Each routine converts its input once to a sparse sympy DomainMatrix and its
-result back, over a domain read off the entries: QQ for backend rationals,
-QQ(a) for NumberFieldElem (a the root of the modulus), Q[x] for UniPoly.
-The pipeline passes rationals and UniPolys only; QQ(a) serves the tests'
-eigenvector references, which solve for eigenvectors over the coefficient
-field.
+Entries are elements of sympy's QQ (backend.rat), so each routine only
+changes format: the rows become a sparse sympy DomainMatrix over QQ and its
+result becomes rows again.  det_poly_matrix works over Q[x] with UniPoly
+entries.
 """
 
-from collections import namedtuple
-
-from sympy import QQ, ZZ, AlgebraicNumber, CRootOf, Symbol
+from sympy import QQ, ZZ, Symbol
 from sympy.polys.densetools import dup_clear_denoms
 from sympy.polys.matrices import DomainMatrix
 
 from .backend import ONE, rat, XorShift64
-from .polys import UniPoly, NumberFieldElem, _to_sympy
+from .polys import UniPoly
 
-# a sympy domain K with the maps to it from the entries callers use and back
-_Domain = namedtuple("_Domain", "K to back")
-_RATIONALS = _Domain(QQ, lambda x: QQ(int(x.numerator), int(x.denominator)),
-                     lambda q: rat(int(q.numerator), int(q.denominator)))
-_to_qq, _from_qq = _RATIONALS.to, _RATIONALS.back
 _QX = QQ[Symbol("x")]
-_POLYNOMIALS = _Domain(
-    _QX, lambda f: _QX.ring.from_list([_to_qq(c) for c in reversed(f.coeffs)]),
-    lambda y: UniPoly([_from_qq(c) for c in reversed(y.to_dense())]))
 
 
-def _domain(*mats):
-    """QQ(a) when some entry is a NumberFieldElem, else QQ."""
-    field = next((x.field for rows in mats for row in rows for x in row
-                  if isinstance(x, NumberFieldElem)), None)
-    if field is None:
-        return _RATIONALS
-    g = _to_sympy(field.modulus, Symbol("x"))
-    K = QQ.algebraic_field(AlgebraicNumber((g, CRootOf(g, 0))))
-
-    def to(x):
-        cs = x.coeffs if isinstance(x, NumberFieldElem) else [x]
-        return K.new([_to_qq(c) for c in reversed(cs)])
-
-    return _Domain(K, to, lambda y: field.elem(
-        [_from_qq(c) for c in reversed(y.to_list())]))
-
-
-def _dm(rows, dom):
+def _dm(rows, K=QQ):
     dod = {i: nz for i, row in enumerate(rows)
-           if (nz := {j: dom.to(x) for j, x in enumerate(row) if x})}
-    return DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), dom.K)
+           if (nz := {j: x for j, x in enumerate(row) if x})}
+    return DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), K)
 
 
-def _lists(a, dom):
+def _lists(a):
     """Rows of a, written from its nonzero entries into rows that share one
     zero."""
-    zero = dom.back(a.domain.zero)
     nrows, ncols = a.shape
-    rows = [[zero] * ncols for _ in range(nrows)]
-    for i, nz in a.rep.to_sdm().items():
+    rows = [[a.domain.zero] * ncols for _ in range(nrows)]
+    for i, nz in a.to_sdm().items():
         for j, y in nz.items():
-            rows[i][j] = dom.back(y)
+            rows[i][j] = y
     return rows
 
 
-def identity_matrix(n, one=ONE):
-    z = one * 0
-    return [[one if i == j else z for j in range(n)] for i in range(n)]
+def identity_matrix(n):
+    z = ONE * 0
+    return [[ONE if i == j else z for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(n, m, one=ONE):
-    z = one * 0
+def zero_matrix(n, m):
+    z = ONE * 0
     return [[z] * m for _ in range(n)]
 
 
 def mat_mul(a, b):
     if not a or not b:
         return [[] for _ in a]
-    dom = _domain(a, b)
-    return _lists(_dm(a, dom) * _dm(b, dom), dom)
+    return _lists(_dm(a) * _dm(b))
 
 
 def mat_vec(a, v):
@@ -112,9 +81,8 @@ def is_zero_matrix(a):
 
 def rref(rows):
     """Reduced row echelon form (zero rows last) and the pivot columns."""
-    dom = _domain(rows)
-    red, pivots = _dm(rows, dom).rref()
-    return _lists(red, dom), list(pivots)
+    red, pivots = _dm(rows).rref()
+    return _lists(red), list(pivots)
 
 
 def kernel(rows, sparse=False):
@@ -124,9 +92,8 @@ def kernel(rows, sparse=False):
     Manin-symbol matrices (a few small nonzeros per row, little fill-in);
     sympy's own choice clears denominators and eliminates fraction-free,
     which suits dense matrices.  The reduced form is the same either way."""
-    dom = _domain(rows)
-    red, pivots = _dm(rows, dom).rref(method="GJ" if sparse else "auto")
-    return _lists(red.nullspace_from_rref(pivots), dom)
+    red, pivots = _dm(rows).rref(method="GJ" if sparse else "auto")
+    return _lists(red.nullspace_from_rref(pivots))
 
 
 def kernel_of_rows(rows):
@@ -140,7 +107,7 @@ def row_space_basis(rows):
 
 
 def mat_rank(rows):
-    return _dm(rows, _domain(rows)).rank()
+    return _dm(rows).rank()
 
 
 def in_row_space(rows, v):
@@ -174,36 +141,35 @@ def restrict_to_invariant_subspace(m, basis):
     d = len(basis)
     if not d:
         return []
-    dom = _domain(m, basis)
-    bt = _dm(basis, dom).transpose()
-    mbt = _dm(m, dom) * bt
+    bt = _dm(basis).transpose()
+    mbt = _dm(m) * bt
     r = mbt.extract(_unit_columns(basis), list(range(d)))
     if bt * r != mbt:
         raise ValueError("basis is not invariant under the matrix")
-    return _lists(r, dom)
+    return _lists(r)
 
 
 def charpoly(m):
     """Characteristic polynomial det(xI - m)."""
-    dom = _domain(m)
-    return UniPoly([dom.back(c) for c in reversed(_dm(m, dom).charpoly())])
+    return UniPoly(reversed(_dm(m).charpoly()))
 
 
 def mat_poly_eval(f, m):
     """f(m) for a UniPoly f and a rational matrix m.  The Horner steps run on
     integers: for m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
-    coeffs = [_to_qq(c) for c in reversed(f.coeffs)]
-    d, a = _dm(m, _RATIONALS).clear_denoms(convert=True)
+    coeffs = f.coeffs[::-1]
+    d, a = _dm(m).clear_denoms(convert=True)
     d = d.element
     e, h = dup_clear_denoms([c * d ** i for i, c in enumerate(coeffs)],
                             QQ, ZZ, convert=True)
     fm = a.eval_poly(h).to_field() / QQ(e * d ** max(f.degree, 0))
-    return _lists(fm, _RATIONALS)
+    return _lists(fm)
 
 
 def det_poly_matrix(m):
     """Determinant of a square matrix with UniPoly entries, over Q[x]."""
-    return _POLYNOMIALS.back(_dm(m, _POLYNOMIALS).det())
+    rows = [[_QX.ring.from_list(f.coeffs[::-1]) for f in row] for row in m]
+    return UniPoly(_dm(rows, _QX).det().to_dense()[::-1])
 
 
 def seeded_random_combination(ops, seed=0):
@@ -212,7 +178,7 @@ def seeded_random_combination(ops, seed=0):
         raise ValueError("empty operator list")
     rng = XorShift64(seed)
     n = len(ops[0])
-    out = zero_matrix(n, len(ops[0][0]) if n else 0, ONE)
+    out = zero_matrix(n, len(ops[0][0]) if n else 0)
     for op in ops:
         c = rng.randint(1, 9)
         out = mat_add(out, mat_scale(op, rat(c)))

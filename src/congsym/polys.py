@@ -5,9 +5,9 @@ nonzero ([] is the zero polynomial).  Number field elements are coordinate
 vectors modulo a monic irreducible polynomial.
 """
 
-from .backend import rat, as_fraction
-
 import sympy
+
+from .backend import rat
 
 
 class UniPoly:
@@ -41,7 +41,7 @@ class UniPoly:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(tuple(as_fraction(c) for c in self.coeffs))
+        return hash(tuple(self.coeffs))
 
     def __getitem__(self, i):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else rat(0)
@@ -164,7 +164,7 @@ class UniPoly:
 
 
 def _to_sympy(f, x):
-    return sympy.Poly([sympy.Rational(as_fraction(c)) for c in reversed(f.coeffs)], x)
+    return sympy.Poly([rat.to_sympy(c) for c in reversed(f.coeffs)], x)
 
 
 def _from_sympy(p):
@@ -185,7 +185,7 @@ def factor_rational_poly(f):
     x = sympy.Symbol("x")
     _, factors = _to_sympy(f, x).factor_list()
     out = [(_from_sympy(p).monic(), m) for p, m in factors]
-    out.sort(key=lambda fm: (fm[0].degree, [as_fraction(c) for c in fm[0].coeffs]))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
 
@@ -256,7 +256,7 @@ class NumberFieldElem:
         return self.coeffs == self._coerce(other).coeffs
 
     def __hash__(self):
-        return hash(tuple(as_fraction(c) for c in self.coeffs))
+        return hash(tuple(self.coeffs))
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -328,21 +328,3 @@ class NumberFieldElem:
     def __repr__(self):
         return "NFElem(%s)" % self.to_str()
 
-
-def min_poly_of_nf_elem(e):
-    """Minimal polynomial over Q of a number field element (by linear algebra)."""
-    from .linalg import kernel_of_rows
-    d = e.field.degree
-    powers = []
-    cur = e.field.one()
-    for _ in range(d + 1):
-        powers.append(list(cur.coeffs))
-        cur = cur * e
-    # find the first linear dependence among 1, e, e^2, ...
-    for m in range(1, d + 2):
-        rows = [powers[i] for i in range(m)]
-        ker = kernel_of_rows(rows)
-        if ker:
-            v = ker[0]
-            return UniPoly(v).monic()
-    raise RuntimeError("no minimal polynomial found")

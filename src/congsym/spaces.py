@@ -12,7 +12,10 @@ class of g(P (x) {0, oo}); the right action is [P, g] h = [h^-1 P, g h].
 from collections import Counter
 from math import gcd
 
-from .backend import rat
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
+
+from .backend import ONE
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, IDENT, S_MAT,
                      TAU_MAT, is_real_type)
@@ -109,7 +112,7 @@ class ModSymSpace:
         self.table = table
         self.k = k
         self.m = k - 2
-        self.one = rat(1)
+        self.one = ONE
         self.reduce_cols = reduce_cols
         self.basis_tags = basis_tags
         self.dim = len(basis_tags)
@@ -188,10 +191,9 @@ class ModSymSpace:
 class _UnionFind:
     """Union-find with multiplicative edge scalars: gen = c * root."""
 
-    def __init__(self, n, one):
+    def __init__(self, n):
         self.parent = list(range(n))
-        self.scalar = [one] * n
-        self.one = one
+        self.scalar = [ONE] * n
         self.dead = set()
 
     def find(self, j):
@@ -199,16 +201,13 @@ class _UnionFind:
         while self.parent[j] != j:
             path.append(j)
             j = self.parent[j]
-        c = self.one
-        for p in reversed(path):
-            c = c * self.scalar[p]
         # path compression
-        acc = self.one
+        acc = ONE
         for p in reversed(path):
             acc = acc * self.scalar[p]
             self.parent[p] = j
             self.scalar[p] = acc
-        return j, c
+        return j, acc
 
     def union(self, j1, j2, c):
         """Impose gen_j1 = c * gen_j2."""
@@ -228,15 +227,29 @@ class _UnionFind:
 
 
 def build_space(Gamma, k):
-    """Presentation of M_k(Gamma_G) by Manin symbols."""
+    """Presentation of M_k(Gamma_G) by Manin symbols.
+
+    The two-term relations (x = -x sigma, x = x J) identify generators up to
+    sign and are folded by a union-find; a class is dead when they force it
+    to equal its negative.  The three-term relations x + x tau + x tau^2 = 0
+    are then the rows of one sparse matrix over QQ whose columns are the
+    live class roots, reduced once to reduced echelon form by Gauss-Jordan.
+    The columns are in pivot-preference order: roots of non-extreme weight
+    (0 < w < k - 2) first, and within each kind the higher generator index
+    first.  The pivots are eliminated, each as minus the rest of its row;
+    the other roots, in increasing order, are the basis, which so has
+    extreme weight where possible.  The reduced echelon form of a row space
+    is unique for a given column order, so this basis is the one of any
+    elimination that keeps each pivot its row's most-preferred column and
+    clears it from the other rows, such as one row at a time with
+    back-substitution."""
     if k < 2:
         raise ValueError("weight must be at least 2")
-    one = rat(1)
     m = k - 2
     n_cosets = Gamma.index
     stride = m + 1
     n_gens = n_cosets * stride
-    uf = _UnionFind(n_gens, one)
+    uf = _UnionFind(n_gens)
 
     tau_inv = imat_adjugate(TAU_MAT)
     tau2 = mat_mul(TAU_MAT, TAU_MAT)
@@ -247,126 +260,60 @@ def build_space(Gamma, k):
         return Gamma.coset_index(mat_mul(Gamma.reps[i], h_int))
 
     # two-term relations: x = -x sigma and x = x J
-    sgn_m = one if m % 2 == 0 else -one
+    sgn_m = ONE if m % 2 == 0 else -ONE
     for i in range(n_cosets):
         j_s = coset(i, S_MAT)
         j_j = coset(i, neg_ident)
         for w in range(stride):
             # x sigma = [sigma^-1 x^w y^(m-w), r_i sigma]
             #         = (-1)^w [x^(m-w) y^w, r_i sigma]
-            c = -one if w % 2 == 0 else one
+            c = -ONE if w % 2 == 0 else ONE
             uf.union(i * stride + w, j_s * stride + (m - w), c)
             # x J = (-1)^m [x^w y^(m-w), r_i J]
             uf.union(i * stride + w, j_j * stride + w, sgn_m)
 
-    # three-term tau relations, folded through the union-find
-    rows = []
-    zero = one * 0
+    roots = sorted({r for r, _ in map(uf.find, range(n_gens))} - uf.dead,
+                   key=lambda r: (not 0 < r % stride < m, -r))
+    col = {r: t for t, r in enumerate(roots)}
+
+    # three-term tau relations on the class roots, one row per symbol
     tau_polys = [sym_action(tau_inv, monomial(m, w)) for w in range(stride)]
     tau2_polys = [sym_action(TAU_MAT, monomial(m, w)) for w in range(stride)]
+    rows = {}
     for i in range(n_cosets):
         j1 = coset(i, TAU_MAT)
         j2 = coset(i, tau2)
         for w in range(stride):
+            terms = [(i * stride + w, 1)]
+            terms += [(j1 * stride + w2, c)
+                      for w2, c in enumerate(tau_polys[w]) if c]
+            terms += [(j2 * stride + w2, c)
+                      for w2, c in enumerate(tau2_polys[w]) if c]
             row = {}
-
-            def add(gen, coeff):
+            for gen, coeff in terms:
                 r, c = uf.find(gen)
-                if r in uf.dead:
-                    return
-                val = row.get(r, zero) + coeff * c
-                if val == 0:
-                    row.pop(r, None)
-                else:
-                    row[r] = val
-
-            add(i * stride + w, one)
-            for w2, c in enumerate(tau_polys[w]):
-                if c != 0:
-                    add(j1 * stride + w2, c)
-            for w2, c in enumerate(tau2_polys[w]):
-                if c != 0:
-                    add(j2 * stride + w2, c)
+                if r in col:
+                    row[col[r]] = row.get(col[r], 0) + coeff * c
+            row = {t: x for t, x in row.items() if x}
             if row:
-                rows.append(row)
+                rows[len(rows)] = row
+    red, pivots = DomainMatrix(rows, (len(rows), len(roots)), QQ).rref(
+        method="GJ")
 
-    # sparse Gaussian elimination; prefer eliminating non-extreme weights so
-    # that the surviving basis symbols have extreme weight where possible
-    pivots = {}
-
-    def weight_of(gen):
-        return gen % stride
-
-    def reduce_row(row):
-        while True:
-            hit = None
-            for c in row:
-                if c in pivots:
-                    hit = c
-                    break
-            if hit is None:
-                return
-            f = row.pop(hit)
-            for c2, v2 in pivots[hit].items():
-                if c2 == hit:
-                    continue
-                val = row.get(c2, zero) - f * v2
-                if val == 0:
-                    row.pop(c2, None)
-                else:
-                    row[c2] = val
-
-    for row in rows:
-        reduce_row(row)
-        if not row:
-            continue
-        cands = sorted(row)
-        mid = [c for c in cands if 0 < weight_of(c) < m]
-        p = mid[-1] if mid else cands[-1]
-        pv = row[p]
-        prow = {c: v / pv for c, v in row.items()}
-        # back-substitute into existing pivot rows
-        for q, qrow in pivots.items():
-            if p in qrow:
-                f = qrow.pop(p)
-                for c2, v2 in prow.items():
-                    if c2 == p:
-                        continue
-                    val = qrow.get(c2, zero) - f * v2
-                    if val == 0:
-                        qrow.pop(c2, None)
-                    else:
-                        qrow[c2] = val
-        pivots[p] = prow
-
-    roots = set()
-    for j in range(n_gens):
-        r, _ = uf.find(j)
-        if r not in uf.dead:
-            roots.add(r)
-    basis = sorted(r for r in roots if r not in pivots)
-    basis_pos = {r: t for t, r in enumerate(basis)}
+    pivots = set(pivots)
+    basis = sorted(r for t, r in enumerate(roots) if t not in pivots)
     basis_tags = [(r % stride, r // stride) for r in basis]
-
-    expr = {r: {basis_pos[r]: one} for r in basis}
-    for p, prow in pivots.items():
-        e = {}
-        for c, v in prow.items():
-            if c == p:
-                continue
-            if c not in basis_pos:
-                # column eliminated later is impossible after back-substitution
-                raise RuntimeError("pivot row not fully reduced")
-            e[basis_pos[c]] = -v
-        expr[p] = e
+    pos = {col[r]: i for i, r in enumerate(basis)}   # column -> basis index
+    expr = {t: {i: ONE} for t, i in pos.items()}
+    for prow in red.to_sdm().values():
+        p = min(prow)
+        expr[p] = {pos[t]: -x for t, x in prow.items() if t != p}
 
     reduce_cols = []
     for j in range(n_gens):
         r, c = uf.find(j)
-        if r in uf.dead:
-            reduce_cols.append({})
-        else:
-            reduce_cols.append({pos: c * v for pos, v in expr[r].items()})
+        reduce_cols.append({i: c * x for i, x in expr[col[r]].items()}
+                           if r in col else {})
 
     return ModSymSpace(Gamma, k, reduce_cols, basis_tags)
 
@@ -496,7 +443,7 @@ def cuspidal_subspace(S):
     """Basis of the kernel of the boundary map, as coordinate vectors."""
     info = boundary_map(S)
     if not info.cusps:
-        return [list(v) for v in la.identity_matrix(S.dim, S.one)]
+        return la.identity_matrix(S.dim)
     return la.kernel(la.transpose(info.matrix), sparse=True)
 
 

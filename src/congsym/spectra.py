@@ -3,10 +3,9 @@ modules, dual vector spaces, the Sturm bound, eigenvalue systems, and local
 Euler factors."""
 
 import math
-from fractions import Fraction
 from itertools import islice
 
-from .backend import as_fraction, is_prime, factor_int, rat_str
+from .backend import is_prime, factor_int, rat_str
 from .polys import UniPoly, factor_rational_poly, is_irreducible_poly, NumberField
 from . import linalg as la
 from .groups import is_real_type
@@ -19,8 +18,7 @@ def sturm_bound(k, Gamma):
     """floor(k*m/12 - (m-1)/N) for the coset index m of Gamma_G."""
     m = Gamma.index
     N = max(Gamma.N, 1)
-    val = Fraction(k * m, 12) - Fraction(m - 1, N)
-    return max(math.floor(val), 1)
+    return max((k * m * N - 12 * (m - 1)) // (12 * N), 1)
 
 
 def iter_good_primes(G):
@@ -47,15 +45,17 @@ def good_primes(G, count=None, upto=None):
 
 class SpectralContext:
     """The working Hecke module: the plus subspace for real-type groups,
-    otherwise the full cuspidal subspace, with cached restricted operators."""
+    otherwise the full cuspidal subspace, with cached restricted operators.
+    The star involution iota (None for other groups) is built once here."""
 
     def __init__(self, S):
         self.S = S
         self.cuspidal = cuspidal_subspace(S)
+        self.iota = None
         if is_real_type(S.G):
             self.kind = "plus"
-            iota = star_involution(S)
-            self.basis = plus_subspace(S, iota) if self.cuspidal else []
+            self.iota = star_involution(S)
+            self.basis = plus_subspace(S, self.iota) if self.cuspidal else []
         else:
             self.kind = "cuspidal"
             self.basis = self.cuspidal
@@ -63,6 +63,19 @@ class SpectralContext:
         self._full_ops = {}
         self._ops = {}
         self._diamonds = {}
+        self._dual = None
+
+    def dual_space(self):
+        """Row vectors spanning the functionals on the full symbol space
+        that every piece's dual lies in: those with v iota = v (plus kind),
+        else all of them.  Computed on first use, once for all pieces."""
+        if self._dual is None:
+            if self.kind == "plus":
+                self._dual = la.kernel(la.shift_diagonal(
+                    la.transpose(self.iota), -self.S.one), sparse=True)
+            else:
+                self._dual = la.identity_matrix(self.S.dim)
+        return self._dual
 
     def full_op(self, n):
         if n not in self._full_ops:
@@ -156,7 +169,7 @@ def decompose(ctx, seed=0):
     p0 = primes[0]
     pieces = []
     # (basis, index of the next prime, factor at p0, known irreducible)
-    stack = [(la.identity_matrix(ctx.dim, ctx.S.one), 0, None, False)]
+    stack = [(la.identity_matrix(ctx.dim), 0, None, False)]
     while stack:
         basis, idx, g0, final = stack.pop()
         split = False
@@ -189,10 +202,7 @@ def decompose(ctx, seed=0):
                 ctx, basis, label=g0 ** (len(basis) // g0.degree),
                 label_prime=p0, isotypic=not final))
 
-    def sort_key(piece):
-        coeffs = [as_fraction(c) for c in piece.label.coeffs]
-        return (piece.dimension, tuple(reversed(coeffs)))
-    pieces.sort(key=sort_key)
+    pieces.sort(key=lambda pc: (pc.dimension, pc.label.coeffs[::-1]))
     return pieces
 
 
@@ -209,11 +219,7 @@ def dual_vector_space(ctx, piece):
     if d == 0:
         piece.dual = []
         return []
-    if ctx.kind == "plus":
-        V = la.kernel(la.shift_diagonal(la.transpose(star_involution(S)),
-                                        -S.one), sparse=True)
-    else:
-        V = la.identity_matrix(S.dim, S.one)
+    V = ctx.dual_space()
     bound = sturm_bound(S.k, S.table)
     separating = next(p for p in iter_good_primes(S.G)
                       if p ** (S.k - 1) >= 6)

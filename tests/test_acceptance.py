@@ -54,7 +54,7 @@ def test_criterion_02_8e1_group(g_8e1):
     alpha = hk.element_of_det(g_8e1, 97)
     mat = la.restrict_to_invariant_subspace(
         hk.hecke_double_coset(S, alpha), cusp)
-    assert mat == la.mat_scale(la.identity_matrix(2, S.one), S.one * 18)
+    assert mat == la.mat_scale(la.identity_matrix(2), S.one * 18)
     done()
 
 
@@ -175,7 +175,7 @@ def test_criterion_09_property_suites():
     idx = hk.coset_count_beta(data)
     assert idx == 110
     assert la.mat_mul(A, B) == la.mat_scale(
-        la.identity_matrix(S_low.dim, S_low.one), S_low.one * idx)
+        la.identity_matrix(S_low.dim), S_low.one * idx)
     t2_high = hk.hecke_tp(S_high, 2)
     t2_low = hk.hecke_tp(S_low, 2)
     assert la.mat_mul(A, t2_high) == la.mat_mul(t2_low, A)

@@ -1,13 +1,16 @@
-from fractions import Fraction
+from sympy import QQ
 
-from congsym.backend import (rat, as_fraction, egcd, inv_mod, factor_int,
+from congsym.backend import (rat, rat_str, egcd, inv_mod, factor_int,
                              divisors, is_prime, sl2_order, XorShift64)
 
 
 def test_rat_arithmetic():
+    assert rat is QQ
     assert rat(1, 2) + rat(1, 3) == rat(5, 6)
     assert rat(2, 4) == rat(1, 2)
-    assert as_fraction(rat(-7, 3)) == Fraction(-7, 3)
+    assert isinstance(rat(-7, 3) * 2, QQ.dtype)
+    assert [rat_str(x) for x in (rat(-7, 3), rat(6, 3), 5)] == ["-7/3", "2",
+                                                                 "5"]
 
 
 def test_egcd_and_inverse():

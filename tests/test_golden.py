@@ -4,7 +4,9 @@ The determinism check of criterion 10 compares two runs of the same code;
 these hashes pin the outputs across versions, so a refactor that changes a
 basis, a label or an eigenvalue shows up here.  Most were recorded before
 the exact linear algebra moved onto sympy's DomainMatrix; the ns_plus 37 and
-53 entries were recorded before the plus space became one stacked kernel.
+53 entries were recorded before the plus space became one stacked kernel,
+and the four entries above weight 2 before the three-term relations were
+reduced by one sparse rref.
 """
 
 import hashlib
@@ -46,6 +48,16 @@ GOLDEN = {
         "73000aed4507e8684b0774ec60fc1ed812809a4f8ff19054abb304dc4ddac544",
     "eigensystem %s --seed 0 --json" % H155:
         "d81c0e4269776baf94978465941566ebd52006ac6fe199393b44f58a495653f8",
+    # above weight 2, where the presentation prefers to eliminate the
+    # symbols of non-extreme weight
+    "hecke gamma0 23 -k 6 -p 2 --json":
+        "63e8043fe6e5b1c0487b98ea4e2c10cddcda84b68a0a1bc8d12b763873854ca0",
+    "hecke ns_plus 17 -k 4 -p 3 --json":
+        "61a4b3bcc6999a026c5e092476ee78f99ee636397665986cad568f1d5e7804d1",
+    "hecke gamma1 13 -k 3 -p 2 --json":
+        "8dfe5fc46ac998158fac9dca82fd395604fc1ede22a1024c01d44d19d23a3e53",
+    "hecke gamma1 4 -k 7 -p 3 --json":
+        "ef3425deb25f5ace7eb576ad3d0ea662747a1dadf2ee9585e1c91ad2d9847a88",
 }
 
 

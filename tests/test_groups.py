@@ -1,8 +1,10 @@
 import pytest
 
+from math import gcd
+
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
                             gamma_generators, is_real_type, find_det_element,
-                            mat_det, mat_mod, GroupTooLarge)
+                            mat_det, mat_mod, GroupTooLarge, S_MAT, T_MAT)
 from congsym.families import build_family
 
 
@@ -11,6 +13,25 @@ def test_close_group_orders():
     assert build_family("gamma0", 11).order() == 1100       # Borel of GL2(F11)
     assert close_group(8, [(7, 0, 0, 7), (2, 3, 3, 5), (0, 7, 7, 7),
                            (3, 0, 0, 3), (4, 7, 7, 3)]).order() == 48
+
+
+@pytest.mark.parametrize("N", [1, 2, 8, 12, 37, 48])
+def test_families_from_unit_generators(N):
+    """gamma0, gamma1 and gamma_full close over a generating set of (Z/N)*;
+    their elements are those of the closure over every unit."""
+    units = [u for u in range(1, N) if gcd(u, N) == 1]
+    diag = [(1, 0, 0, u) for u in units]
+    full = {
+        "gamma0": [T_MAT] + diag + [(u, 0, 0, 1) for u in units],
+        "gamma1": [T_MAT] + diag,
+        "gamma_full": [S_MAT, T_MAT] + diag,
+    }
+    if N > 12:     # GL2(Z/37) and GL2(Z/48) have over a million elements
+        del full["gamma_full"]
+    for tag, gens in full.items():
+        G = build_family(tag, N)
+        assert G.elements == close_group(N, gens).elements, tag
+        assert len(G.generators) <= len(gens)
 
 
 def test_coset_table_indices():

@@ -128,7 +128,7 @@ def test_hecke_multiplicativity(s_gamma0_11):
     # T_4 = T_2^2 - 2 <2> in weight 2; the diamond is trivial on gamma0
     t4 = hk.hecke_tn_fast(S, 4)
     expect = la.mat_sub(la.mat_mul(t2, t2),
-                        la.mat_scale(la.identity_matrix(S.dim, S.one),
+                        la.mat_scale(la.identity_matrix(S.dim),
                                      S.one * 2))
     assert t4 == expect
 
@@ -143,7 +143,7 @@ def test_hecke_paths_zero_off_det_image():
     S = space_for("gamma", 8)
     naive = hk.hecke_tp(S, 3, path="naive")
     assert naive == hk.hecke_tp(S, 3, path="merel")
-    assert naive == la.zero_matrix(S.dim, S.dim, S.one)
+    assert naive == la.zero_matrix(S.dim, S.dim)
 
 
 def test_hecke_at_level_prime_is_not_merel(s_gamma0_11):
@@ -161,7 +161,7 @@ def test_star_commutes_with_hecke(s_gamma0_11, s_ns_plus_13):
 def test_diamond_trivial_on_gamma0(s_gamma0_11):
     S = s_gamma0_11
     d = hk.diamond_operator(S, hk.sigma_class(S, 2))
-    assert d == la.identity_matrix(S.dim, S.one)
+    assert d == la.identity_matrix(S.dim)
 
 
 def test_diamond_commutes_and_has_finite_order():
@@ -172,7 +172,7 @@ def test_diamond_commutes_and_has_finite_order():
     assert la.mat_mul(d, t2) == la.mat_mul(t2, d)
     power = d
     for _ in range(40):
-        if power == la.identity_matrix(S.dim, S.one):
+        if power == la.identity_matrix(S.dim):
             break
         power = la.mat_mul(power, d)
     else:
@@ -202,7 +202,7 @@ def test_degeneracy_alpha_beta_composition():
         assert idx == 3
         comp = la.mat_mul(A, B)
         assert comp == la.mat_scale(
-            la.identity_matrix(S_low.dim, S_low.one), S_low.one * idx)
+            la.identity_matrix(S_low.dim), S_low.one * idx)
 
 
 def test_new_old_subspaces():

@@ -3,7 +3,7 @@ import pytest
 from congsym.backend import rat, XorShift64
 from congsym import linalg as la
 from congsym import spectra as spec
-from congsym.polys import UniPoly, NumberField, is_irreducible_poly
+from congsym.polys import UniPoly
 
 from conftest import space_for
 
@@ -145,22 +145,3 @@ def test_det_poly_matrix_large_is_charpoly():
            for i in range(n)]
     assert la.det_poly_matrix(xim) == la.charpoly(m)
 
-
-def test_number_field_kernel():
-    # T^t - a over Q(a), a a root of the charpoly of T; the halved matrix
-    # gives a modulus with non-integral coefficients
-    for scale in (rat(1), rat(1, 2)):
-        t = la.mat_scale(M([[0, 0, -1], [1, 0, 2], [0, 1, 1]]), scale)
-        g = la.charpoly(t)
-        assert g.degree == 3 and is_irreducible_poly(g)
-        field = NumberField(g)
-        a = field.gen()
-        tt = la.transpose(t)
-        shifted = [[field.elem([tt[i][j]]) - (a if i == j else 0)
-                    for j in range(3)] for i in range(3)]
-        ker = la.kernel(shifted)
-        assert len(ker) == 1
-        v = ker[0]
-        assert all(isinstance(x, type(a)) for x in v)
-        for i in range(3):
-            assert sum((tt[i][j] * v[j] for j in range(3)), -a * v[i]) == 0

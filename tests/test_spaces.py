@@ -131,7 +131,7 @@ def test_boundary_of_path_sum_vanishes(s_gamma0_11):
 def test_star_involution_square(s_gamma0_11):
     S = s_gamma0_11
     iota = star_involution(S)
-    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim, S.one)
+    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim)
 
 
 def test_plus_minus_dimensions(s_ns_plus_13):
@@ -141,7 +141,7 @@ def test_plus_minus_dimensions(s_ns_plus_13):
     plus = plus_subspace(S, iota)
     restr = la.restrict_to_invariant_subspace(iota, cusp)
     minus_dim = sum(1 for v in la.kernel(
-        la.mat_add(restr, la.identity_matrix(len(cusp), S.one)))
+        la.mat_add(restr, la.identity_matrix(len(cusp))))
         for _ in [0])
     assert len(plus) + minus_dim == len(cusp)
     assert len(plus) == 3
@@ -157,7 +157,7 @@ def _reference_plus(S, iota):
     if not cusp:
         return []
     restr = la.restrict_to_invariant_subspace(iota, cusp)
-    shifted = la.mat_sub(restr, la.identity_matrix(len(cusp), S.one))
+    shifted = la.mat_sub(restr, la.identity_matrix(len(cusp)))
     return la.mat_mul(la.kernel(shifted), cusp)
 
 
@@ -185,7 +185,7 @@ def test_plus_basis_is_restricted_kernel(tag, param, k):
         flipped = S.symbol_coords(sym_action((-1, 0, 0, 1), P),
                                   (-a0, a1), (-b0, b1))
         assert image == [-x for x in flipped]
-    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim, S.one)
+    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim)
     bt = la.transpose(boundary_map(S).matrix)
     assert _up_to_sign_sorted(la.mat_mul(bt, iota)) == _up_to_sign_sorted(bt)
     plus = plus_subspace(S, iota)

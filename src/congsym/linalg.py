@@ -3,12 +3,17 @@
 Matrices are lists of row lists acting on column vectors; vectors are lists.
 Entries are elements of sympy's QQ (backend.rat), so each routine only
 changes format: the rows become a sparse sympy DomainMatrix over QQ and its
-result becomes rows again.  det_poly_matrix works over Q[x] with UniPoly
-entries.
+result becomes rows again.  Restriction and Horner evaluation clear
+denominators and multiply over ZZ; primary_components works modulo primes
+near 2^61 in plain Python integers.  det_poly_matrix works over Q[x] with
+UniPoly entries.
 """
+
+from math import gcd, isqrt, lcm
 
 from sympy import QQ, ZZ, Symbol
 from sympy.polys.densetools import dup_clear_denoms
+from sympy.polys.galoistools import gf_mul, gf_pow
 from sympy.polys.matrices import DomainMatrix
 
 from .backend import ONE, rat, XorShift64
@@ -21,6 +26,16 @@ def _dm(rows, K=QQ):
     dod = {i: nz for i, row in enumerate(rows)
            if (nz := {j: x for j, x in enumerate(row) if x})}
     return DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), K)
+
+
+def _dm_zz(rows):
+    """(d, a): the least common denominator d of the entries of rows and the
+    integer DomainMatrix a = d * rows."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    dod = {i: nz for i, row in enumerate(rows)
+           if (nz := {j: ZZ(x.numerator * (d // x.denominator))
+                      for j, x in enumerate(row) if x})}
+    return d, DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), ZZ)
 
 
 def _lists(a):
@@ -137,16 +152,20 @@ def _unit_columns(basis):
 def restrict_to_invariant_subspace(m, basis):
     """Matrix R of m in the coordinates of an m-invariant basis B (column j
     holds those of m * basis[j]): the rows of m B^t at B's unit columns,
-    checked against B^t R = m B^t."""
-    d = len(basis)
-    if not d:
+    checked against B^t R = m B^t.  The products run over the integers:
+    with a = d m and b = c B integral, a b^t is d c m B^t, its rows at the
+    unit columns are d c R, and the check reads b^t (d c R) = c a b^t."""
+    k = len(basis)
+    if not k:
         return []
-    bt = _dm(basis).transpose()
-    mbt = _dm(m) * bt
-    r = mbt.extract(_unit_columns(basis), list(range(d)))
-    if bt * r != mbt:
+    d, a = _dm_zz(m)
+    c, b = _dm_zz(basis)
+    bt = b.transpose()
+    abt = a * bt
+    r = abt.extract(_unit_columns(basis), list(range(k)))
+    if bt * r != abt * c:
         raise ValueError("basis is not invariant under the matrix")
-    return _lists(r)
+    return _lists(r.to_field() / QQ(d * c))
 
 
 def charpoly(m):
@@ -158,12 +177,165 @@ def mat_poly_eval(f, m):
     """f(m) for a UniPoly f and a rational matrix m.  The Horner steps run on
     integers: for m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
     coeffs = f.coeffs[::-1]
-    d, a = _dm(m).clear_denoms(convert=True)
-    d = d.element
+    d, a = _dm_zz(m)
     e, h = dup_clear_denoms([c * d ** i for i, c in enumerate(coeffs)],
                             QQ, ZZ, convert=True)
     fm = a.eval_poly(h).to_field() / QQ(e * d ** max(f.degree, 0))
     return _lists(fm)
+
+
+# the moduli of primary_components, primes 2^61 - d in decreasing order; at
+# most this many are tried before it gives up
+_PRIMES = tuple(2 ** 61 - d for d in (
+    1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579,
+    675, 759, 799, 819, 829, 843, 859, 939, 985, 1015, 1153, 1195))
+
+
+def primary_components(m, factors, seed=0):
+    """For the factorization [(g, e), ...] of charpoly(m) into powers of
+    distinct monic irreducibles, the bases of the components ker g(m)^e, each
+    the list kernel(g(m)^e) returns: the reduced echelon basis whose vectors
+    end in a 1 at distinct columns, where every other vector is 0.
+
+    Mod a prime p near 2^61, the component is spanned by v, m v, m^2 v, ...
+    for v = h(m) u, h the product of the other factors to their exponents
+    and u random; where m is not cyclic, further vectors u fill it.  The
+    echelon basis mod p is lifted by rational reconstruction, over more
+    primes by CRT where that fails.  A lift W is certified exactly: m leaves
+    W invariant and has charpoly g^e on it, so W lies in ker g(m)^e, has its
+    dimension e deg g, and is that space; and a subspace has one reduced
+    echelon basis, so the result depends on neither the primes nor the seed.
+    RuntimeError when the primes run out."""
+    den, a = _dm_zz(m)
+    sdm = a.to_sdm()
+    rows = [list(sdm.get(i, {}).items()) for i in range(len(m))]
+    # a prime dividing a denominator of m or of a factor is skipped
+    bad = lcm(den, *(x.denominator for g, _ in factors for x in g.coeffs))
+    rng = XorShift64(seed)
+    lifts = {}      # factor index -> (pivot columns, residue rows, modulus)
+    out = [None] * len(factors)
+    for p in _PRIMES:
+        if bad % p == 0:
+            continue
+        todo = [i for i, W in enumerate(out) if W is None]
+        for i, span in _spans_mod(rows, den, factors, todo, p, rng).items():
+            g, e = factors[i]
+            if len(span) < e * g.degree:
+                continue
+            pivots = sorted(span)
+            res = [span[j] for j in pivots]
+            mod = p
+            # residues of another echelon shape start the CRT afresh: one of
+            # the two primes was bad for this factor
+            if i in lifts and lifts[i][0] == pivots:
+                _, old, q = lifts[i]
+                t = pow(q, -1, p)
+                res = [[x + q * ((y - x) * t % p) for x, y in zip(r, s)]
+                       for r, s in zip(old, res)]
+                mod = q * p
+            lifts[i] = (pivots, res, mod)
+            W = _rational_lift(res, mod)
+            if W is not None and _is_component(m, W, g ** e):
+                out[i] = W
+        if all(W is not None for W in out):
+            return out
+    raise RuntimeError("primary components not certified at %d primes"
+                       % len(_PRIMES))
+
+
+def _spans_mod(rows, den, factors, todo, p, rng):
+    """For each index i in todo, with factors[i] = (g, e), a span mod p of
+    vectors m^j h(m) u, for m = rows / den, h the product of the other
+    factors to their exponents and random u, reduced by _insert.  Each span
+    stops at dimension e deg g; all stop when a new u adds nothing."""
+    c = pow(den, -1, p)
+    rows = [[(j, x * c % p) for j, x in row] for row in rows]
+    n = len(rows)
+
+    def apply(v):
+        return [sum(x * v[j] for j, x in row) % p for row in rows]
+
+    powers = [gf_pow([x.numerator * pow(x.denominator, -1, p) % p
+                      for x in reversed(g.coeffs)], e, p, ZZ)
+              for g, e in factors]
+    dims = {i: len(powers[i]) - 1 for i in todo}      # e deg g
+    hs = {}
+    for i in todo:
+        h = [1]
+        for j, f in enumerate(powers):
+            if j != i:
+                h = gf_mul(h, f, p, ZZ)
+        hs[i] = h[::-1]
+    spans = {i: {} for i in todo}
+    while True:
+        pending = [i for i in todo if len(spans[i]) < dims[i]]
+        if not pending:
+            return spans
+        krylov = [[rng.next_u64() % p for _ in range(n)]]
+        while len(krylov) < max(len(hs[i]) for i in pending):
+            krylov.append(apply(krylov[-1]))
+        grew = False
+        for i in pending:
+            v = [0] * n
+            for x, w in zip(hs[i], krylov):
+                if x:
+                    v = [a + x * b for a, b in zip(v, w)]
+            v = [a % p for a in v]
+            # the first m^j v the span already holds leaves it m-invariant
+            while len(spans[i]) < dims[i] and _insert(spans[i], v, p):
+                grew = True
+                v = apply(v)
+        if not grew:
+            return spans
+
+
+def _insert(span, v, p):
+    """Reduce v mod p by span, a dict pivot -> row whose last nonzero entry
+    is a 1 at its pivot, where every other row is 0, and add what is left,
+    keeping that form.  True when v was added."""
+    for j, row in span.items():
+        x = v[j]
+        if x:
+            v = [(a - x * b) % p for a, b in zip(v, row)]
+    j = max((j for j, x in enumerate(v) if x), default=None)
+    if j is None:
+        return False
+    t = pow(v[j], -1, p)
+    v = [x * t % p for x in v]
+    for i, row in span.items():
+        x = row[j]
+        if x:
+            span[i] = [(a - x * b) % p for a, b in zip(row, v)]
+    span[j] = v
+    return True
+
+
+def _rational_lift(rows, mod):
+    """The rationals r/s with |r|, s <= sqrt(mod/2) congruent to the entries
+    mod mod, or None where one has none."""
+    bound = isqrt(mod // 2)
+    out = []
+    for row in rows:
+        lifted = []
+        for x in row:
+            r0, r1, s0, s1 = mod, x, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            if abs(s1) > bound or gcd(r1, s1) != 1:
+                return None
+            lifted.append(QQ(r1, s1))
+        out.append(lifted)
+    return out
+
+
+def _is_component(m, W, f):
+    """Whether m leaves the span of W invariant with charpoly f there."""
+    try:
+        r = restrict_to_invariant_subspace(m, W)
+    except ValueError:
+        return False
+    return charpoly(r) == f
 
 
 def det_poly_matrix(m):

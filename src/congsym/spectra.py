@@ -156,6 +156,12 @@ def decompose(ctx, seed=0):
     """Split the working module into irreducible (or flagged isotypic)
     Hecke pieces by kernels of charpoly factors at successive good primes.
 
+    The kernels of g(T_p)^e for the factors g^e of the charpoly come from
+    la.primary_components: spanned mod a large prime by Krylov vectors,
+    lifted to the rationals and certified exactly (T_p leaves the lift
+    invariant with charpoly g^e on it), so each is the reduced echelon
+    basis la.kernel(g(T_p)^e) would give.
+
     A kernel of g(T_p) for a factor g of exponent 1 is final: T_p has
     charpoly g there, so it is irreducible.  Every piece lies in the
     generalized kernel of one factor g0 of the charpoly at the first prime
@@ -177,12 +183,8 @@ def decompose(ctx, seed=0):
             R = la.restrict_to_invariant_subspace(ctx.op(primes[idx]), basis)
             fac = factor_rational_poly(la.charpoly(R))
             if len(fac) > 1:
-                for g, e in fac:
-                    K = la.mat_poly_eval(g, R)
-                    Ke = K
-                    for _ in range(e - 1):
-                        Ke = la.mat_mul(Ke, K)
-                    W = la.kernel(Ke)
+                components = la.primary_components(R, fac, seed)
+                for (g, e), W in zip(fac, components):
                     stack.append((la.mat_mul(W, basis), idx + 1,
                                   g if g0 is None else g0, e == 1))
                 split = True

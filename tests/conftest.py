@@ -2,12 +2,23 @@ import pytest
 
 from congsym.groups import close_group, coset_table
 from congsym.families import build_family
+from congsym import linalg as la
 from congsym import spaces as sp
 from congsym import spectra as spec
 
 
 def space_for(tag, param, k=2):
     return sp.build_space(coset_table(build_family(tag, param)), k)
+
+
+def kernel_of_factor_power(m, g, e):
+    """ker g(m)^e by Horner evaluation of g(m), e - 1 products and one
+    rational kernel: the reference for linalg.primary_components."""
+    k = la.mat_poly_eval(g, m)
+    ke = k
+    for _ in range(e - 1):
+        ke = la.mat_mul(ke, k)
+    return la.kernel(ke)
 
 
 @pytest.fixture(scope="session")

@@ -3,10 +3,11 @@
 The determinism check of criterion 10 compares two runs of the same code;
 these hashes pin the outputs across versions, so a refactor that changes a
 basis, a label or an eigenvalue shows up here.  Most were recorded before
-the exact linear algebra moved onto sympy's DomainMatrix; the ns_plus 37 and
-53 entries were recorded before the plus space became one stacked kernel,
-and the four entries above weight 2 before the three-term relations were
-reduced by one sparse rref.
+the exact linear algebra moved onto sympy's DomainMatrix; the hecke ns_plus
+37 and dims ns_plus 53 entries before the plus space became one stacked
+kernel, the four entries above weight 2 before the three-term relations
+were reduced by one sparse rref, and the three decompose entries after them
+before the pieces were computed mod p.
 """
 
 import hashlib
@@ -58,6 +59,15 @@ GOLDEN = {
         "8dfe5fc46ac998158fac9dca82fd395604fc1ede22a1024c01d44d19d23a3e53",
     "hecke gamma1 4 -k 7 -p 3 --json":
         "ef3425deb25f5ace7eb576ad3d0ea662747a1dadf2ee9585e1c91ad2d9847a88",
+    # pieces split into generalized eigenspaces: a piece of gamma0 42 splits
+    # again after the first prime, gamma 6 has factors of exponent 3 and 6,
+    # ns_plus 37 a 27-dimensional piece
+    "decompose gamma0 42 --json":
+        "1982a9446e0ccc751f1a105b9afc8137662732c47a9f93b9b09293118e504223",
+    "decompose gamma 6 -k 4 --json":
+        "fd59c22e29acea959c0a1f9ece1a11195f09c5b59b398dde1addcb059fbac6f2",
+    "decompose ns_plus 37 --json":
+        "e9aacd60a2966521524e7d82aeba315d8790b3d9d7f3f9277b7e353d0f4922e4",
 }
 
 

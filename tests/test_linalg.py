@@ -1,11 +1,14 @@
-import pytest
+from math import lcm
 
-from congsym.backend import rat, XorShift64
+import pytest
+import sympy
+
+from congsym.backend import factor_int, rat, XorShift64
 from congsym import linalg as la
 from congsym import spectra as spec
-from congsym.polys import UniPoly
+from congsym.polys import UniPoly, factor_rational_poly
 
-from conftest import space_for
+from conftest import kernel_of_factor_power, space_for
 
 
 def M(rows):
@@ -145,3 +148,96 @@ def test_det_poly_matrix_large_is_charpoly():
            for i in range(n)]
     assert la.det_poly_matrix(xim) == la.charpoly(m)
 
+
+def _companion(f):
+    """Companion matrix of a monic UniPoly f: charpoly f, cyclic."""
+    d = f.degree
+    return [[rat(1) if i == j + 1 else rat(0) for j in range(d - 1)]
+            + [-f[i]] for i in range(d)]
+
+
+def _planted(blocks, seed):
+    """Q diag(blocks) Q^-1 for a random invertible integer Q."""
+    n = sum(len(b) for b in blocks)
+    m = la.zero_matrix(n, n)
+    i = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            m[i + r][i:i + len(b)] = row
+        i += len(b)
+    rng = XorShift64(seed)
+    while True:
+        Q = _random_matrix(rng, n, n)
+        if la.mat_rank(Q) == n:
+            break
+    red, _ = la.rref([row + e for row, e in zip(Q, la.identity_matrix(n))])
+    return la.mat_mul(la.mat_mul(Q, m), [row[n:] for row in red])
+
+
+X = UniPoly([0, 1])
+G1 = X - 1
+G2 = X * X + 1
+G3 = X ** 3 - X - 1
+# irreducible, with denominators
+H1 = X + UniPoly([rat(2, 5)])
+H2 = X * X - X * rat(1, 2) + UniPoly([rat(1, 3)])
+
+PLANTED = {
+    # charpoly (x - 1)(x^2 + 1)(x^3 - x - 1)
+    "squarefree": ([_companion(G1), _companion(G2), _companion(G3)],
+                   [1, 1, 1]),
+    # two cyclic blocks of x^2 + 1: one start vector spans only one
+    "semisimple square": ([_companion(G2), _companion(G1), _companion(G2)],
+                          [1, 2]),
+    # one cyclic block of (x^2 + 1)^2: g(m) is not zero on its component
+    "companion of a square": ([_companion(G2 ** 2), _companion(G1)],
+                              [1, 2]),
+    "denominators": ([_companion(H1), _companion(H2), _companion(H2 * H1)],
+                     [2, 2]),
+}
+
+
+def _components_and_reference(name, seed=5):
+    blocks, exponents = PLANTED[name]
+    m = _planted(blocks, seed)
+    fac = factor_rational_poly(la.charpoly(m))
+    assert [e for _, e in fac] == exponents
+    return m, fac, [kernel_of_factor_power(m, g, e) for g, e in fac]
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_primary_components_match_horner_kernel(name):
+    m, fac, ref = _components_and_reference(name)
+    assert la.primary_components(m, fac) == ref
+    assert la.primary_components(m, fac, seed=9) == ref
+
+
+def _denominator_prime(m):
+    return min(factor_int(lcm(*(x.denominator for row in m for x in row))))
+
+
+def test_primary_components_skip_a_denominator_prime(monkeypatch):
+    m, fac, ref = _components_and_reference("denominators")
+    q = _denominator_prime(m)
+    monkeypatch.setattr(la, "_PRIMES", (q,) + la._PRIMES)
+    assert la.primary_components(m, fac) == ref
+    monkeypatch.setattr(la, "_PRIMES", (q,))
+    with pytest.raises(RuntimeError, match="not certified"):
+        la.primary_components(m, fac)
+
+
+def test_primary_components_over_small_primes(monkeypatch):
+    """Primes near 1000 lift the larger entries only together, by CRT.  The
+    component (-123457/99, 1) of x - 2 below lifts to -5/7, -517/522 and
+    -4443/8440 mod one, two and three of them, and the certificate rejects
+    each of these."""
+    monkeypatch.setattr(la, "_PRIMES", tuple(sympy.primerange(1000, 1500)))
+    for name in sorted(PLANTED):
+        m, fac, ref = _components_and_reference(name, seed=7)
+        assert la.primary_components(m, fac) == ref
+    m = M([[1, 0], [0, 2]])
+    m[0][1] = rat(-123457, 99)
+    fac = factor_rational_poly(la.charpoly(m))
+    assert [g for g, _ in fac] == [X - 2, X - 1]
+    assert la.primary_components(m, fac) == \
+        [[[rat(-123457, 99), rat(1)]], M([[1, 0]])]

@@ -2,11 +2,15 @@
 
 Every failure in congsym is a documented exception: never an `assert`,
 which `python -O` strips, and never an AssertionError or NotImplementedError
-from deep in the stack.
+from deep in the stack.  And the library imports neither numpy nor scipy,
+whose import every process would pay for.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import congsym
 
@@ -32,3 +36,14 @@ def test_no_assert_or_forbidden_raise():
                 found.append("%s:%d raise %s"
                              % (path.name, node.lineno, _raised_name(node)))
     assert found == []
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(congsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, congsym.cli; "
+            "print(sorted({'numpy', 'scipy'} & {m.split('.')[0] "
+            "for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          check=True, env=env, text=True)
+    assert proc.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ from congsym import spaces as sp
 from congsym import spectra as spec
 from congsym.polys import NumberField, UniPoly, factor_rational_poly
 
-from conftest import space_for
+from conftest import kernel_of_factor_power, space_for
 
 
 def test_sturm_bound_spot_checks():
@@ -280,6 +280,19 @@ def test_gamma8_composite_outside_det():
     es = spec.eigen_system(piece, L=34)
     assert es.a(3) == 0 and es.a(11) == 0
     assert es.a(33) == 12
+
+
+@pytest.mark.parametrize("tag,param,k", [
+    ("gamma0", 33, 2), ("gamma0", 42, 2), ("gamma", 6, 4), ("gamma", 8, 2),
+    ("gamma1", 13, 3), ("ns", 11, 2), ("ns_plus", 37, 2)])
+def test_decompose_spaces_match_horner_kernels(tag, param, k, monkeypatch):
+    """Every piece's basis is the list that the kernels of g(T_p)^e, by
+    Horner evaluation, gave before the components were computed mod p."""
+    ctx = spec.SpectralContext(space_for(tag, param, k))
+    spaces = [pc.space for pc in spec.decompose(ctx)]
+    monkeypatch.setattr(la, "primary_components", lambda m, fac, seed: [
+        kernel_of_factor_power(m, g, e) for g, e in fac])
+    assert spaces == [pc.space for pc in spec.decompose(ctx)]
 
 
 @pytest.mark.parametrize("group", [

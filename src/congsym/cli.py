@@ -20,7 +20,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .backend import factor_int, rat_str
+from .backend import factor_int, is_prime, rat_str
 from .groups import GroupTooLarge, close_group, coset_table
 from .families import FAMILY_BUILDERS, build_family
 from . import linalg as la
@@ -360,6 +360,11 @@ def main(argv=None):
         alphas = getattr(args, "alpha", None)
         if alphas is not None:
             args.alpha = [_alpha_matrix(tok) for tok in alphas]
+        # hecke takes one -p, bench a list of them or none
+        primes = getattr(args, "p", None)
+        for p in [primes] if isinstance(primes, int) else primes or []:
+            if not is_prime(p):
+                raise CliInputError("-p must be a prime, got %d" % p)
         return args.func(args)
     except CliInputError as exc:
         print("error: %s" % exc, file=sys.stderr)

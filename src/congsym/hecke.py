@@ -7,6 +7,8 @@ All operators act on the presentation built in spaces.py and are returned as
 square rational matrices, columns being the images of the basis symbols.
 """
 
+from collections import Counter
+from itertools import repeat
 from math import gcd
 
 from .backend import rat, inv_mod, divisors, is_prime
@@ -145,7 +147,11 @@ def _det_free(S, n):
 def hecke_tp(S, p, path="merel"):
     """Matrix of T_p for a prime p.  path is one of merel (the Heilbronn-set
     sweep of hecke_tn_fast) | naive (double cosets).  On both paths T_p is
-    zero when no element of G has determinant p mod N (_det_free)."""
+    zero when no element of G has determinant p mod N (_det_free).
+    ValueError when p is not a prime: the naive path would give the single
+    double coset of diag(1, p), which is not T_p for composite p."""
+    if not is_prime(p):
+        raise ValueError("T_p needs a prime p, got %d" % p)
     if path == "merel":
         return hecke_tn_fast(S, p)
     if path != "naive":
@@ -235,90 +241,130 @@ def phi_map(S, A):
     return S.table.coset_index_mod(s)
 
 
-def heilbronn_cremona_set(p):
-    """Cremona's determinant-p family for a prime p (Algorithms for Modular
-    Elliptic Curves, 1997, section 2.4): diag(1, p) and, for each
+def cremona_walk(p, x=IDENT, n=0):
+    """The products x M, reduced mod n when n > 0, for the members M of
+    Cremona's determinant-p family for a prime p (Algorithms for Modular
+    Elliptic Curves, 1997, section 2.4), in order: diag(1, p) and, for each
     |r| <= p/2, the matrices met while expanding -p/r in a continued
-    fraction with nearest-integer quotients (halves rounded away from
-    zero), starting from ((p, -r), (0, 1)).  Each has multiplicity one.
-    It satisfies condition C_p for odd p but not for p = 2."""
-    pairs = [(1, (1, 0, 0, p))]
+    fraction with nearest-integer quotients (halves rounded away from zero),
+    starting from ((p, -r), (0, 1)).  A step with quotient q right-multiplies
+    the member by ((0, -1), (1, q)), so the product takes the same step,
+    (a, b, c, d) -> (b, q b - a, d, q d - c), and no member is formed."""
+    a0, b0, c0, d0 = x
+    out = [mat_mul(x, (1, 0, 0, p), n)]
     for r in range(-(p // 2), p // 2 + 1):
-        x1, x2, y1, y2 = p, -r, 0, 1
+        # x ((p, -r), (0, 1))
+        x1, x2, y1, y2 = a0 * p, b0 - a0 * r, c0 * p, d0 - c0 * r
+        if n:
+            x1, x2, y1, y2 = x1 % n, x2 % n, y1 % n, y2 % n
+        out.append((x1, x2, y1, y2))
         a, b = -p, r
-        pairs.append((1, (x1, x2, y1, y2)))
         while b:
-            q = (2 * abs(a) + abs(b)) // (2 * abs(b))
-            if (a < 0) != (b < 0):
-                q = -q
+            # a/b rounded to the nearest integer; gcd(a, b) = 1, so a tie
+            # needs |b| = 2, and a negative tie rounds down, away from zero
+            q = (2 * a + b) // (2 * b)
+            if (b == 2 or b == -2) and (a < 0) != (b < 0):
+                q -= 1
             a, b = -b, a - b * q
-            x1, x2 = x2, q * x2 - x1
-            y1, y2 = y2, q * y2 - y1
-            pairs.append((1, (x1, x2, y1, y2)))
-    return HeilbronnSet(p, pairs)
+            if n:
+                x1, x2, y1, y2 = x2, (q * x2 - x1) % n, y2, (q * y2 - y1) % n
+            else:
+                x1, x2, y1, y2 = x2, q * x2 - x1, y2, q * y2 - y1
+            out.append((x1, x2, y1, y2))
+    return out
 
 
-def heilbronn_set(n):
-    """The family T_n is swept over: Cremona's for an odd prime n (smaller,
-    and built in O(n log n) steps), Merel's otherwise."""
-    if n % 2 and is_prime(n):
-        return heilbronn_cremona_set(n)
-    return heilbronn_merel_set(n)
+def heilbronn_cremona_set(p):
+    """Cremona's determinant-p family: the walk of cremona_walk from the
+    identity, unreduced.  Each member has multiplicity one.  It satisfies
+    condition C_p for odd p but not for p = 2."""
+    return HeilbronnSet(p, [(1, M) for M in cremona_walk(p)])
 
 
-def hecke_sweep(S, n, H=None):
-    """The function t -> coordinates of T_n applied to basis symbol t, by one
-    sweep of the Heilbronn family H (default heilbronn_set(n)) with the coset
-    projection.  If no element of G has determinant n mod N the operator is
-    zero."""
-    N = S.table.N
+def hecke_counts(S, n, H=None):
+    """The first step of hecke_sweep: the function t -> T_n applied to basis
+    symbol t as integer counts on the free module of Manin symbols, a dict
+    key -> count with key j (m + 1) + w for the symbol [x^w y^(m-w), r_j].
+
+    The family H defaults to Cremona's for an odd prime n (smaller, and
+    built in O(n log n) steps) and to Merel's otherwise.  Each member M
+    sends t = [P, r_i] to [M^adj P, r_i M]; the coset of r_i M is that of
+    pre r_i M mod N, pre the least element of G of determinant n, scaled by
+    n^-1.  Cremona's family is not listed: cremona_walk started at pre r_i
+    gives these products, so the sweep only counts cosets.  If no element
+    of G has determinant n mod N the operator is zero."""
     if _det_free(S, n):
-        return lambda t: S.zero_vector()
+        return lambda t: {}
     if n == 1:
-        return lambda t: [S.one if pos == t else S.one * 0
-                          for pos in range(S.dim)]
-    if H is None:
-        H = heilbronn_set(n)
+        return lambda t: {S.gen_index(*S.basis_tags[t]): 1}
+    N = S.table.N
     m = S.m
     stride = m + 1
     coset_of = S.table.coset_of
-    if N > 1:
-        ninv = inv_mod(n % N, N)
-        pre = mat_mod(tuple(ninv * x for x in find_det_element(S.G, n)), N)
-        family = [(u, mat_mod(M, N)) for u, M in H]
-    # polynomial action of each family member on the monomial of weight w;
-    # the family acts through the adjugate (matching the double-coset
-    # operator)
+    ninv = inv_mod(n % N, N)
+    pre = mat_mod(tuple(ninv * x for x in find_det_element(S.G, n)), N)
+    if H is None and n % 2 and is_prime(n):
+        # Cremona's family is walked from each start; its members are listed
+        # only for their polynomial action at m > 0
+        mults = None        # every multiplicity is one
+        members = heilbronn_cremona_set(n) if m else None
+
+        def products(x):
+            return cremona_walk(n, x, N)
+    else:
+        members = heilbronn_merel_set(n) if H is None else H
+        mults = [u for u, _ in members]
+        if all(u == 1 for u in mults):
+            mults = None
+        family = [mat_mod(M, N) for _, M in members]
+
+        def products(x):
+            return [mat_mul(x, M, N) for M in family]
+    # polynomial action of each member on the monomial of weight w, in the
+    # family's order; the family acts through the adjugate (matching the
+    # double-coset operator)
     poly_of = {}
 
-    def column(t):
+    def counts(t):
         w, i = S.basis_tags[t]
-        if N > 1:
-            pre_rep = mat_mul(pre, S.table.reps_mod[i], N)
-            cosets = [coset_of[mat_mul(pre_rep, M, N)]
-                      for _, M in family]
-        else:
-            cosets = [0] * len(H)
-        counts = {}
+        cosets = map(coset_of.__getitem__,
+                     products(mat_mul(pre, S.table.reps_mod[i], N)))
+        if m == 0 and mults is None:
+            return Counter(cosets)
+        out = {}
         if m == 0:
-            for (u, _), j in zip(H, cosets):
-                counts[j] = counts.get(j, 0) + u
-        else:
-            if w not in poly_of:
-                poly_of[w] = [sym_action(imat_adjugate(M), monomial(m, w))
-                              for _, M in H]
-            for (u, _), j, poly in zip(H, cosets, poly_of[w]):
-                for w2, c in enumerate(poly):
-                    if c != 0:
-                        key = j * stride + w2
-                        counts[key] = counts.get(key, 0) + u * c
-        vec = S.zero_vector()
-        for key, cnt in counts.items():
-            for pos, cv in S.reduce_cols[key].items():
-                vec[pos] = vec[pos] + cnt * cv
-        return vec
+            for u, j in zip(mults, cosets):
+                out[j] = out.get(j, 0) + u
+            return out
+        if w not in poly_of:
+            poly_of[w] = [sym_action(imat_adjugate(M), monomial(m, w))
+                          for _, M in members]
+        for u, j, poly in zip(mults or repeat(1), cosets, poly_of[w]):
+            for w2, c in enumerate(poly):
+                if c != 0:
+                    key = j * stride + w2
+                    out[key] = out.get(key, 0) + u * c
+        return out
 
-    return column
+    return counts
+
+
+def reduce_counts(S, counts):
+    """The second step of hecke_sweep: coordinates of an integer combination
+    of free Manin symbols (a dict key -> count) through S.reduce_cols."""
+    vec = S.zero_vector()
+    for key, cnt in counts.items():
+        for pos, cv in S.reduce_cols[key].items():
+            vec[pos] = vec[pos] + cnt * cv
+    return vec
+
+
+def hecke_sweep(S, n, H=None):
+    """The function t -> coordinates of T_n applied to basis symbol t, in two
+    steps: integer counts on the free module from one sweep of the family H
+    (hecke_counts), reduced through the Manin relations (reduce_counts)."""
+    counts = hecke_counts(S, n, H)
+    return lambda t: reduce_counts(S, counts(t))
 
 
 def hecke_tn_fast(S, n, H=None):

@@ -13,7 +13,7 @@ from math import gcd, isqrt, lcm
 
 from sympy import QQ, ZZ, Symbol
 from sympy.polys.densetools import dup_clear_denoms
-from sympy.polys.galoistools import gf_mul, gf_pow
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow
 from sympy.polys.matrices import DomainMatrix
 
 from .backend import ONE, rat, XorShift64
@@ -201,11 +201,11 @@ def primary_components(m, factors, seed=0):
     for v = h(m) u, h the product of the other factors to their exponents
     and u random; where m is not cyclic, further vectors u fill it.  The
     echelon basis mod p is lifted by rational reconstruction, over more
-    primes by CRT where that fails.  A lift W is certified exactly: m leaves
-    W invariant and has charpoly g^e on it, so W lies in ker g(m)^e, has its
-    dimension e deg g, and is that space; and a subspace has one reduced
-    echelon basis, so the result depends on neither the primes nor the seed.
-    RuntimeError when the primes run out."""
+    primes by CRT where that fails.  A lift W is certified exactly
+    (_is_component): m leaves W invariant and has charpoly g^e on it, so W
+    lies in ker g(m)^e, has its dimension e deg g, and is that space; and a
+    subspace has one reduced echelon basis, so the result depends on neither
+    the primes nor the seed.  RuntimeError when the primes run out."""
     den, a = _dm_zz(m)
     sdm = a.to_sdm()
     rows = [list(sdm.get(i, {}).items()) for i in range(len(m))]
@@ -235,7 +235,8 @@ def primary_components(m, factors, seed=0):
                 mod = q * p
             lifts[i] = (pivots, res, mod)
             W = _rational_lift(res, mod)
-            if W is not None and _is_component(m, W, g ** e):
+            others = [f for j, (f, _) in enumerate(factors) if j != i]
+            if W is not None and _is_component(m, W, g, e, others):
                 out[i] = W
         if all(W is not None for W in out):
             return out
@@ -255,9 +256,7 @@ def _spans_mod(rows, den, factors, todo, p, rng):
     def apply(v):
         return [sum(x * v[j] for j, x in row) % p for row in rows]
 
-    powers = [gf_pow([x.numerator * pow(x.denominator, -1, p) % p
-                      for x in reversed(g.coeffs)], e, p, ZZ)
-              for g, e in factors]
+    powers = [gf_pow(_poly_mod(g, p), e, p, ZZ) for g, e in factors]
     dims = {i: len(powers[i]) - 1 for i in todo}      # e deg g
     hs = {}
     for i in todo:
@@ -329,13 +328,90 @@ def _rational_lift(rows, mod):
     return out
 
 
-def _is_component(m, W, f):
-    """Whether m leaves the span of W invariant with charpoly f there."""
+def _is_component(m, W, g, e, others):
+    """Whether the span of W is ker g(m)^e, for charpoly(m) the product of
+    g^e and powers of the irreducible factors others.
+
+    m must leave W invariant (checked exactly) with len(W) = e deg g; then
+    the charpoly c of the restriction R divides charpoly(m), so c = g^a h
+    for h a product of factors in others, and c = g^e exactly when h = 1.
+    That is read mod a prime q of _PRIMES dividing no denominator of R, g or
+    others: c mod q, by a Hessenberg reduction in plain integers
+    (_charpoly_mod), must be g^e mod q, else c != g^e; and where g is
+    coprime to every other factor mod q, the factor h mod q of g^e mod q is
+    a constant, so the monic h is 1.  A q where g meets another factor mod q
+    proves nothing, and the next one is tried."""
+    if len(W) != e * g.degree:
+        return False
     try:
         r = restrict_to_invariant_subspace(m, W)
     except ValueError:
         return False
-    return charpoly(r) == f
+    bad = lcm(*(x.denominator for row in r for x in row),
+              *(x.denominator for f in [g] + others for x in f.coeffs))
+    for q in _PRIMES:
+        if bad % q == 0:
+            continue
+        gq = _poly_mod(g, q)
+        if _charpoly_mod(r, q) != gf_pow(gq, e, q, ZZ):
+            return False
+        if all(gf_gcd(gq, _poly_mod(f, q), q, ZZ) == [1] for f in others):
+            return True
+    return False
+
+
+def _poly_mod(f, q):
+    """The UniPoly f mod q, highest degree first (sympy's gf_ form)."""
+    return [x.numerator * pow(x.denominator, -1, q) % q
+            for x in reversed(f.coeffs)]
+
+
+def _charpoly_mod(rows, q):
+    """Characteristic polynomial mod a prime q of a square rational matrix
+    with no denominator divisible by q, highest degree first: a reduction to
+    upper Hessenberg form H by elimination, then the recurrence
+    p_k = (x - H[k][k]) p_(k-1) - sum_i H[i][k] H[i+1][i] ... H[k][k-1] p_i
+    over the leading blocks (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, section 2.2.4)."""
+    n = len(rows)
+    h = [[x.numerator * pow(x.denominator, -1, q) % q for x in row]
+         for row in rows]
+    for k in range(1, n - 1):
+        # clear column k - 1 below row k by rows from row k, then undo each
+        # row operation on the columns (a similarity)
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[k], h[piv] = h[piv], h[k]
+            for row in h:
+                row[k], row[piv] = row[piv], row[k]
+        t = pow(h[k][k - 1], -1, q)
+        mults = []
+        for i in range(k + 1, n):
+            u = h[i][k - 1] * t % q
+            if u:
+                h[i] = [(a - u * b) % q for a, b in zip(h[i], h[k])]
+                mults.append((i, u))
+        if mults:
+            for row in h:
+                row[k] = (row[k] + sum(u * row[i] for i, u in mults)) % q
+    polys = [[1]]       # charpolys of the leading blocks, lowest degree first
+    for k in range(n):
+        p = [0] + polys[k]
+        for j, c in enumerate(polys[k]):
+            p[j] -= h[k][k] * c
+        t = 1
+        for i in range(k - 1, -1, -1):
+            t = t * h[i + 1][i] % q
+            if not t:
+                break
+            u = h[i][k] * t % q
+            if u:
+                for j, c in enumerate(polys[i]):
+                    p[j] -= u * c
+        polys.append([c % q for c in p])
+    return polys[n][::-1]
 
 
 def det_poly_matrix(m):

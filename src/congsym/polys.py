@@ -205,6 +205,15 @@ class NumberField:
         self.modulus = modulus
         self.degree = modulus.degree
         self.var = var
+        # a^d, ..., a^(2d-2) in the basis 1, a, ..., a^(d-1): the rows that
+        # reduce a schoolbook product of two elements
+        self._reduction = []
+        row = [-c for c in modulus.coeffs[:-1]]
+        for _ in range(self.degree - 1):
+            self._reduction.append(row)
+            # a^(k+1) = a a^k: shift up, and reduce the overflow by a^d
+            row = [x + row[-1] * y for x, y in
+                   zip([rat(0)] + row[:-1], self._reduction[0])]
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.modulus == other.modulus
@@ -284,8 +293,19 @@ class NumberFieldElem:
         if not isinstance(other, NumberFieldElem):
             return NumberFieldElem(self.field, [a * other for a in self.coeffs])
         o = self._coerce(other)
-        prod = UniPoly(self.coeffs) * UniPoly(o.coeffs)
-        return self.field.elem((prod % self.field.modulus).coeffs)
+        zero = rat(0)
+        prod = [zero] * (2 * len(self.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(o.coeffs):
+                    if b:
+                        prod[i + j] += a * b
+        d = self.field.degree
+        low = prod[:d]
+        for c, row in zip(prod[d:], self.field._reduction):
+            if c:
+                low = [x + c * y for x, y in zip(low, row)]
+        return NumberFieldElem(self.field, low)
 
     __rmul__ = __mul__
 

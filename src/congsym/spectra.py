@@ -5,12 +5,12 @@ Euler factors."""
 import math
 from itertools import islice
 
-from .backend import is_prime, factor_int, rat_str
+from .backend import is_prime, factor_int, rat, rat_str
 from .polys import UniPoly, factor_rational_poly, is_irreducible_poly, NumberField
 from . import linalg as la
 from .groups import is_real_type
 from .spaces import cuspidal_subspace, star_involution, plus_subspace
-from .hecke import (hecke_tn_fast, hecke_sweep, diamond_operator,
+from .hecke import (hecke_tn_fast, hecke_counts, diamond_operator,
                     diamond_column, sigma_class)
 
 
@@ -291,12 +291,19 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     piece's dual (dual_vector_space), e = h(T^t) v is an eigenfunctional on
     the full symbol space: e T_n = a_n e.  So a_n = <e, T_n s>/<e, s> for
     one basis symbol s with <e, s> != 0, and each T_n is needed on s alone.
+    The vectors w_i = v (T^t)^i are pulled back once to the free module of
+    Manin symbols, as the integer table of <w_i, reduce_cols[key]> over one
+    denominator; a sweep of T_n over s (hecke_counts) gives integer counts
+    on that module, and their pairing with the table gives the <w_i, T_n s>,
+    so no vector of the symbol space is formed per n.
+
     At a prime p whose class is a determinant of G, a_(p^r) follows from
     a_p and <sigma_p> by the Hecke recursion; at another p not dividing N,
     each a_(p^r) takes a one-symbol sweep of T_(p^r).  a_n is the product of
-    its prime-power values, except where the part m of n prime to N has
-    two or more prime factors and one of its prime powers has its residue
-    outside det(G): a_m then takes a one-symbol sweep of T_m.
+    its prime-power values (formed with no product by one), except where the
+    part m of n prime to N has two or more prime factors and one of its
+    prime powers has its residue outside det(G): a_m then takes a one-symbol
+    sweep of T_m.
 
     bad_ops maps a prime p dividing the modulus to a matrix on the working
     module (a user-supplied double-coset combination), read through e
@@ -340,8 +347,32 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     s = next(j for j in range(S.dim) if any(wi[j] for wi in w))
     e_s_inv = fone / pair([S.one if j == s else 0 for j in range(S.dim)])
 
-    def value(column):
-        return pair(column) * e_s_inv
+    # the w_i pulled back to the free module of Manin symbols, over one
+    # denominator: <w_i, T_n s> is the sum over keys of counts[key] *
+    # table[key][i] / (dw dr), for the integer counts of hecke_counts, so
+    # a_n = sum_i c_i h_i <e, s>^-1 / (dw dr); the products run on integers
+    dw = math.lcm(*(x.denominator for wi in w for x in wi))
+    dr = math.lcm(*(c.denominator for col in S.reduce_cols
+                    for c in col.values()))
+    w_int = [[x.numerator * (dw // x.denominator) for x in wi] for wi in w]
+    table = []
+    for col in S.reduce_cols:
+        terms = [(pos, c.numerator * (dr // c.denominator))
+                 for pos, c in col.items()]
+        table.append([sum(wi[pos] * c for pos, c in terms) for wi in w_int])
+    scaled = [hi * e_s_inv * rat(1, dw * dr) for hi in h]
+
+    def sweep_value(n):
+        """a_n from one sweep of T_n over the symbol s."""
+        c = [0] * len(w)
+        for key, cnt in hecke_counts(S, n)(s).items():
+            for i, x in enumerate(table[key]):
+                c[i] += cnt * x
+        total = fone * 0
+        for ci, hi in zip(c, scaled):
+            if ci:
+                total = total + hi * ci
+        return total
 
     absent = set()
     assumed = set()
@@ -375,11 +406,11 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
                 return None
             return [base ** r for r in range(rmax + 1)]
         if N > 1 and p % N not in S.G.det_image:
-            return [fone] + [value(hecke_sweep(S, p ** r)(s))
+            return [fone] + [sweep_value(p ** r)
                              for r in range(1, rmax + 1)]
-        vals = [fone, value(hecke_sweep(S, p)(s))]
+        vals = [fone, sweep_value(p)]
         if rmax > 1:
-            eps = value(diamond_column(S, sigma_class(S, p), s))
+            eps = pair(diamond_column(S, sigma_class(S, p), s)) * e_s_inv
             pk = p ** (S.k - 1)
             for r in range(2, rmax + 1):
                 vals.append(vals[1] * vals[r - 1] - eps * pk * vals[r - 2])
@@ -396,18 +427,19 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
             p ** r % N not in S.G.det_image for p, r in good)
         if swept:
             fac = [(p, r) for p, r in fac if N % p == 0]
-        val = fone
+        # the product of the factors' values, with no product by one
+        terms = []
         for p, r in fac:
             if p not in pp_cache:
                 pp_cache[p] = prime_powers(p)
             if pp_cache[p] is None:
-                val = None
+                terms = None
                 break
-            val = val * pp_cache[p][r]
-        if swept and val is not None:
-            m = math.prod(p ** r for p, r in good)
-            val = val * value(hecke_sweep(S, m)(s))
-        values[n] = val
+            terms.append(pp_cache[p][r])
+        if terms is not None and swept:
+            terms.append(sweep_value(math.prod(p ** r for p, r in good)))
+        values[n] = (None if terms is None
+                     else math.prod(terms[1:], start=terms[0]))
     return EigenSystem(piece, g, field, values, L, absent, assumed)
 
 

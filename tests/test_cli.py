@@ -148,6 +148,25 @@ def test_eigensystem_non_scalar_alpha_exit(capsys):
     assert err.startswith("error:") and "not a scalar" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # T_4 is not the one double coset of diag(1, 4) the naive path gave
+    ("hecke", "gamma0", "11", "-p", "4", "--path", "naive"),
+    # bench reported a path mismatch with exit code 1
+    ("bench", "gamma0", "11", "-p", "4"),
+    # a ZeroDivisionError traceback
+    ("hecke", "gamma0", "11", "-p", "0"),
+    # reported as a prime dividing the level
+    ("hecke", "gamma0", "11", "-p", "1"),
+    # a zero matrix
+    ("hecke", "gamma0", "11", "-p", "-3"),
+], ids=["hecke-4-naive", "bench-4", "hecke-0", "hecke-1", "hecke-minus-3"])
+def test_hecke_and_bench_need_a_prime(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: -p must be a prime, got %s\n" % argv[4]
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "gamma0", "11", "-p", "2")
     assert code == 0

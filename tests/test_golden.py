@@ -6,8 +6,10 @@ basis, a label or an eigenvalue shows up here.  Most were recorded before
 the exact linear algebra moved onto sympy's DomainMatrix; the hecke ns_plus
 37 and dims ns_plus 53 entries before the plus space became one stacked
 kernel, the four entries above weight 2 before the three-term relations
-were reduced by one sparse rref, and the three decompose entries after them
-before the pieces were computed mod p.
+were reduced by one sparse rref, the three decompose entries after them
+before the pieces were computed mod p, and the four eigensystem entries at
+L = 200 to 1000 before the sweep walked Cremona's family and paired its
+counts with the eigenfunctional pulled back to the free symbols.
 """
 
 import hashlib
@@ -49,6 +51,18 @@ GOLDEN = {
         "73000aed4507e8684b0774ec60fc1ed812809a4f8ff19054abb304dc4ddac544",
     "eigensystem %s --seed 0 --json" % H155:
         "d81c0e4269776baf94978465941566ebd52006ac6fe199393b44f58a495653f8",
+    # a_n up to L = 1000 over the cubic field; weight 4 and weight 3
+    # (a nebentypus) with a_(p^r) from the recursion; Gamma(8), where each
+    # a_(p^r) with p mod 8 outside det(G) and each a_m with such a factor
+    # takes its own sweep
+    "eigensystem ns_plus 13 -L 1000 --json":
+        "b0030af0116234ca5261a70fd9c80a3efccae7ce649ea36c30637e2fb5252a34",
+    "eigensystem gamma0 11 -k 4 -L 300 --json":
+        "bee69db23baa1091c8220087af535396035ed3364870cbdfe2eb1247c6e67059",
+    "eigensystem gamma1 13 -k 3 -L 300 --json":
+        "9fd36b80cd35873f21ec17982b4acf796f9fb0fe88ec0b5240e04c0aa78c94ef",
+    "eigensystem gamma 8 -L 200 --json":
+        "e080305f8b14073ba3b227709abfd016819d5fa2ba418f186d85c4c85ffed88f",
     # above weight 2, where the presentation prefers to eliminate the
     # symbols of non-extreme weight
     "hecke gamma0 23 -k 6 -p 2 --json":

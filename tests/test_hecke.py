@@ -1,7 +1,8 @@
 import pytest
 
-from congsym.backend import is_prime
-from congsym.groups import coset_table, mat_det, mat_inv_mod
+from congsym.backend import inv_mod, is_prime
+from congsym.groups import (coset_table, find_det_element, mat_det,
+                            mat_inv_mod, mat_mod, mat_mul)
 from congsym.families import build_family
 from congsym import linalg as la
 from congsym import spaces as sp
@@ -46,24 +47,94 @@ def test_cremona_set_condition_cn():
             H = hk.heilbronn_cremona_set(p)
             assert all(u == 1 and mat_det(m) == p for u, m in H)
             assert hk.condition_cn_check(H)
-            assert hk.heilbronn_set(p).pairs == H.pairs
     assert not hk.condition_cn_check(hk.heilbronn_cremona_set(2))
-    assert hk.heilbronn_set(2).pairs == hk.heilbronn_merel_set(2).pairs
-    assert hk.heilbronn_set(9).pairs == hk.heilbronn_merel_set(9).pairs
+
+
+def _materialised_cremona_family(p):
+    """Cremona's family listed member by member, each formed from its
+    continued-fraction step: the reference for cremona_walk."""
+    out = [(1, 0, 0, p)]
+    for r in range(-(p // 2), p // 2 + 1):
+        x1, x2, y1, y2 = p, -r, 0, 1
+        a, b = -p, r
+        out.append((x1, x2, y1, y2))
+        while b:
+            q = (2 * abs(a) + abs(b)) // (2 * abs(b))
+            if (a < 0) != (b < 0):
+                q = -q
+            a, b = -b, a - b * q
+            x1, x2 = x2, q * x2 - x1
+            y1, y2 = y2, q * y2 - y1
+            out.append((x1, x2, y1, y2))
+    return out
+
+
+WALKED_SPACES = [("ns_plus", 13, 2), ("gamma1", 13, 3), ("gamma0", 11, 4),
+                 ("gamma0", 23, 6), ("gamma_full", 1, 12)]
+
+
+@pytest.mark.parametrize("tag, param, k", WALKED_SPACES)
+def test_cremona_walk_equals_materialised_family(tag, param, k):
+    """The walk from pre r_i mod N meets the products pre r_i M mod N of
+    the listed family, in order, for every odd prime p < 200 and every coset
+    r_i of a basis symbol; from the identity it is the family itself."""
+    S = space_for(tag, param, k)
+    N = S.table.N
+    reps = sorted({i for _, i in S.basis_tags})
+    for p in range(3, 200):
+        if not is_prime(p):
+            continue
+        family = _materialised_cremona_family(p)
+        assert hk.cremona_walk(p) == family
+        assert [M for _, M in hk.heilbronn_cremona_set(p)] == family
+        if N % p == 0:
+            continue
+        pre = mat_mod(tuple(inv_mod(p % N, N) * x
+                            for x in find_det_element(S.G, p)), N)
+        reduced = [mat_mod(M, N) for M in family]
+        for i in reps:
+            x = mat_mul(pre, S.table.reps_mod[i], N)
+            assert hk.cremona_walk(p, x, N) == \
+                [mat_mul(x, M, N) for M in reduced]
+
+
+ODD_PRIMES_30 = tuple(p for p in range(3, 30) if is_prime(p))
 
 
 @pytest.mark.parametrize("tag, param, k, primes", [
-    ("gamma0", 11, 2, (3, 5, 7, 13)),
-    ("gamma0", 11, 4, (3, 5, 7)),
-    ("gamma0", 23, 6, (3, 5)),
-    ("gamma1", 13, 2, (3, 5, 7)),
-    ("ns_plus", 13, 2, (3, 5, 7, 11)),
+    ("gamma0", 11, 2, ODD_PRIMES_30),
+    ("gamma0", 11, 4, ODD_PRIMES_30),
+    ("gamma0", 23, 6, ODD_PRIMES_30),
+    ("gamma1", 13, 2, ODD_PRIMES_30),
+    ("ns_plus", 13, 2, ODD_PRIMES_30),
+    ("gamma1", 13, 3, ODD_PRIMES_30),
+    ("gamma_full", 1, 12, ODD_PRIMES_30),
 ])
 def test_cremona_tp_equals_merel_tp(tag, param, k, primes):
+    """The walked sweep at an odd prime equals the sweep of Merel's family,
+    on the spaces of test_cremona_walk_equals_materialised_family and two
+    more."""
     S = space_for(tag, param, k)
     for p in primes:
         assert hk.hecke_tn_fast(S, p) == \
             hk.hecke_tn_fast(S, p, hk.heilbronn_merel_set(p))
+
+
+def test_sweep_in_two_steps(s_ns_plus_13):
+    """hecke_sweep reduces the integer counts of hecke_counts, and the
+    counts of T_n add up to the size of the family swept at weight 2:
+    Cremona's at an odd prime, Merel's at 2 and at composite n."""
+    S = s_ns_plus_13
+    families = [(n, hk.heilbronn_merel_set(n)) for n in (2, 4, 9)]
+    families += [(p, hk.heilbronn_cremona_set(p)) for p in (3, 5)]
+    for n, H in families:
+        counts = hk.hecke_counts(S, n)
+        column = hk.hecke_sweep(S, n)
+        for t in range(S.dim):
+            c = counts(t)
+            assert all(isinstance(x, int) for x in c.values())
+            assert sum(c.values()) == len(H)
+            assert hk.reduce_counts(S, c) == column(t)
 
 
 def test_one_symbol_column_is_matrix_column(s_ns_plus_13):
@@ -111,6 +182,11 @@ def test_merel_equals_naive_gamma0_11(s_gamma0_11):
             hk.hecke_tp(s_gamma0_11, p, path="naive")
     with pytest.raises(ValueError):
         hk.hecke_tp(s_gamma0_11, 2, path="auto")
+    # the naive path would give the one double coset of diag(1, n)
+    for n in (4, 0, 1, -3):
+        for path in ("merel", "naive"):
+            with pytest.raises(ValueError, match="needs a prime"):
+                hk.hecke_tp(s_gamma0_11, n, path=path)
 
 
 def test_hecke_commutation(s_gamma0_11):

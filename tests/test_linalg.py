@@ -241,3 +241,57 @@ def test_primary_components_over_small_primes(monkeypatch):
     assert [g for g, _ in fac] == [X - 2, X - 1]
     assert la.primary_components(m, fac) == \
         [[[rat(-123457, 99), rat(1)]], M([[1, 0]])]
+
+
+def test_certificate_rejects_an_invariant_lift_with_the_wrong_charpoly():
+    """m = diag(1, 1, 2) has charpoly (x - 1)^2 (x - 2).  The span of e_1 and
+    e_3 is m-invariant and has the dimension of ker (m - 1)^2, but m has
+    charpoly (x - 1)(x - 2) there: the modular charpoly rejects it.  A lift
+    of the wrong dimension or not invariant is rejected before that."""
+    m = M([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    g, h = X - 1, X - 2
+    assert la._is_component(m, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(m, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+    assert not la._is_component(m, M([[1, 0, 0]]), g, 2, [h])
+    assert not la._is_component(m, M([[1, 0, 1], [0, 1, 0]]), g, 2, [h])
+    # planted in a random basis, with a cyclic block of (x - 1)^2 that one
+    # eigenvector of it with the x - 2 block does not span
+    m = _planted([_companion(G1 ** 2), _companion(X - 2)], 3)
+    fac = factor_rational_poly(la.charpoly(m))
+    assert fac == [(X - 2, 1), (X - 1, 2)]
+    good = kernel_of_factor_power(m, X - 1, 2)
+    assert la._is_component(m, good, X - 1, 2, [X - 2])
+    wrong = la.row_space_basis(la.kernel(la.mat_poly_eval(X - 1, m))
+                               + la.kernel(la.mat_poly_eval(X - 2, m)))
+    assert len(wrong) == 2
+    la.restrict_to_invariant_subspace(m, wrong)     # invariant: no raise
+    assert not la._is_component(m, wrong, X - 1, 2, [X - 2])
+
+
+def test_certificate_skips_a_prime_where_the_factors_meet(monkeypatch):
+    """x - 1 and x - 1 - 11 meet mod 11, where a charpoly (x - 1)^a (x - 12)^b
+    of the restriction would read as (x - 1)^2 and prove nothing; the
+    certificate then goes on to the next prime."""
+    m = M([[1, 0, 0], [0, 1, 0], [0, 0, 12]])
+    g, h = X - 1, X - 12
+    monkeypatch.setattr(la, "_PRIMES", (11,))
+    assert not la._is_component(m, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    monkeypatch.setattr(la, "_PRIMES", (11, 13))
+    assert la._is_component(m, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(m, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+
+
+def test_charpoly_mod_matches_charpoly():
+    """The Hessenberg charpoly mod q agrees with the rational charpoly on
+    random matrices, sparse ones where pivots must be searched for or are
+    missing, and entries with denominators."""
+    rng = XorShift64(17)
+    for q in (2, 3, 7, la._PRIMES[0]):
+        for n in range(1, 8):
+            for trial in range(6):
+                m = [[rat(rng.randint(-3, 3) if rng.randint(0, 2) == 0
+                          else 0, rng.randint(1, 1 if q < 10 else 4))
+                      for _ in range(n)] for _ in range(n)]
+                expect = [x.numerator * pow(x.denominator, -1, q) % q
+                          for x in reversed(la.charpoly(m).coeffs)]
+                assert la._charpoly_mod(m, q) == expect

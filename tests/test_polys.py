@@ -1,4 +1,4 @@
-from congsym.backend import rat
+from congsym.backend import rat, XorShift64
 from congsym.polys import (UniPoly, factor_rational_poly, is_irreducible_poly,
                            NumberField)
 
@@ -48,6 +48,22 @@ def test_number_field():
     inv = (K.one() + a).inverse()
     assert (K.one() + a) * inv == K.one()
     assert (a / a) == K.one()
+
+
+def test_number_field_product_equals_polynomial_remainder():
+    """The product reduced by the field's table of a^d ... a^(2d-2) is the
+    remainder of the polynomial product by the modulus, for moduli of
+    degree 1 to 6 and entries with denominators."""
+    rng = XorShift64(3)
+    for mod in (P(1, 1), P(-1, -1, 1), P(-1, -1, 2, 1), P(rat(1, 3), 0, -1, 1),
+                P(3, 0, -1, 2, 0, 1), P(7, 1, 0, 0, -3, 0, 1)):
+        K = NumberField(mod)
+        for _ in range(30):
+            x, y = (K.elem([rat(rng.randint(-9, 9), rng.randint(1, 4))
+                            for _ in range(K.degree)]) for _ in range(2))
+            expect = (P(*x.coeffs) * P(*y.coeffs)) % mod
+            assert (x * y).coeffs == K.elem(expect.coeffs).coeffs
+            assert len((x * y).coeffs) == K.degree
 
 
 def test_to_str():

@@ -2,11 +2,13 @@
 
 Every failure in congsym is a documented exception: never an `assert`,
 which `python -O` strips, and never an AssertionError or NotImplementedError
-from deep in the stack.  And the library imports neither numpy nor scipy,
-whose import every process would pay for.
+from deep in the stack.  The library imports neither numpy nor scipy, whose
+import every process would pay for.  And every library name the benchmark's
+tracer wraps exists, so a rename fails here and not only in a traced run.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -47,3 +49,35 @@ def test_cli_imports_neither_numpy_nor_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           check=True, env=env, text=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_traced_names_exist():
+    """Each congsym module attribute perfbench/attempt.py:install_trace
+    reads, wraps or replaces, found in its source: the arguments of
+    tracer.wrap(module, "name", ...) and every module.name it spells out."""
+    path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "attempt.py")
+    tree = ast.parse(path.read_text(), str(path))
+    func = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "install_trace")
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(func)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "congsym"
+               for alias in node.names}
+    names = set()
+    for node in ast.walk(func):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap"):
+            mod, attr = node.args[:2]
+            names.add((mod.id, attr.value))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            names.add((node.value.id, node.attr))
+    assert len(names) >= 12
+    missing = sorted("%s.%s" % (mod, attr) for mod, attr in names
+                     if not hasattr(importlib.import_module(
+                         "congsym." + modules[mod]), attr))
+    assert missing == []

@@ -152,6 +152,12 @@ def _emit_json(obj):
 
 def _context(args):
     G = parse_group(args.group)
+    for a in getattr(args, "alpha", None) or []:
+        p = _alpha_prime(a)
+        if G.N % p:
+            raise CliInputError("--alpha %s is for p = %d, which does not "
+                                "divide the level %d"
+                                % (",".join(map(str, a)), p, G.N))
     Gamma = coset_table(G)
     S = sp.build_space(Gamma, args.weight)
     return G, Gamma, S

@@ -7,10 +7,9 @@ Matrices mod N and over Z are row-major 4-tuples (a, b, c, d) for
 
 from math import gcd
 
-from .backend import egcd, inv_mod, factor_int, sl2_order
+from .backend import egcd, inv_mod, sl2_order
 
 GROUP_CAP = 2 ** 24
-AMBIENT_CAP = 2 ** 20
 
 IDENT = (1, 0, 0, 1)
 S_MAT = (0, -1, 1, 0)
@@ -76,12 +75,6 @@ class GroupModN:
 
     def order(self):
         return len(self.elements)
-
-    def equals(self, other):
-        if self.N != other.N:
-            return False
-        return all(g in other for g in self.generators) and all(
-            h in self for h in other.generators)
 
     def __repr__(self):
         return "GroupModN(N=%d, order=%d)" % (self.N, self.order())
@@ -297,24 +290,6 @@ def crt_general(a, n1, b, n2):
 def crt_matrix(g1, n1, g2, n2):
     n = n1 // gcd(n1, n2) * n2
     return tuple(crt_general(a, n1, b, n2) % n for a, b in zip(g1, g2))
-
-
-def gl2_elements(N, cap=AMBIENT_CAP):
-    order = 1
-    if N > 1:
-        order = N ** 4
-        for p in factor_int(N):
-            order = order // (p * p * p * p) * ((p * p - 1) * (p * p - p))
-    if order > cap:
-        raise GroupTooLarge("GL2(Z/%d) too large to enumerate" % N)
-    out = []
-    for a in range(N):
-        for b in range(N):
-            for c in range(N):
-                for d in range(N):
-                    if is_unit(a * d - b * c, N):
-                        out.append((a, b, c, d))
-    return out
 
 
 def is_real_type(G):

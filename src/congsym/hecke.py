@@ -1,10 +1,12 @@
 """Hecke operators (the double-coset path and the Heilbronn-set sweep, with
 Cremona's family at odd primes and Merel's otherwise), diamond operators,
-degeneracy maps, and the old/new decomposition for induced congruence
+and degeneracy maps between the symbol spaces of two induced congruence
 subgroups.
 
 All operators act on the presentation built in spaces.py and are returned as
-square rational matrices, columns being the images of the basis symbols.
+rational matrices, columns being the images of the basis symbols.  The
+double-coset operator and both degeneracy maps are sums of integer matrices
+applied to the basis symbols, one routine (coset_operator) for all three.
 """
 
 from collections import Counter
@@ -14,10 +16,8 @@ from math import gcd
 from .backend import rat, inv_mod, divisors, is_prime
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, lift_to_sl2,
-                     gamma_generators, find_det_element, GroupTooLarge,
-                     AMBIENT_CAP, close_group, gl2_elements, IDENT)
-from .spaces import (sym_action, monomial, cusp_normalize, build_space,
-                     cuspidal_subspace)
+                     gamma_generators, find_det_element, IDENT)
+from .spaces import sym_action, monomial, cusp_normalize
 
 
 # ------------------------------------------------------- integer matrix HNF
@@ -63,19 +63,6 @@ def element_of_det(G, n):
 
 # ------------------------------------------------------------ double cosets
 
-def same_right_coset(Gamma, b1, b2):
-    """Gamma b1 == Gamma b2 for integer matrices of equal determinant."""
-    n = mat_det(b1)
-    if mat_det(b2) != n:
-        return False
-    adj = imat_adjugate(b2)
-    prod = mat_mul(b1, adj)
-    if any(x % n for x in prod):
-        return False
-    g = tuple(x // n for x in prod)
-    return mat_det(g) == 1 and Gamma.contains(g)
-
-
 def _right_coset_key(Gamma, beta):
     """Hashable invariant of Gamma beta: the row Hermite form together with
     the Gamma-coset of the unimodular part."""
@@ -117,24 +104,30 @@ def double_coset_reps(Gamma, alpha, Gamma_right=None):
     return list(seen.values())
 
 
-def hecke_double_coset(S, alpha):
-    """Matrix of the dual Hecke operator of the double coset Gamma alpha
-    Gamma on the space S (columns are images of basis symbols)."""
-    reps = double_coset_reps(S.table, alpha)
-    m = S.m
+def coset_operator(S_src, S_dst, mats):
+    """Matrix of the map sending each basis symbol [P, r_i] of S_src to the
+    sum over B in mats of B [P, r_i] = (B r_i P) (x) {B r_i 0, B r_i oo} in
+    S_dst (columns are images of the S_src basis).  The B are integer
+    matrices of positive determinant; the weight action is the unscaled
+    adjugate substitution of sym_action."""
+    m = S_src.m
     cols = []
-    for (w, i) in S.basis_tags:
+    for (w, i) in S_src.basis_tags:
         poly = monomial(m, w)
-        vec = S.zero_vector()
-        for r in reps:
-            B = mat_mul(r, S.table.reps[i])
-            img = sym_action(B, poly)
-            a = cusp_normalize(B[1], B[3])
-            b = cusp_normalize(B[0], B[2])
-            acc = S.symbol_coords(img, a, b)
+        vec = S_dst.zero_vector()
+        for M in mats:
+            B = mat_mul(M, S_src.table.reps[i])
+            acc = S_dst.symbol_coords(sym_action(B, poly), (B[1], B[3]),
+                                      (B[0], B[2]))
             vec = [x + y for x, y in zip(vec, acc)]
         cols.append(vec)
     return la.transpose(cols)
+
+
+def hecke_double_coset(S, alpha):
+    """Matrix of the dual Hecke operator of the double coset Gamma alpha
+    Gamma on the space S (columns are images of basis symbols)."""
+    return coset_operator(S, S, double_coset_reps(S.table, alpha))
 
 
 def _det_free(S, n):
@@ -225,20 +218,6 @@ def condition_cn_check(H):
         if cleaned != target_keys:
             return False
     return True
-
-
-def phi_map(S, A):
-    """Coset index of the determinant-n matrix A (reduction in the
-    determinant-n part of G) under the left-equivariant projection to
-    Gamma \\ SL2(Z)."""
-    N = S.table.N
-    n = mat_det(A) % N if N > 1 else 1
-    if N == 1:
-        return 0
-    ninv = inv_mod(n, N)
-    delta = find_det_element(S.G, n)
-    s = mat_mod(tuple(ninv * x for x in mat_mul(delta, mat_mod(A, N), N)), N)
-    return S.table.coset_index_mod(s)
 
 
 def cremona_walk(p, x=IDENT, n=0):
@@ -405,22 +384,18 @@ def sigma_class(S, p):
 # ----------------------------------------------------------- degeneracy maps
 
 class DegeneracyData:
-    """A rational matrix t with t^-1 Gamma_high t contained in Gamma_low,
-    inducing maps between the two symbol spaces."""
+    """A primitive integer matrix t with t^-1 Gamma_high t contained in
+    Gamma_low (Gamma_high the smaller group, of higher level), and reps,
+    representatives of the right cosets in Gamma_high t Gamma_low
+    (double_coset_reps).  Both maps between the two symbol spaces are
+    coset_operator sums: alpha over adj(t), beta over reps."""
 
-    def __init__(self, t_int, high, low):
-        self.t = t_int          # integer primitive matrix
-        self.high = high        # CongruenceSubgroup (smaller group G)
-        self.low = low          # CongruenceSubgroup (larger group H)
+    def __init__(self, t_int, reps):
+        self.t = t_int
+        self.reps = reps
 
     def __repr__(self):
         return "DegeneracyData(t=%r)" % (self.t,)
-
-
-def _rational_inverse(t):
-    n = mat_det(t)
-    adj = imat_adjugate(t)
-    return tuple(rat(x, n) for x in adj)
 
 
 def _conjugate_into(t, Gamma_high, Gamma_low):
@@ -438,107 +413,39 @@ def _conjugate_into(t, Gamma_high, Gamma_low):
     return True
 
 
-def _apply_rational(S_target, Bq, B_int, poly, coeff, out):
-    """Accumulate coeff * (B applied to poly (x) {0, oo}) into out, in the
-    coordinates of S_target.  Bq carries the exact rational entries for the
-    weight action, B_int an integer multiple of B for the cusp action."""
-    img = sym_action(Bq, poly)
-    aa = cusp_normalize(B_int[1], B_int[3])
-    bb = cusp_normalize(B_int[0], B_int[2])
-    acc = S_target.symbol_coords(img, aa, bb)
-    for idx, x in enumerate(acc):
-        out[idx] = out[idx] + coeff * x
-
-
 def degeneracy_alpha_dual(S_high, S_low, data):
     """Matrix of x -> t^-1 x from the symbols of the smaller group (higher
-    level) to those of the larger one, columns indexed by the S_high basis."""
-    tinv = _rational_inverse(data.t)
-    adj = imat_adjugate(data.t)
-    m = S_high.m
-    cols = []
-    for (w, i) in S_high.basis_tags:
-        rep = S_high.table.reps[i]
-        Bq = mat_mul(tinv, rep)
-        B_int = mat_mul(adj, rep)
-        out = S_low.zero_vector()
-        _apply_rational(S_low, Bq, B_int, monomial(m, w), S_low.one, out)
-        cols.append(out)
-    return la.transpose(cols)
-
-
-def _beta_coset_reps(data):
-    """Representatives of the right cosets of
-    K = (t^-1 Gamma_high t) intersect Gamma_low in Gamma_low, by
-    breadth-first search over right multiplication by generators of
-    Gamma_low."""
-    t = data.t
-    n = mat_det(t)
-    adj = imat_adjugate(t)
-
-    def in_k(g):
-        w = mat_mul(mat_mul(t, g), adj)
-        if any(x % n for x in w):
-            return False
-        return data.high.contains(tuple(x // n for x in w))
-
-    gens = gamma_generators(data.low)
-    gens = gens + [imat_adjugate(g) for g in gens]
-    reps = [IDENT]
-    frontier = [IDENT]
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in gens:
-                c = mat_mul(r, g)
-                if any(in_k(mat_mul(c, imat_adjugate(r2))) for r2 in reps):
-                    continue
-                reps.append(c)
-                nxt.append(c)
-        frontier = nxt
-    return reps
+    level) to those of the larger one, columns indexed by the S_high basis:
+    adj(t) = det(t) t^-1 acts on polynomials of degree k - 2 with the extra
+    factor det(t)^(k-2), which is divided out."""
+    scale = rat(1, mat_det(data.t) ** S_high.m)
+    return la.mat_scale(
+        coset_operator(S_high, S_low, [imat_adjugate(data.t)]), scale)
 
 
 def degeneracy_beta_dual(S_low, S_high, data):
-    """Matrix of x -> sum_gamma t gamma x over right cosets of
+    """Matrix of x -> sum_gamma t gamma x over right cosets K gamma of
     K = (t^-1 Gamma_high t) intersect Gamma_low in Gamma_low, columns
-    indexed by the S_low basis."""
-    t = data.t
-    reps = _beta_coset_reps(data)
-    m = S_low.m
-    cols = []
-    for (w, i) in S_low.basis_tags:
-        rep = S_low.table.reps[i]
-        poly = monomial(m, w)
-        out = S_high.zero_vector()
-        for r in reps:
-            B = mat_mul(mat_mul(t, r), rep)
-            _apply_rational(S_high, B, B, poly, S_high.one, out)
-        cols.append(out)
-    return la.transpose(cols)
+    indexed by the S_low basis.  K gamma -> Gamma_high t gamma is a bijection
+    onto the right cosets of Gamma_high t Gamma_low, and every symbol of
+    S_high is Gamma_high-invariant, so the sum runs over data.reps."""
+    return coset_operator(S_low, S_high, data.reps)
 
 
 def coset_count_beta(data):
     """The index [Gamma_low : (t^-1 Gamma_high t) intersect Gamma_low],
     which is the scalar of alpha_t composed with beta_t."""
-    return len(_beta_coset_reps(data))
-
-
-def _same_double_coset(Gamma_high, Gamma_low, t1, t2):
-    """t1 in Gamma_high t2 Gamma_low?"""
-    if mat_det(t1) != mat_det(t2):
-        return False
-    for r in double_coset_reps(Gamma_high, t2, Gamma_low):
-        if same_right_coset(Gamma_high, r, t1):
-            return True
-    return False
+    return len(data.reps)
 
 
 def enumerate_degeneracy(Gamma_high, Gamma_low):
     """Essentially distinct primitive integer matrices t (up to the double
     coset Gamma_high t Gamma_low) with t^-1 Gamma_high t inside Gamma_low
-    and determinant dividing the modulus."""
+    and determinant dividing the modulus, each with the right cosets of its
+    double coset.  A t whose right coset Gamma_high t is one of a double
+    coset already found is skipped."""
     out = []
+    found = set()   # _right_coset_key of every right coset in out
     for d in divisors(Gamma_high.N if Gamma_high.N > 1 else 1):
         hnfs = [(d // dd, b, 0, dd) for dd in divisors(d) for b in range(dd)
                 if gcd(d // dd, gcd(b, dd)) == 1]
@@ -546,86 +453,10 @@ def enumerate_degeneracy(Gamma_high, Gamma_low):
             r = Gamma_low.reps[i]
             for h in hnfs:
                 t = mat_mul(r, h)
-                if not _conjugate_into(t, Gamma_high, Gamma_low):
+                if (_right_coset_key(Gamma_high, t) in found
+                        or not _conjugate_into(t, Gamma_high, Gamma_low)):
                     continue
-                if any(_same_double_coset(Gamma_high, Gamma_low, t, d2.t)
-                       for d2 in out):
-                    continue
-                out.append(DegeneracyData(t, Gamma_high, Gamma_low))
+                reps = double_coset_reps(Gamma_high, t, Gamma_low)
+                found.update(_right_coset_key(Gamma_high, b) for b in reps)
+                out.append(DegeneracyData(t, reps))
     return out
-
-
-# ----------------------------------------------------------- old/new spaces
-
-def proper_overgroups(G):
-    """Subgroups H with G < H <= GL2(Z/N): the closure of G with the least
-    element of each double coset GgG outside G, de-duplicated.  <G, g>
-    depends only on GgG, so each double coset is closed once."""
-    N = G.N
-    ambient = gl2_elements(N)
-    if len(ambient) > AMBIENT_CAP:
-        raise GroupTooLarge("ambient group too large for overgroup search")
-    elems = set(G.elements)
-    seen = set()
-    out = []
-    for g in sorted(ambient):
-        if g in elems or g in seen:
-            continue
-        seen.add(g)
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for h in G.generators:
-                    for y in (mat_mul(h, x, N), mat_mul(x, h, N)):
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-            frontier = nxt
-        H = close_group(N, list(G.generators) + [g])
-        if not any(H.equals(Ho) for Ho in out):
-            out.append(H)
-    return out
-
-
-def _all_degeneracy_data(S, k):
-    """Degeneracy matrices to/from every strictly larger group, as pairs of
-    (alpha matrix, beta matrix) together with the target space."""
-    from .groups import coset_table
-    out = []
-    Gamma = S.table
-    for H in proper_overgroups(S.G):
-        TH = coset_table(H)
-        SH = build_space(TH, k)
-        for data in enumerate_degeneracy(Gamma, TH):
-            alpha = degeneracy_alpha_dual(S, SH, data)
-            beta = degeneracy_beta_dual(SH, S, data)
-            out.append((data, SH, alpha, beta))
-    return out
-
-
-def new_subspace(S, cusp_basis):
-    """Basis of the part of the cuspidal subspace killed by every
-    degeneracy map to a strictly larger group."""
-    maps = _all_degeneracy_data(S, S.k)
-    current = [list(v) for v in cusp_basis]
-    for _, SH, alpha, _ in maps:
-        if not current:
-            break
-        images = la.mat_mul(current, la.transpose(alpha))
-        if la.is_zero_matrix(images):
-            continue
-        current = la.mat_mul(la.kernel_of_rows(images), current)
-        current = [v for v in current if any(x != 0 for x in v)]
-    return current
-
-
-def old_subspace(S, cusp_basis):
-    """Basis of the span of the images of the degeneracy maps from all
-    strictly larger groups, intersected with the cuspidal subspace."""
-    maps = _all_degeneracy_data(S, S.k)
-    rows = []
-    for _, SH, _, beta in maps:
-        images = la.mat_mul(cuspidal_subspace(SH), la.transpose(beta))
-        rows.extend(img for img in images if any(x != 0 for x in img))
-    return la.row_space_basis(rows)

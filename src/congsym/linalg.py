@@ -111,11 +111,6 @@ def kernel(rows, sparse=False):
     return _lists(red.nullspace_from_rref(pivots))
 
 
-def kernel_of_rows(rows):
-    """Basis of {c : sum_i c_i * rows[i] = 0} (left kernel)."""
-    return kernel(transpose(rows))
-
-
 def row_space_basis(rows):
     red, pivots = rref(rows)
     return red[: len(pivots)]

@@ -21,10 +21,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = cs
 
-    @staticmethod
-    def x_power(n, c=1):
-        return UniPoly([0] * n + [c])
-
     @property
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial

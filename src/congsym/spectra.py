@@ -116,8 +116,6 @@ class HeckePiece:
         self.label = label          # charpoly at the smallest good prime
         self.label_prime = label_prime
         self.isotypic = isotypic
-        self.is_new = None
-        self.dual = None
 
     def restricted(self, mat):
         return la.restrict_to_invariant_subspace(mat, self.space)
@@ -219,7 +217,6 @@ def dual_vector_space(ctx, piece):
     S = ctx.S
     d = piece.dimension
     if d == 0:
-        piece.dual = []
         return []
     V = ctx.dual_space()
     bound = sturm_bound(S.k, S.table)
@@ -234,7 +231,6 @@ def dual_vector_space(ctx, piece):
         V = la.mat_mul(la.kernel(la.mat_poly_eval(g_p, R)), V)
     if len(V) != d:
         raise RuntimeError("dual space did not converge")
-    piece.dual = V
     return V
 
 

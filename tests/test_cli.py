@@ -167,6 +167,25 @@ def test_hecke_and_bench_need_a_prime(capsys, argv):
     assert err == "error: -p must be a prime, got %s\n" % argv[4]
 
 
+# each exited 0 and ignored the operator; eigensystem printed the standard
+# a_2 = -2
+@pytest.mark.parametrize("argv", [
+    ("eigensystem", "gamma0", "11", "--alpha", "1,0,0,2"),
+    ("hecke", "gamma0", "11", "-p", "2", "--alpha", "1,0,0,3"),
+    ("bench", "gamma0", "11", "-p", "2", "--alpha", "1,0,0,3"),
+], ids=["eigensystem", "hecke", "bench"])
+def test_alpha_prime_must_divide_the_level(capsys, monkeypatch, argv):
+    def no_space(*args):
+        raise RuntimeError("the space was built")
+    monkeypatch.setattr("congsym.cli.sp.build_space", no_space)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    p = argv[-1][-1]
+    assert err == ("error: --alpha %s is for p = %s, which does not divide "
+                   "the level 11\n" % (argv[-1], p))
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "gamma0", "11", "-p", "2")
     assert code == 0

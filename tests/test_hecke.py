@@ -261,16 +261,20 @@ def test_element_of_det():
     assert mat_det(a) == 2
 
 
-def test_degeneracy_alpha_beta_composition():
+@pytest.mark.parametrize("k", [2, 4])
+def test_degeneracy_alpha_beta_composition(k):
+    """alpha_t beta_t is the index of K in Gamma0(11), and both maps commute
+    with T_3.  At k = 4 alpha_t carries the scale det(t)^-(k-2)."""
     low = coset_table(build_family("gamma0", 11))
     high = coset_table(build_family("gamma0", 22))
-    S_low = sp.build_space(low, 2)
-    S_high = sp.build_space(high, 2)
+    S_low = sp.build_space(low, k)
+    S_high = sp.build_space(high, k)
     datas = hk.enumerate_degeneracy(high, low)
     # one t per double coset Gamma0(22) t Gamma0(11): 1, diag(1, 2) and the
     # two Fricke-type matrices; each K has index 3 = [Gamma0(11) : Gamma0(22)]
     assert [d.t for d in datas] == [(1, 0, 0, 1), (1, 0, 0, 2),
                                     (0, -1, 11, 0), (0, -1, 22, 0)]
+    t3_low, t3_high = hk.hecke_tp(S_low, 3), hk.hecke_tp(S_high, 3)
     for d in datas:
         A = hk.degeneracy_alpha_dual(S_high, S_low, d)
         B = hk.degeneracy_beta_dual(S_low, S_high, d)
@@ -279,21 +283,5 @@ def test_degeneracy_alpha_beta_composition():
         comp = la.mat_mul(A, B)
         assert comp == la.mat_scale(
             la.identity_matrix(S_low.dim), S_low.one * idx)
-
-
-def test_new_old_subspaces():
-    S11 = space_for("gamma0", 11)
-    c11 = sp.cuspidal_subspace(S11)
-    assert len(hk.new_subspace(S11, c11)) == 2
-    assert len(hk.old_subspace(S11, c11)) == 0
-    S22 = space_for("gamma0", 22)
-    c22 = sp.cuspidal_subspace(S22)
-    assert len(hk.new_subspace(S22, c22)) == 0
-    assert len(hk.old_subspace(S22, c22)) == 4
-
-
-def test_phi_map_lands_in_cosets(s_gamma0_11):
-    S = s_gamma0_11
-    for mult, m in hk.heilbronn_merel_set(2).pairs:
-        j = hk.phi_map(S, m)
-        assert 0 <= j < S.table.index
+        assert la.mat_mul(A, t3_high) == la.mat_mul(t3_low, A)
+        assert la.mat_mul(t3_high, B) == la.mat_mul(B, t3_low)

@@ -3,8 +3,10 @@
 Every failure in congsym is a documented exception: never an `assert`,
 which `python -O` strips, and never an AssertionError or NotImplementedError
 from deep in the stack.  The library imports neither numpy nor scipy, whose
-import every process would pay for.  And every library name the benchmark's
+import every process would pay for.  Every library name the benchmark's
 tracer wraps exists, so a rename fails here and not only in a traced run.
+And every top-level library function or class has a caller outside the
+unit tests.
 """
 
 import ast
@@ -17,6 +19,9 @@ import sys
 import congsym
 
 FORBIDDEN_RAISES = {"AssertionError", "NotImplementedError"}
+
+# library functions kept for the unit tests alone
+TEST_ONLY_HELPERS = {"mat_sub", "row_space_basis", "in_row_space"}
 
 
 def _raised_name(node):
@@ -80,4 +85,41 @@ def test_traced_names_exist():
     missing = sorted("%s.%s" % (mod, attr) for mod, attr in names
                      if not hasattr(importlib.import_module(
                          "congsym." + modules[mod]), attr))
+    assert missing == []
+
+
+def _names_used(tree):
+    """Every identifier a tree names: names, attributes, and string
+    constants (the tracer wraps functions by their names as strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_library_function_has_a_caller():
+    """Each top-level def or class of congsym is named outside its own body:
+    in a library module, in perfbench/attempt.py or in the acceptance
+    tests.  A name only the unit tests reach is dead code."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    defined = {}
+    used = set()
+    for path in sorted(pathlib.Path(congsym.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            names = _names_used(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined["%s:%s" % (path.name, node.name)] = node.name
+                # a def naming itself inside its own body does not call it
+                names.discard(node.name)
+            used |= names
+    for path in (root / "perfbench" / "attempt.py",
+                 root / "tests" / "test_acceptance.py"):
+        used |= _names_used(ast.parse(path.read_text(), str(path)))
+    missing = sorted(where for where, name in defined.items()
+                     if name not in used and name not in TEST_ONLY_HELPERS)
     assert missing == []

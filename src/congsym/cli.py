@@ -150,14 +150,29 @@ def _emit_json(obj):
 
 # --------------------------------------------------------------- commands
 
+def _swept_primes(args):
+    """The primes at which a command computes T_p: -p for hecke, the -p
+    list (default 2) for bench, None for the other commands."""
+    if args.command == "hecke":
+        return [args.p]
+    if args.command == "bench":
+        return args.p or [2]
+    return None
+
+
 def _context(args):
     G = parse_group(args.group)
+    swept = _swept_primes(args)
     for a in getattr(args, "alpha", None) or []:
         p = _alpha_prime(a)
+        tok = ",".join(map(str, a))
         if G.N % p:
             raise CliInputError("--alpha %s is for p = %d, which does not "
-                                "divide the level %d"
-                                % (",".join(map(str, a)), p, G.N))
+                                "divide the level %d" % (tok, p, G.N))
+        if swept is not None and p not in swept:
+            raise CliInputError("--alpha %s is for p = %d, which is not a -p "
+                                "prime (%s)"
+                                % (tok, p, ", ".join(map(str, swept))))
     Gamma = coset_table(G)
     S = sp.build_space(Gamma, args.weight)
     return G, Gamma, S
@@ -275,7 +290,7 @@ def cmd_eigensystem(args):
 
 def cmd_bench(args):
     G, Gamma, S = _context(args)
-    primes = args.p or [2]
+    primes = _swept_primes(args)
     rows = []
     for p in primes:
         timings = {}

@@ -1,6 +1,12 @@
 """Subgroups of GL2(Z/N), induced congruence subgroups of SL2(Z), coset
 tables, lifting and generators.
 
+The coset table of Gamma_G \\ SL2(Z) = G0 \\ SL2(Z/N) (G0 the determinant-one
+part of G) is read off first columns: x and its first column v = x e1
+determine the coset through the G0-orbit of v and one coordinate t mod N,
+so the table holds O(N^2) entries (one per primitive vector mod N and one
+per coset) and never one per element of SL2(Z/N); see CongruenceSubgroup.
+
 Matrices mod N and over Z are row-major 4-tuples (a, b, c, d) for
 [[a, b], [c, d]].
 """
@@ -175,71 +181,149 @@ def lift_to_sl2(g, N):
 
 
 class CongruenceSubgroup:
-    """Coset table of Gamma_G \\ SL2(Z) via G0 \\ SL2(Z/N)."""
+    """Coset table of Gamma_G \\ SL2(Z) via G0 \\ SL2(Z/N), read through a
+    first-column frame.
+
+    Write e1 = (1, 0) and u_t = ((1, t), (0, 1)).  The first column v = x e1
+    of x in SL2(Z/N) is a primitive vector, and the stabilizer of e1 is
+    {u_t}.  Each G0-orbit O of first columns gets an element s_O whose first
+    column v_O lies in O (the first matrix met with a column in O), and
+    every coset is G0 s_O u_t for one t.  With g_v in G0 such that
+    g_v v_O = v and h_v = s_O^-1 g_v^-1, the coset of x is that of
+    s_O u_t with t = h_v[0] x[1] + h_v[1] x[3] mod N.  Two such t give one
+    coset exactly when they differ by an element of
+    W_O = {s : s_O u_s s_O^-1 in G0} = d_O Z/N, read off the stabilizer of
+    v_O in G0, so the coset depends on t mod d_O only.  The table is
+
+    - _frame, a list indexed by a N + c: for each primitive (a, c) the
+      triple (cosets of its orbit, h_v[0], h_v[1]), and None elsewhere;
+    - per orbit, the list of its d_O coset indices, indexed by t mod d_O.
+
+    That is O(N^2) entries plus one per coset; nothing has one entry per
+    element of SL2(Z/N).  The cosets are numbered by breadth-first search
+    over right multiplication by S and T from the identity, and perm_S,
+    perm_T are the actions of S and T on them."""
 
     def __init__(self, G, cap=GROUP_CAP):
         self.G = G
         N = self.N = G.N
         total = sl2_order(N)
         g0 = G.G0
+        self._t_cycles = None
         if N == 1:
             self.index = 1
             self.reps = [IDENT]
             self.reps_mod = [(0, 0, 0, 0)]
             self.perm_S = [0]
             self.perm_T = [0]
-            self.coset_of = {(0, 0, 0, 0): 0}
+            self._frame = [([0], 0, 0)]
             return
         if total > cap:
             raise GroupTooLarge("SL2(Z/%d) has %d elements, beyond the cap" % (N, total))
         sm = mat_mod(S_MAT, N)
         tm = mat_mod(T_MAT, N)
         ident = mat_mod(IDENT, N)
-        coset_of = {}
+        frame = self._frame = [None] * (N * N)
         reps_mod = []
         perm_s = []
         perm_t = []
 
-        def new_coset(m):
-            idx = len(reps_mod)
-            reps_mod.append(m)
-            perm_s.append(-1)
-            perm_t.append(-1)
+        def add_orbit(s):
+            """Enter the G0-orbit of the first column of s in the frame,
+            with s_O = s."""
+            a, b, c, d = s
+            width = N
+            members = {a * N + c: (d % N, -b % N)}    # h = first row of s^-1
             for g in g0:
-                coset_of[mat_mul(g, m, N)] = idx
-            return idx
+                x = (g[0] * a + g[1] * c) % N
+                y = (g[2] * a + g[3] * c) % N
+                if x == a and y == c:
+                    # g = s u_w s^-1 with w the (0, 1) entry of s^-1 g s
+                    width = gcd(width, d * (g[0] * b + g[1] * d)
+                                - b * (g[2] * b + g[3] * d))
+                elif x * N + y not in members:
+                    # first row of s^-1 g^-1, g^-1 = (g3, -g1, -g2, g0)
+                    members[x * N + y] = ((d * g[3] + b * g[2]) % N,
+                                          -(d * g[1] + b * g[0]) % N)
+            cosets = [None] * width
+            for key, (h0, h1) in members.items():
+                frame[key] = (cosets, h0, h1)
 
-        new_coset(ident)
+        def coset_of(m):
+            """Index of the coset of m, numbered here when it is new."""
+            if frame[m[0] * N + m[2]] is None:
+                add_orbit(m)
+            cosets, t = self._place(m)
+            if cosets[t] is None:
+                cosets[t] = len(reps_mod)
+                reps_mod.append(m)
+                perm_s.append(-1)
+                perm_t.append(-1)
+            return cosets[t]
+
+        coset_of(ident)
         i = 0
         while i < len(reps_mod):
             m = reps_mod[i]
-            for gen, perm in ((sm, perm_s), (tm, perm_t)):
-                y = mat_mul(m, gen, N)
-                j = coset_of.get(y)
-                if j is None:
-                    j = new_coset(y)
-                perm[i] = j
+            perm_s[i] = coset_of(mat_mul(m, sm, N))
+            perm_t[i] = coset_of(mat_mul(m, tm, N))
             i += 1
         self.index = len(reps_mod)
         if self.index * len(g0) != total:
             raise RuntimeError("%d cosets of a group of order %d do not "
                                "cover SL2(Z/%d)" % (self.index, len(g0), N))
         self.reps_mod = reps_mod
-        self.coset_of = coset_of
         self.perm_S = perm_s
         self.perm_T = perm_t
         self.reps = [IDENT] + [lift_to_sl2(m, N) for m in reps_mod[1:]]
 
     def coset_index(self, x):
         """Index i with x in Gamma * reps[i]; x is an integer SL2 matrix."""
-        if self.N == 1:
-            return 0
-        return self.coset_of[mat_mod(x, self.N)]
+        return self.coset_index_mod(mat_mod(x, self.N))
 
     def coset_index_mod(self, m):
-        if self.N == 1:
-            return 0
-        return self.coset_of[m]
+        """Index i with m in G0 * reps_mod[i]; m is in SL2(Z/N), with
+        entries reduced mod N."""
+        cosets, t = self._place(m)
+        return cosets[t]
+
+    def _place(self, m):
+        """The coset list of the orbit of m's first column, and the
+        position t mod d_O of m in it."""
+        entry = self._frame[m[0] * self.N + m[2]]
+        if entry is None:
+            raise KeyError("%r has no primitive first column mod %d"
+                           % (m, self.N))
+        cosets, h0, h1 = entry
+        return cosets, (h0 * m[1] + h1 * m[3]) % len(cosets)
+
+    def line_cosets(self, m, shifts):
+        """The coset indices of m u_s for s in shifts, u_s = ((1, s), (0, 1))
+        and m in SL2(Z/N) reduced mod N.  m u_s has the first column of m,
+        so one frame entry serves every s, and its coordinate t is that of
+        m plus s (h_v[0] m[0] + h_v[1] m[2])."""
+        cosets, h0, h1 = self._frame[m[0] * self.N + m[2]]
+        t0 = h0 * m[1] + h1 * m[3]
+        dt = h0 * m[0] + h1 * m[2]
+        return [cosets[(t0 + s * dt) % len(cosets)] for s in shifts]
+
+    def t_cycles(self):
+        """Per coset j, the pair (c, e) with c the cycle of perm_T through j,
+        listed from its least coset, and e the place of j in c: the coset
+        of reps_mod[j] T^q is c[(e + q) % len(c)].  Built on first use."""
+        if self._t_cycles is None:
+            out = [None] * self.index
+            for s in range(self.index):
+                if out[s] is None:
+                    cycle = [s]
+                    j = self.perm_T[s]
+                    while j != s:
+                        cycle.append(j)
+                        j = self.perm_T[j]
+                    for e, j in enumerate(cycle):
+                        out[j] = (cycle, e)
+            self._t_cycles = out
+        return self._t_cycles
 
     def contains(self, x):
         """Is the integer matrix x in Gamma_G (det 1 and reduction in G0)?"""

@@ -220,23 +220,16 @@ def condition_cn_check(H):
     return True
 
 
-def cremona_walk(p, x=IDENT, n=0):
-    """The products x M, reduced mod n when n > 0, for the members M of
-    Cremona's determinant-p family for a prime p (Algorithms for Modular
-    Elliptic Curves, 1997, section 2.4), in order: diag(1, p) and, for each
-    |r| <= p/2, the matrices met while expanding -p/r in a continued
-    fraction with nearest-integer quotients (halves rounded away from zero),
-    starting from ((p, -r), (0, 1)).  A step with quotient q right-multiplies
-    the member by ((0, -1), (1, q)), so the product takes the same step,
-    (a, b, c, d) -> (b, q b - a, d, q d - c), and no member is formed."""
-    a0, b0, c0, d0 = x
-    out = [mat_mul(x, (1, 0, 0, p), n)]
+def cremona_quotients(p):
+    """Cremona's determinant-p family for a prime p (Algorithms for Modular
+    Elliptic Curves, 1997, section 2.4) as steps: for each |r| <= p/2, in
+    increasing order, the pair (r, qs) with qs the nearest-integer quotients
+    (halves rounded away from zero) of the continued fraction of -p/r.  The
+    members of r start at ((p, -r), (0, 1)), and a quotient q
+    right-multiplies a member by ((0, -1), (1, q)) = S T^q."""
+    out = []
     for r in range(-(p // 2), p // 2 + 1):
-        # x ((p, -r), (0, 1))
-        x1, x2, y1, y2 = a0 * p, b0 - a0 * r, c0 * p, d0 - c0 * r
-        if n:
-            x1, x2, y1, y2 = x1 % n, x2 % n, y1 % n, y2 % n
-        out.append((x1, x2, y1, y2))
+        qs = []
         a, b = -p, r
         while b:
             # a/b rounded to the nearest integer; gcd(a, b) = 1, so a tie
@@ -245,6 +238,26 @@ def cremona_walk(p, x=IDENT, n=0):
             if (b == 2 or b == -2) and (a < 0) != (b < 0):
                 q -= 1
             a, b = -b, a - b * q
+            qs.append(q)
+        out.append((r, qs))
+    return out
+
+
+def cremona_walk(p, x=IDENT, n=0):
+    """The products x M, reduced mod n when n > 0, for the members M of
+    Cremona's determinant-p family, in order: diag(1, p), then for each r
+    the start ((p, -r), (0, 1)) and the members of the steps of
+    cremona_quotients.  A step with quotient q takes the product
+    (a, b, c, d) to (b, q b - a, d, q d - c), so no member is formed."""
+    a0, b0, c0, d0 = x
+    out = [mat_mul(x, (1, 0, 0, p), n)]
+    for r, qs in cremona_quotients(p):
+        # x ((p, -r), (0, 1))
+        x1, x2, y1, y2 = a0 * p, b0 - a0 * r, c0 * p, d0 - c0 * r
+        if n:
+            x1, x2, y1, y2 = x1 % n, x2 % n, y1 % n, y2 % n
+        out.append((x1, x2, y1, y2))
+        for q in qs:
             if n:
                 x1, x2, y1, y2 = x2, (q * x2 - x1) % n, y2, (q * y2 - y1) % n
             else:
@@ -260,6 +273,41 @@ def heilbronn_cremona_set(p):
     return HeilbronnSet(p, [(1, M) for M in cremona_walk(p)])
 
 
+def cremona_cosets(table, p):
+    """The function x -> the cosets of x M for the members M of Cremona's
+    family of the odd prime p, in cremona_walk order, for x in SL2(Z/N)
+    with p prime to N.  It walks on coset indices.  Of the p + 1 starts,
+    x diag(1, p) is looked up in the table, and the
+    x ((p, -r), (0, 1)) = y u_s, with y = x ((p, 0), (0, 1)) and
+    s = -r p^-1 mod N, share the first column of y, so they are read off
+    together (table.line_cosets).
+    A step with quotient q right-multiplies the member by S T^q, which
+    takes coset j to T^q(perm_S[j]), a shift along a T-cycle
+    (table.t_cycles).  The quotients are computed once."""
+    N = table.N
+    quotients = cremona_quotients(p)
+    pinv = inv_mod(p % N, N)
+    shifts = [-r * pinv % N for r, _ in quotients]
+    cycles = table.t_cycles()
+    after_s = [cycles[j] for j in table.perm_S]
+    index = table.coset_index_mod
+    diag = (1, 0, 0, p)
+
+    def coset_list(x):
+        a, b, c, d = x
+        out = [index(mat_mul(x, diag, N))]
+        starts = table.line_cosets((p * a % N, b, p * c % N, d), shifts)
+        for j, (_, qs) in zip(starts, quotients):
+            out.append(j)
+            for q in qs:
+                cycle, e = after_s[j]
+                j = cycle[(e + q) % len(cycle)]
+                out.append(j)
+        return out
+
+    return coset_list
+
+
 def hecke_counts(S, n, H=None):
     """The first step of hecke_sweep: the function t -> T_n applied to basis
     symbol t as integer counts on the free module of Manin symbols, a dict
@@ -268,37 +316,36 @@ def hecke_counts(S, n, H=None):
     The family H defaults to Cremona's for an odd prime n (smaller, and
     built in O(n log n) steps) and to Merel's otherwise.  Each member M
     sends t = [P, r_i] to [M^adj P, r_i M]; the coset of r_i M is that of
-    pre r_i M mod N, pre the least element of G of determinant n, scaled by
-    n^-1.  Cremona's family is not listed: cremona_walk started at pre r_i
-    gives these products, so the sweep only counts cosets.  If no element
-    of G has determinant n mod N the operator is zero."""
+    x M with x = pre r_i mod N, pre the least element of G of determinant
+    n, scaled by n^-1.  Cremona's family is walked on coset indices
+    (cremona_cosets, its quotients computed once per call); Merel's family
+    and an explicit H look up each product x M in the coset table.  If no
+    element of G has determinant n mod N the operator is zero."""
     if _det_free(S, n):
         return lambda t: {}
     if n == 1:
         return lambda t: {S.gen_index(*S.basis_tags[t]): 1}
-    N = S.table.N
+    table = S.table
+    N = table.N
     m = S.m
     stride = m + 1
-    coset_of = S.table.coset_of
     ninv = inv_mod(n % N, N)
     pre = mat_mod(tuple(ninv * x for x in find_det_element(S.G, n)), N)
     if H is None and n % 2 and is_prime(n):
-        # Cremona's family is walked from each start; its members are listed
-        # only for their polynomial action at m > 0
         mults = None        # every multiplicity is one
+        # listed only for their polynomial action at m > 0
         members = heilbronn_cremona_set(n) if m else None
-
-        def products(x):
-            return cremona_walk(n, x, N)
+        coset_list = cremona_cosets(table, n)
     else:
         members = heilbronn_merel_set(n) if H is None else H
         mults = [u for u, _ in members]
         if all(u == 1 for u in mults):
             mults = None
+        index = table.coset_index_mod
         family = [mat_mod(M, N) for _, M in members]
 
-        def products(x):
-            return [mat_mul(x, M, N) for M in family]
+        def coset_list(x):
+            return [index(mat_mul(x, M, N)) for M in family]
     # polynomial action of each member on the monomial of weight w, in the
     # family's order; the family acts through the adjugate (matching the
     # double-coset operator)
@@ -306,8 +353,7 @@ def hecke_counts(S, n, H=None):
 
     def counts(t):
         w, i = S.basis_tags[t]
-        cosets = map(coset_of.__getitem__,
-                     products(mat_mul(pre, S.table.reps_mod[i], N)))
+        cosets = coset_list(mat_mul(pre, table.reps_mod[i], N))
         if m == 0 and mults is None:
             return Counter(cosets)
         out = {}

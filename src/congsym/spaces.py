@@ -321,23 +321,11 @@ def build_space(Gamma, k):
 # ------------------------------------------------------------- cusp classes
 
 def orbit_table(Gamma):
-    """T-orbit table: per coset a pair (orbit id, exponent)."""
-    n = Gamma.index
-    orbit = [-1] * n
-    expo = [0] * n
-    oid = 0
-    for s in range(n):
-        if orbit[s] != -1:
-            continue
-        j = s
-        e = 0
-        while orbit[j] == -1:
-            orbit[j] = oid
-            expo[j] = e
-            j = Gamma.perm_T[j]
-            e += 1
-        oid += 1
-    return list(zip(orbit, expo))
+    """T-orbit table: per coset a pair (orbit id, exponent), orbits numbered
+    in the order of their least cosets and exponents counted from those."""
+    ids = {}
+    return [(ids.setdefault(cycle[0], len(ids)), e)
+            for cycle, e in Gamma.t_cycles()]
 
 
 def _apply_to_vector(g, w):

@@ -186,6 +186,27 @@ def test_alpha_prime_must_divide_the_level(capsys, monkeypatch, argv):
                    "the level 11\n" % (argv[-1], p))
 
 
+# hecke exited 0 and printed T_2 without the operator; hecke -p 3 exited 4
+# as if no --alpha were given; bench ignored it
+@pytest.mark.parametrize("argv, swept", [
+    (("hecke", "gamma0", "33", "-p", "2", "--alpha", "1,0,0,11"), "2"),
+    (("hecke", "gamma0", "33", "-p", "3", "--alpha", "1,0,0,11"), "3"),
+    (("bench", "gamma0", "33", "-p", "2", "-p", "5", "--alpha", "1,0,0,3"),
+     "2, 5"),
+    (("bench", "gamma0", "33", "--alpha", "1,0,0,11"), "2"),
+], ids=["hecke-2", "hecke-3", "bench-2-5", "bench-default"])
+def test_alpha_prime_must_be_a_swept_prime(capsys, monkeypatch, argv, swept):
+    def no_space(*args):
+        raise RuntimeError("the space was built")
+    monkeypatch.setattr("congsym.cli.sp.build_space", no_space)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    p = argv[-1].split(",")[-1]
+    assert err == ("error: --alpha %s is for p = %s, which is not a -p "
+                   "prime (%s)\n" % (argv[-1], p, swept))
+
+
 def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "gamma0", "11", "-p", "2")
     assert code == 0

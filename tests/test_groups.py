@@ -1,10 +1,14 @@
+import hashlib
+import tracemalloc
+
 import pytest
 
 from math import gcd
 
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
                             gamma_generators, is_real_type, find_det_element,
-                            mat_det, mat_mod, GroupTooLarge, S_MAT, T_MAT)
+                            mat_det, mat_inv_mod, mat_mod, mat_mul,
+                            GroupTooLarge, S_MAT, T_MAT)
 from congsym.families import build_family
 
 
@@ -49,6 +53,58 @@ def test_coset_table_permutations():
     assert sorted(Gamma.perm_T) == list(range(n))
     for i in range(n):
         assert Gamma.coset_index(Gamma.reps[i]) == i
+
+
+@pytest.mark.parametrize("tag, param", [
+    ("gamma0", 33), ("gamma1", 13), ("gamma", 8), ("gamma_full", 12),
+    ("ns", 15), ("ns_plus", 13), ("s4", 13), ("gamma_full", 1)])
+def test_coset_index_is_the_coset(tag, param):
+    """For every x in SL2(Z/N), listed by brute force, x reps_mod[i]^-1 lies
+    in G for i = coset_index_mod(x), and each coset is met |G0| times."""
+    G = build_family(tag, param)
+    Gamma = coset_table(G)
+    N = G.N
+    hits = [0] * Gamma.index
+    for a in range(N):
+        for b in range(N):
+            for c in range(N):
+                for d in range(N):
+                    x = (a, b, c, d)
+                    if (a * d - b * c - 1) % N:
+                        continue
+                    i = Gamma.coset_index_mod(x)
+                    r = Gamma.reps_mod[i]
+                    assert mat_mul(x, mat_inv_mod(r, N), N) in G.elements
+                    hits[i] += 1
+    assert hits == [len(G.G0)] * Gamma.index
+
+
+@pytest.mark.parametrize("tag, param, digest", [
+    ("ns_plus", 53, "7c9e66500d0fea8e061e86a424a6fd65"
+                    "02b3e546476bed284e83d731b68f1b95"),
+    ("gamma0", 33, "a0496157c76308ad84022967bc01b237"
+                   "a727d18e6ee12205e3c4f0c0839378df"),
+])
+def test_coset_table_pinned(tag, param, digest):
+    """The coset numbering and the S, T actions, as recorded from the
+    coset table that kept a dict over all of SL2(Z/N)."""
+    T = coset_table(build_family(tag, param))
+    text = repr((T.reps_mod, T.perm_S, T.perm_T))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("param, limit_mib", [(53, 2), (97, 5)])
+def test_coset_table_memory(param, limit_mib):
+    """The table keeps O(N^2) entries: a dict over SL2(Z/N) took 15.4 MiB
+    at ns_plus 53 and 108 MiB at ns_plus 97 under tracemalloc."""
+    G = build_family("ns_plus", param)
+    tracemalloc.start()
+    try:
+        coset_table(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2 ** 20
 
 
 def test_lift_to_sl2():

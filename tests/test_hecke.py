@@ -98,6 +98,28 @@ def test_cremona_walk_equals_materialised_family(tag, param, k):
                 [mat_mul(x, M, N) for M in reduced]
 
 
+@pytest.mark.parametrize("tag, param", [("gamma0", 33), ("ns_plus", 17),
+                                        ("gamma1", 13)])
+def test_cremona_cosets_follow_the_matrix_walk(tag, param):
+    """The walk on coset indices meets, in order, the cosets of the products
+    of cremona_walk, from the start x = pre r_i of every column of T_p at
+    k = 3 and every odd prime p <= 31 prime to N; the order is the one the
+    polynomial action pairs with."""
+    S = space_for(tag, param, 3)
+    table = S.table
+    N = table.N
+    for p in range(3, 32):
+        if not is_prime(p) or N % p == 0:
+            continue
+        walk = hk.cremona_cosets(table, p)
+        pre = mat_mod(tuple(inv_mod(p % N, N) * x
+                            for x in find_det_element(S.G, p)), N)
+        for _, i in S.basis_tags:
+            x = mat_mul(pre, table.reps_mod[i], N)
+            assert walk(x) == [table.coset_index_mod(y)
+                               for y in hk.cremona_walk(p, x, N)]
+
+
 ODD_PRIMES_30 = tuple(p for p in range(3, 30) if is_prime(p))
 
 

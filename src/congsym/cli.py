@@ -75,7 +75,10 @@ def parse_group(tokens):
         if len(tokens) != 2:
             raise CliInputError(
                 "family %r takes exactly one parameter" % tag)
-        return build_family(tag, _parse_int(tokens[1], "family parameter"))
+        try:
+            return build_family(tag, _parse_int(tokens[1], "family parameter"))
+        except ValueError as exc:
+            raise CliInputError(str(exc))
     N = _parse_int(tag, "level (or a family tag: %s)"
                    % "|".join(sorted(FAMILY_BUILDERS)))
     if N < 1:

@@ -2,15 +2,14 @@
 
 Provided families: gamma0, gamma1, gamma_full, gamma (principal, trivial
 group), ns / ns_plus (non-split Cartan and its normalizer; prime level, or
-squarefree odd composite assembled by CRT), and s4 (the quaternion-based
-projectively-S4 group at an odd prime).
+squarefree odd composite, from generators at each prime lifted by CRT), and
+s4 (the quaternion-based projectively-S4 group at an odd prime).
 """
 
 from math import gcd
 
 from .backend import factor_int, is_prime
-from .groups import (close_group, group_from_elements, crt_matrix, S_MAT,
-                     T_MAT, mat_mod)
+from .groups import close_group, crt_matrix, IDENT, S_MAT, T_MAT, mat_mod
 
 
 def _unit_generators(N):
@@ -61,55 +60,36 @@ def least_nonresidue(p):
     raise ValueError("no quadratic non-residue mod %d" % p)
 
 
-def _ns_elements_prime(p):
-    u = least_nonresidue(p)
-    elems = []
-    for a in range(p):
-        for b in range(p):
-            if a == 0 and b == 0:
-                continue
-            elems.append((a, (u * b) % p, b, a))
-    return elems
-
-
-def _ns_plus_elements_prime(p):
-    base = _ns_elements_prime(p)
-    out = list(base)
-    for a, ub, b, d in base:
-        # multiply by diag(1, -1) on the right
-        out.append((a, (-ub) % p, b, (-d) % p))
-    return out
-
-
-def _crt_element_product(parts):
-    """parts: list of (modulus, element list); CRT-combine to the product level."""
-    N, elems = parts[0]
-    for n2, elems2 in parts[1:]:
-        elems = [crt_matrix(g, N, h, n2) for g in elems for h in elems2]
-        N *= n2
-    return N, elems
-
-
-def _ns_like(N, local):
+def _ns_like(N, plus):
+    """Generated, at each p | N, by a + sqrt(u) for a in F_p (u the least
+    non-residue, sqrt(u) = ((0, u), (1, 0))) and the scalars, as
+    x + y sqrt(u) = y (x/y + sqrt(u)), and with plus by diag(1, -1); each
+    lifted by CRT with the identity at the other primes."""
     if N % 2 == 0 or N < 3:
         raise ValueError("non-split Cartan level must be an odd prime or "
                          "squarefree odd composite, got %d" % N)
     fac = factor_int(N)
     if any(e > 1 for e in fac.values()):
         raise ValueError("non-split Cartan level must be squarefree, got %d" % N)
-    parts = [(p, local(p)) for p in sorted(fac)]
-    level, elems = _crt_element_product(parts)
-    return group_from_elements(level, set(elems))
+    gens = []
+    for p in sorted(fac):
+        u = least_nonresidue(p)
+        local = [(a, u, 1, a) for a in range(p)]
+        local += [(c, 0, 0, c) for c in _unit_generators(p)]
+        if plus:
+            local.append((1, 0, 0, p - 1))
+        gens += [crt_matrix(g, p, IDENT, N // p) for g in local]
+    return close_group(N, gens)
 
 
 def ns(N):
     """Non-split Cartan subgroup at level N."""
-    return _ns_like(N, _ns_elements_prime)
+    return _ns_like(N, False)
 
 
 def ns_plus(N):
     """Normalizer of the non-split Cartan at level N."""
-    return _ns_like(N, _ns_plus_elements_prime)
+    return _ns_like(N, True)
 
 
 def s4(p):
@@ -127,11 +107,10 @@ def s4(p):
             break
     k = mat_mod((i[0] * j[0] + i[1] * j[2], i[0] * j[1] + i[1] * j[3],
                  i[2] * j[0] + i[3] * j[2], i[2] * j[1] + i[3] * j[3]), p)
-    one = (1, 0, 0, 1)
     gens = [(p - 1, 0, 0, p - 1)]
     for q in (i, j, k):
-        gens.append(tuple((a + b) % p for a, b in zip(one, q)))
-        gens.append(tuple((a - b) % p for a, b in zip(one, q)))
+        gens.append(tuple((a + b) % p for a, b in zip(IDENT, q)))
+        gens.append(tuple((a - b) % p for a, b in zip(IDENT, q)))
     return close_group(p, gens)
 
 
@@ -150,4 +129,6 @@ def build_family(tag, param):
     if tag not in FAMILY_BUILDERS:
         raise ValueError("unknown family %r (known: %s)"
                          % (tag, ", ".join(sorted(FAMILY_BUILDERS))))
+    if param < 1:
+        raise ValueError("family parameter must be positive, got %d" % param)
     return FAMILY_BUILDERS[tag](param)

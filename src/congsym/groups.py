@@ -1,6 +1,12 @@
 """Subgroups of GL2(Z/N), induced congruence subgroups of SL2(Z), coset
 tables, lifting and generators.
 
+A subgroup G of GL2(Z/N) is kept as its determinant-one part G0 and one
+element t_d per determinant d, never as the set of its elements: G0 is
+closed from the Schreier generators t_d g t_(d det g)^-1 (Schreier's lemma
+for the cosets G0 t_d), and g lies in G when det g is a determinant of G
+and g t_(det g)^-1 lies in G0; see close_group.
+
 The coset table of Gamma_G \\ SL2(Z) = G0 \\ SL2(Z/N) (G0 the determinant-one
 part of G) is read off first columns: x and its first column v = x e1
 determine the coset through the G0-orbit of v and one coordinate t mod N,
@@ -66,33 +72,42 @@ def is_unit(x, n):
 
 
 class GroupModN:
-    """Enumerated subgroup of GL2(Z/N)."""
+    """Subgroup G of GL2(Z/N), kept as its determinant-one part G0 (a set)
+    and a transversal {d: t_d}, one element of G per determinant d, so that
+    G is the union of the cosets G0 t_d.  Nothing else has one entry per
+    element of G."""
 
-    def __init__(self, N, generators, elements):
+    def __init__(self, N, generators, G0, transversal):
         self.N = N
         self.generators = list(generators)
-        self.elements = elements  # set of tuples
-        self.G0 = sorted(g for g in elements if mat_det(g) % N == 1 % N)
-        self.det_image = sorted({mat_det(g) % N for g in elements})
-        self._least_of_det = None  # det mod N -> least element, on first use
+        self.G0 = G0
+        self.transversal = transversal
+        self.det_image = sorted(transversal)
+        self._least_of_det = {}  # det mod N -> least element, on first use
 
     def __contains__(self, g):
-        return mat_mod(g, self.N) in self.elements
+        g = mat_mod(g, self.N)
+        t = self.transversal.get(mat_det(g) % self.N)
+        return t is not None and mat_mul(g, mat_inv_mod(t, self.N),
+                                         self.N) in self.G0
 
     def order(self):
-        return len(self.elements)
+        return len(self.G0) * len(self.det_image)
 
     def __repr__(self):
         return "GroupModN(N=%d, order=%d)" % (self.N, self.order())
 
 
 def close_group(N, gens, cap=GROUP_CAP):
-    """Subgroup of GL2(Z/N) generated by gens, by breadth-first closure."""
+    """Subgroup of GL2(Z/N) generated by gens, without listing its elements.
+
+    A breadth-first search over the determinants finds the transversal
+    t_d (t_1 the identity).  By Schreier's lemma G0 is generated by the
+    t_d g t_(d det g)^-1, closed under them one at a time: one already in
+    G0 is skipped; a new one multiplies all of G0 so far, and every
+    generator multiplies the elements that adds.  cap bounds |G0|."""
     if N < 1:
         raise ValueError("modulus must be positive")
-    if N == 1:
-        e = (0, 0, 0, 0)
-        return GroupModN(1, [], {e})
     norm = []
     for g in gens:
         gm = mat_mod(tuple(g), N)
@@ -100,40 +115,34 @@ def close_group(N, gens, cap=GROUP_CAP):
             raise ValueError("generator %r is not invertible mod %d" % (g, N))
         norm.append(gm)
     ident = mat_mod(IDENT, N)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in norm:
-                y = mat_mul(x, g, N)
-                if y not in elements:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge("group exceeds %d elements" % cap)
-                    elements.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return GroupModN(N, norm, elements)
-
-
-def group_from_elements(N, elements):
-    gens = minimize_generators(N, elements)
-    return GroupModN(N, gens, set(elements))
-
-
-def minimize_generators(N, elements):
-    """Small generating set for a subgroup given by its element set."""
-    if N == 1:
-        return []
-    gens = []
-    closed = {mat_mod(IDENT, N)}
-    for e in sorted(elements):
-        if e not in closed:
-            gens.append(e)
-            closed = close_group(N, gens).elements
-            if len(closed) == len(elements):
-                break
-    return gens
+    trans = {1 % N: ident}
+    dets = [1 % N]
+    for d in dets:
+        for g in norm:
+            e = d * mat_det(g) % N
+            if e not in trans:
+                trans[e] = mat_mul(trans[d], g, N)
+                dets.append(e)
+    G0 = {ident}
+    schreier = []
+    for d in dets:
+        for g in norm:
+            s = mat_mul(mat_mul(trans[d], g, N),
+                        mat_inv_mod(trans[d * mat_det(g) % N], N), N)
+            if s in G0:
+                continue
+            schreier.append(s)
+            old = len(G0)
+            queue = list(G0)
+            for i, x in enumerate(queue):
+                for h in schreier if i >= old else [s]:
+                    y = mat_mul(x, h, N)
+                    if y not in G0:
+                        if len(G0) >= cap:
+                            raise GroupTooLarge("G0 exceeds %d elements" % cap)
+                        G0.add(y)
+                        queue.append(y)
+    return GroupModN(N, norm, G0, trans)
 
 
 def lift_to_sl2(g, N):
@@ -329,7 +338,7 @@ class CongruenceSubgroup:
         """Is the integer matrix x in Gamma_G (det 1 and reduction in G0)?"""
         if mat_det(x) != 1:
             return False
-        return self.N == 1 or mat_mod(x, self.N) in self.G.elements
+        return mat_mod(x, self.N) in self.G.G0
 
     def __repr__(self):
         return "CongruenceSubgroup(N=%d, index=%d)" % (self.N, self.index)
@@ -379,26 +388,19 @@ def crt_matrix(g1, n1, g2, n2):
 def is_real_type(G):
     """Is G stable under conjugation by eta = diag(-1, 1) mod N?"""
     N = G.N
-    if N == 1:
-        return True
-    eta = mat_mod(ETA_MAT, N)
-    eta_i = mat_inv_mod(eta, N)
-    return all(mat_mul(mat_mul(eta, g, N), eta_i, N) in G.elements for g in G.generators)
+    eta = mat_mod(ETA_MAT, N)     # its own inverse
+    return all(mat_mul(mat_mul(eta, g, N), eta, N) in G
+               for g in G.generators)
 
 
 def find_det_element(G, n):
-    """Least element of G (in tuple order) with determinant n mod N."""
-    N = G.N
-    if N == 1:
-        return (0, 0, 0, 0)
-    if G._least_of_det is None:
-        least = {}
-        for g in G.elements:
-            d = mat_det(g) % N
-            if d not in least or g < least[d]:
-                least[d] = g
-        G._least_of_det = least
-    g = G._least_of_det.get(n % N)
-    if g is None:
-        raise ValueError("no element of determinant %d: T_n undefined for this group" % n)
-    return g
+    """Least element of G (in tuple order) with determinant n mod N: the
+    least of the coset G0 t_n, found once per n."""
+    d = n % G.N
+    if d not in G._least_of_det:
+        t = G.transversal.get(d)
+        if t is None:
+            raise ValueError("no element of determinant %d: T_n undefined "
+                             "for this group" % n)
+        G._least_of_det[d] = min(mat_mul(g, t, G.N) for g in G.G0)
+    return G._least_of_det[d]

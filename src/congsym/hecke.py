@@ -376,12 +376,15 @@ def hecke_counts(S, n, H=None):
 
 def reduce_counts(S, counts):
     """The second step of hecke_sweep: coordinates of an integer combination
-    of free Manin symbols (a dict key -> count) through S.reduce_cols."""
-    vec = S.zero_vector()
+    of free Manin symbols (a dict key -> count) through S.reduce_cols, summed
+    on integers over their common denominator."""
+    den, cols = S.int_reduce_cols()
+    acc = [0] * S.dim
     for key, cnt in counts.items():
-        for pos, cv in S.reduce_cols[key].items():
-            vec[pos] = vec[pos] + cnt * cv
-    return vec
+        for pos, c in cols[key]:
+            acc[pos] += cnt * c
+    made = {a: rat(a, den) for a in set(acc)}     # one rational per value
+    return [made[a] for a in acc]
 
 
 def hecke_sweep(S, n, H=None):

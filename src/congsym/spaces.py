@@ -10,7 +10,7 @@ class of g(P (x) {0, oo}); the right action is [P, g] h = [h^-1 P, g h].
 """
 
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
@@ -117,10 +117,23 @@ class ModSymSpace:
         self.basis_tags = basis_tags
         self.dim = len(basis_tags)
         self._boundary = None
+        self._int_cols = None
 
     @property
     def G(self):
         return self.table.G
+
+    def int_reduce_cols(self):
+        """reduce_cols over their common denominator D, built on first use:
+        (D, cols), cols[key] the integer pairs (pos, D c) of reduce_cols[key].
+        """
+        if self._int_cols is None:
+            den = lcm(*(c.denominator for col in self.reduce_cols
+                        for c in col.values()))
+            self._int_cols = (den, [
+                [(pos, c.numerator * (den // c.denominator))
+                 for pos, c in col.items()] for col in self.reduce_cols])
+        return self._int_cols
 
     def gen_index(self, w, i):
         return i * (self.m + 1) + w

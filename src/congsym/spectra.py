@@ -348,14 +348,10 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     # table[key][i] / (dw dr), for the integer counts of hecke_counts, so
     # a_n = sum_i c_i h_i <e, s>^-1 / (dw dr); the products run on integers
     dw = math.lcm(*(x.denominator for wi in w for x in wi))
-    dr = math.lcm(*(c.denominator for col in S.reduce_cols
-                    for c in col.values()))
+    dr, cols = S.int_reduce_cols()
     w_int = [[x.numerator * (dw // x.denominator) for x in wi] for wi in w]
-    table = []
-    for col in S.reduce_cols:
-        terms = [(pos, c.numerator * (dr // c.denominator))
-                 for pos, c in col.items()]
-        table.append([sum(wi[pos] * c for pos, c in terms) for wi in w_int])
+    table = [[sum(wi[pos] * c for pos, c in col) for wi in w_int]
+             for col in cols]
     scaled = [hi * e_s_inv * rat(1, dw * dr) for hi in h]
 
     def sweep_value(n):

@@ -1,6 +1,8 @@
 import pytest
 
-from congsym.groups import close_group, coset_table
+from congsym.backend import factor_int
+from congsym.groups import (close_group, coset_table, crt_matrix, mat_det,
+                            mat_mod, mat_mul, IDENT)
 from congsym.families import build_family
 from congsym import linalg as la
 from congsym import spaces as sp
@@ -9,6 +11,42 @@ from congsym import spectra as spec
 
 def space_for(tag, param, k=2):
     return sp.build_space(coset_table(build_family(tag, param)), k)
+
+
+def closure_elements(N, gens):
+    """Every element of the subgroup of GL2(Z/N) generated by gens, by
+    breadth-first closure over all of G: the reference for close_group,
+    which lists only G0."""
+    gens = [mat_mod(g, N) for g in gens]
+    elements = {mat_mod(IDENT, N)}
+    frontier = list(elements)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mat_mul(x, g, N)
+                if y not in elements:
+                    elements.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return elements
+
+
+def ns_elements(N, plus):
+    """Every element of the non-split Cartan at squarefree odd N (with plus,
+    of its normalizer), listed at each prime as a + b sqrt(u) (and its
+    product with diag(1, -1)) and combined by CRT: the reference for
+    families.ns and families.ns_plus, which build from generators."""
+    level, elems = 1, [mat_mod(IDENT, 1)]
+    for p in sorted(factor_int(N)):
+        u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+        local = [(a, u * b % p, b, a) for a in range(p) for b in range(p)
+                 if a or b]
+        if plus:
+            local += [(a, -ub % p, b, -d % p) for a, ub, b, d in local]
+        elems = [crt_matrix(g, level, h, p) for g in elems for h in local]
+        level *= p
+    return set(elems)
 
 
 def kernel_of_factor_power(m, g, e):

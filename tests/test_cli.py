@@ -106,6 +106,17 @@ def test_group_parse_exit(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize("tag, param", [
+    ("ns_plus", "9"), ("ns", "4"), ("s4", "2"), ("s4", "9"),
+    ("gamma0", "-3"), ("gamma0", "0"), ("gamma1", "0"), ("gamma", "0")])
+def test_bad_family_parameter_exit(capsys, tag, param):
+    """A parameter the family rejects is an input error, not a traceback."""
+    code, out, err = run_cli(capsys, "dims", tag, param)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_resource_cap_exit(capsys):
     code, _, _ = run_cli(capsys, "dims", "gamma", "512")
     assert code == 3

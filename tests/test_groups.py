@@ -1,15 +1,17 @@
 import hashlib
+import random
 import tracemalloc
+from itertools import product
+from math import gcd
 
 import pytest
-
-from math import gcd
 
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
                             gamma_generators, is_real_type, find_det_element,
                             mat_det, mat_inv_mod, mat_mod, mat_mul,
-                            GroupTooLarge, S_MAT, T_MAT)
+                            GroupTooLarge, ETA_MAT, S_MAT, T_MAT)
 from congsym.families import build_family
+from conftest import closure_elements, ns_elements
 
 
 def test_close_group_orders():
@@ -19,10 +21,18 @@ def test_close_group_orders():
                            (3, 0, 0, 3), (4, 7, 7, 3)]).order() == 48
 
 
+def assert_same_group(G, H):
+    """G = H: the same G0 and determinants, and each t_d of G in H, so
+    G lies in H and has its order."""
+    assert G.G0 == H.G0
+    assert G.det_image == H.det_image
+    assert all(t in H for t in G.transversal.values())
+
+
 @pytest.mark.parametrize("N", [1, 2, 8, 12, 37, 48])
 def test_families_from_unit_generators(N):
     """gamma0, gamma1 and gamma_full close over a generating set of (Z/N)*;
-    their elements are those of the closure over every unit."""
+    they are the closures over every unit."""
     units = [u for u in range(1, N) if gcd(u, N) == 1]
     diag = [(1, 0, 0, u) for u in units]
     full = {
@@ -30,12 +40,80 @@ def test_families_from_unit_generators(N):
         "gamma1": [T_MAT] + diag,
         "gamma_full": [S_MAT, T_MAT] + diag,
     }
-    if N > 12:     # GL2(Z/37) and GL2(Z/48) have over a million elements
-        del full["gamma_full"]
     for tag, gens in full.items():
         G = build_family(tag, N)
-        assert G.elements == close_group(N, gens).elements, tag
+        assert_same_group(G, close_group(N, gens))
         assert len(G.generators) <= len(gens)
+
+
+REFERENCE_GROUPS = [
+    ("gamma0", 1), ("gamma0", 12), ("gamma0", 37), ("gamma1", 16),
+    ("gamma1", 37), ("gamma_full", 1), ("gamma_full", 12), ("gamma", 8),
+    ("gamma", 37), ("ns", 3), ("ns", 15), ("ns", 37), ("ns_plus", 3),
+    ("ns_plus", 13), ("ns_plus", 35), ("ns_plus", 37), ("s4", 5),
+    ("s4", 13), ("s4", 37), ("explicit", 1), ("8e1", 8), ("h155", 16),
+    ("level16", 16)]
+
+
+@pytest.mark.parametrize("tag, param", REFERENCE_GROUPS)
+def test_close_group_matches_full_closure(request, tag, param):
+    """G0 and the transversal describe the group the breadth-first closure
+    over all of G lists (for ns and ns_plus, the group listed as
+    a + b sqrt(u) at each prime): the order, G0, the determinants, the least
+    element of each determinant, real type, and membership, over all of
+    GL2(Z/N) for N <= 12 and over G and random matrices above."""
+    if tag == "explicit":
+        G = close_group(1, [])
+    elif tag in ("8e1", "h155", "level16"):
+        G = request.getfixturevalue("g_" + tag)
+    else:
+        G = build_family(tag, param)
+    N = G.N
+    if tag in ("ns", "ns_plus"):
+        E = ns_elements(N, tag == "ns_plus")
+    else:
+        E = closure_elements(N, G.generators)
+    assert G.order() == len(E)
+    assert G.G0 == {g for g in E if mat_det(g) % N == 1 % N}
+    by_det = {}
+    for g in E:
+        by_det.setdefault(mat_det(g) % N, []).append(g)
+    assert G.det_image == sorted(by_det)
+    for d, elems in by_det.items():
+        assert find_det_element(G, d) == min(elems)
+    eta = mat_mod(ETA_MAT, N)
+    assert is_real_type(G) == all(mat_mul(mat_mul(eta, g, N), eta, N) in E
+                                  for g in E)
+    if N <= 12:
+        mats = product(range(N), repeat=4)
+    else:
+        rng = random.Random(param)
+        mats = [tuple(rng.randrange(N) for _ in range(4))
+                for _ in range(3000)] + list(E)
+    for g in mats:
+        assert (g in G) == (g in E)
+
+
+def test_close_group_memory():
+    """Only G0 is kept: gamma0 211 (|G| = 9 305 100, |G0| = 44 310) took
+    about 1 GB when every element of G was listed."""
+    tracemalloc.start()
+    try:
+        G = build_family("gamma0", 211)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert (G.order(), len(G.G0)) == (9305100, 44310)
+    assert coset_table(G).index == 212
+
+
+def test_cap_counts_g0():
+    """cap bounds the stored G0, not the order of G."""
+    with pytest.raises(GroupTooLarge):
+        close_group(13, [S_MAT, T_MAT], cap=1000)     # |SL2(F13)| = 2184
+    G = close_group(13, build_family("gamma0", 13).generators, cap=1000)
+    assert G.order() == 1872
 
 
 def test_coset_table_indices():
@@ -74,7 +152,7 @@ def test_coset_index_is_the_coset(tag, param):
                         continue
                     i = Gamma.coset_index_mod(x)
                     r = Gamma.reps_mod[i]
-                    assert mat_mul(x, mat_inv_mod(r, N), N) in G.elements
+                    assert mat_mul(x, mat_inv_mod(r, N), N) in G
                     hits[i] += 1
     assert hits == [len(G.G0)] * Gamma.index
 
@@ -143,7 +221,8 @@ def test_find_det_element_is_least():
     for G in (build_family("gamma0", 11), build_family("ns_plus", 13),
               build_family("gamma1", 8)):
         for n in G.det_image:
-            least = min(g for g in G.elements if mat_det(g) % G.N == n)
+            least = min(g for g in closure_elements(G.N, G.generators)
+                        if mat_det(g) % G.N == n)
             assert find_det_element(G, n) == least
             assert find_det_element(G, n + 5 * G.N) == least
 

@@ -5,7 +5,10 @@ nonzero ([] is the zero polynomial).  Number field elements are coordinate
 vectors modulo a monic irreducible polynomial.
 """
 
-import sympy
+from sympy import QQ, ZZ
+from sympy.polys.densetools import dup_clear_denoms
+from sympy.polys.factortools import dup_zz_factor
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from .backend import rat
 
@@ -159,28 +162,28 @@ class UniPoly:
         return "UniPoly(%s)" % self.to_str()
 
 
-def _to_sympy(f, x):
-    return sympy.Poly([rat.to_sympy(c) for c in reversed(f.coeffs)], x)
-
-
-def _from_sympy(p):
-    cs = [rat(c.p, c.q) for c in reversed(p.all_coeffs())]
-    return UniPoly(cs)
-
-
 def factor_rational_poly(f):
     """Factor a nonzero rational polynomial into monic irreducibles.
 
-    Returns a list of (UniPoly, multiplicity); the product of the factors to
-    their multiplicities equals f up to a rational scalar.
+    Returns a list of (UniPoly, multiplicity), by degree and then by
+    coefficients; the product of the factors to their multiplicities equals
+    f up to a rational scalar.  f is cleared to an integer polynomial and
+    split into primitive, coprime square-free parts by Yun's algorithm
+    (sympy's dup_sqf_list); each part is factored by Zassenhaus
+    (dup_zz_factor), and its factors take the part's multiplicity.  Factoring
+    the parts apart is exact because they are coprime (Yun, "On square-free
+    decomposition algorithms", SYMSAC 1976), and much faster on a charpoly
+    with repeated factors than factoring it whole.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
-    x = sympy.Symbol("x")
-    _, factors = _to_sympy(f, x).factor_list()
-    out = [(_from_sympy(p).monic(), m) for p, m in factors]
+    _, g = dup_clear_denoms(f.coeffs[::-1], QQ, ZZ, convert=True)
+    out = []
+    for part, m in dup_sqf_list(g, ZZ)[1]:
+        for h, k in dup_zz_factor(part, ZZ)[1]:
+            out.append((UniPoly([rat(c, h[0]) for c in reversed(h)]), m * k))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

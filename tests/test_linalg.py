@@ -2,6 +2,8 @@ from math import lcm
 
 import pytest
 import sympy
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from congsym.backend import factor_int, rat, XorShift64
 from congsym import linalg as la
@@ -243,50 +245,109 @@ def test_certificate_rejects_an_invariant_lift_with_the_wrong_charpoly():
     e_3 is m-invariant and has the dimension of ker (m - 1)^2, but m has
     charpoly (x - 1)(x - 2) there: the modular charpoly rejects it.  A lift
     of the wrong dimension or not invariant is rejected before that."""
-    m = M([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    da = la._dm_zz(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
     g, h = X - 1, X - 2
-    assert la._is_component(m, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
-    assert not la._is_component(m, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
-    assert not la._is_component(m, M([[1, 0, 0]]), g, 2, [h])
-    assert not la._is_component(m, M([[1, 0, 1], [0, 1, 0]]), g, 2, [h])
+    assert la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(*da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+    assert not la._is_component(*da, M([[1, 0, 0]]), g, 2, [h])
+    assert not la._is_component(*da, M([[1, 0, 1], [0, 1, 0]]), g, 2, [h])
     # planted in a random basis, with a cyclic block of (x - 1)^2 that one
     # eigenvector of it with the x - 2 block does not span
     m = _planted([_companion(G1 ** 2), _companion(X - 2)], 3)
     fac = factor_rational_poly(la.charpoly(m))
     assert fac == [(X - 2, 1), (X - 1, 2)]
     good = kernel_of_factor_power(m, X - 1, 2)
-    assert la._is_component(m, good, X - 1, 2, [X - 2])
+    assert la._is_component(*la._dm_zz(m), good, X - 1, 2, [X - 2])
     wrong = la.row_space_basis(la.kernel(la.mat_poly_eval(X - 1, m))
                                + la.kernel(la.mat_poly_eval(X - 2, m)))
     assert len(wrong) == 2
     la.restrict_to_invariant_subspace(m, wrong)     # invariant: no raise
-    assert not la._is_component(m, wrong, X - 1, 2, [X - 2])
+    assert not la._is_component(*la._dm_zz(m), wrong, X - 1, 2, [X - 2])
 
 
 def test_certificate_skips_a_prime_where_the_factors_meet(monkeypatch):
     """x - 1 and x - 1 - 11 meet mod 11, where a charpoly (x - 1)^a (x - 12)^b
     of the restriction would read as (x - 1)^2 and prove nothing; the
     certificate then goes on to the next prime."""
-    m = M([[1, 0, 0], [0, 1, 0], [0, 0, 12]])
+    da = la._dm_zz(M([[1, 0, 0], [0, 1, 0], [0, 0, 12]]))
     g, h = X - 1, X - 12
     monkeypatch.setattr(la, "_PRIMES", (11,))
-    assert not la._is_component(m, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
     monkeypatch.setattr(la, "_PRIMES", (11, 13))
-    assert la._is_component(m, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
-    assert not la._is_component(m, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+    assert la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(*da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+
+
+def _berkowitz(m):
+    """charpoly(m), highest degree first, by sympy's DomainMatrix.charpoly
+    (Berkowitz over QQ), independent of the modular code under test."""
+    n = len(m)
+    if not n:
+        return [QQ(1)]
+    return DomainMatrix([list(row) for row in m], (n, n), QQ).charpoly()
+
+
+def _random_rational(rng, n, num, den, zeros=0):
+    """n x n with numerators in [-num, num], denominators in [1, den], and
+    an entry 0 with chance zeros / (zeros + 1)."""
+    return [[rat(rng.randint(-num, num), rng.randint(1, den))
+             if rng.randint(0, zeros) == 0 else rat(0) for _ in range(n)]
+            for _ in range(n)]
 
 
 def test_charpoly_mod_matches_charpoly():
-    """The Hessenberg charpoly mod q agrees with the rational charpoly on
-    random matrices, sparse ones where pivots must be searched for or are
-    missing, and entries with denominators."""
+    """The Hessenberg charpoly mod q agrees with sympy's Berkowitz charpoly
+    reduced mod q on random matrices, sparse ones where pivots must be
+    searched for or are missing, and entries with denominators (read mod q
+    as x * d^-1)."""
     rng = XorShift64(17)
     for q in (2, 3, 7, la._PRIMES[0]):
-        for n in range(1, 8):
+        for n in range(8):
             for trial in range(6):
-                m = [[rat(rng.randint(-3, 3) if rng.randint(0, 2) == 0
-                          else 0, rng.randint(1, 1 if q < 10 else 4))
-                      for _ in range(n)] for _ in range(n)]
+                m = _random_rational(rng, n, 3, 1 if q < 10 else 4, zeros=2)
                 expect = [x.numerator * pow(x.denominator, -1, q) % q
-                          for x in reversed(la.charpoly(m).coeffs)]
-                assert la._charpoly_mod(m, q) == expect
+                          for x in _berkowitz(m)]
+                rows = [[x.numerator * pow(x.denominator, -1, q) for x in row]
+                        for row in m]
+                assert la._charpoly_mod(rows, q) == expect
+
+
+def test_charpoly_mod_raises_on_a_failed_inverse():
+    """Mod 15 the pivot 3 has no inverse: the reduction raises rather than
+    skip it."""
+    with pytest.raises(ValueError):
+        la._charpoly_mod([[0, 1, 1], [3, 0, 1], [5, 1, 0]], 15)
+
+
+def test_charpoly_matches_berkowitz():
+    """charpoly against sympy's Berkowitz charpoly on n = 0 and 1, the
+    planted matrices, random rational matrices, dense and sparse, and
+    matrices whose coefficient bound needs several primes."""
+    assert la.charpoly([]) == UniPoly([1])
+    assert la.charpoly(M([[0]])) == X
+    assert la.charpoly([[rat(-3, 7)]]) == X + UniPoly([rat(3, 7)])
+    cases = [_planted(blocks, seed) for blocks, _ in PLANTED.values()
+             for seed in (1, 5)]
+    rng = XorShift64(23)
+    for n in range(2, 12):
+        cases.append(_random_rational(rng, n, 50, 12))
+        cases.append(_random_rational(rng, n, 9, 3, zeros=4))
+    for n, bits in [(6, 100), (12, 200)]:
+        m = [[rat(rng.randint(-2 ** bits, 2 ** bits)) for _ in range(n)]
+             for _ in range(n)]
+        # more than the first prime is needed to exceed twice the bound
+        assert la._charpoly_prime(0) <= 2 * la._coefficient_bound(
+            [[int(x) for x in row] for row in m])
+        cases.append(m)
+        cases.append([[x / 3 ** (i + j) for j, x in enumerate(row)]
+                      for i, row in enumerate(m)])
+    for m in cases:
+        assert la.charpoly(m) == UniPoly(_berkowitz(m)[::-1])
+
+
+def test_charpoly_ignores_the_certificate_primes(monkeypatch):
+    """charpoly reads its own primes, not the certificate's _PRIMES."""
+    m = _planted([_companion(H2 * H1), _companion(G3)], 4)
+    expect = la.charpoly(m)
+    monkeypatch.setattr(la, "_PRIMES", (11,))
+    assert la.charpoly(m) == expect == H2 * H1 * G3

@@ -1,3 +1,5 @@
+import sympy
+
 from congsym.backend import rat, XorShift64
 from congsym.polys import (UniPoly, factor_rational_poly, is_irreducible_poly,
                            NumberField)
@@ -39,6 +41,29 @@ def test_factorization():
     assert fac == [(P(-1, 1), 1), (P(1, 1), 1), (P(2, 1), 2)]
     assert is_irreducible_poly(P(-1, -1, 2, 1))     # x^3+2x^2-x-1
     assert not is_irreducible_poly(P(-1, 0, 1))
+
+
+def test_factorization_matches_sympy():
+    """factor_rational_poly against sympy's factor_list, made monic, on
+    products with repeated factors, rational content and denominators."""
+    x = sympy.Symbol("x")
+    rng = XorShift64(5)
+    pieces = [P(-1, 1), P(1, 1), P(rat(2, 3), 1), P(1, 0, 1), P(-1, -1, 0, 1),
+              P(rat(-1, 2), 0, 1), P(7, -3, 0, 0, 1), P(3, 0, -1, 2, 0, 1)]
+    for trial in range(12):
+        f = P(rat(rng.randint(1, 30), rng.randint(1, 30)) * (-1) ** trial)
+        for g in pieces:
+            f = f * g ** rng.randint(0, 3)
+        if f.degree < 1:
+            continue
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+                   for i, c in enumerate(f.coeffs))
+        expect = []
+        for g, m in sympy.Poly(expr, x).factor_list()[1]:
+            cs = [rat(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+            expect.append((UniPoly(cs).monic(), m))
+        expect.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
+        assert factor_rational_poly(f) == expect
 
 
 def test_number_field():

@@ -1,4 +1,6 @@
-"""Exact rational arithmetic and small integer utilities.
+"""Exact rational arithmetic and small integer utilities.  Factoring,
+primality and divisors are sympy's (factorint, isprime, divisors), and
+inverses mod n are pow(a, -1, n).
 
 The program's one rational type is sympy's QQ: rat(n, d) is QQ(n, d), whose
 elements are gmpy2's mpq when sympy finds gmpy2 and sympy's pure-Python
@@ -11,7 +13,7 @@ seeds give distinct states; a zero result is replaced by the golden-ratio
 constant 0x9E3779B97F4A7C15).  Default seed is 0 everywhere.
 """
 
-from sympy import QQ
+from sympy import QQ, factorint
 
 rat = QQ
 RAT_IMPL = QQ.dtype.__name__
@@ -41,57 +43,12 @@ def egcd(a, b):
     return old_r, old_x, old_y
 
 
-def inv_mod(a, n):
-    if n == 1:
-        return 0
-    g, x, _ = egcd(a % n, n)
-    if g != 1:
-        raise ValueError("%d is not invertible mod %d" % (a, n))
-    return x % n
-
-
-def factor_int(n):
-    """Prime factorization as a dict p -> exponent."""
-    f = {}
-    x = n
-    p = 2
-    while p * p <= x:
-        if x % p == 0:
-            e = 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            f[p] = e
-        p = 3 if p == 2 else p + 2
-    if x > 1:
-        f[x] = f.get(x, 0) + 1
-    return f
-
-
-def divisors(n):
-    ds = [1]
-    for p, e in factor_int(n).items():
-        cur = []
-        pe = 1
-        for _ in range(e + 1):
-            cur.extend(d * pe for d in ds)
-            pe *= p
-        ds = cur
-    return sorted(ds)
-
-
-def is_prime(n):
-    if n < 2:
-        return False
-    return factor_int(n) == {n: 1}
-
-
 def sl2_order(n):
     """|SL2(Z/nZ)| = n^3 * prod over p|n of (1 - 1/p^2)."""
     if n == 1:
         return 1
     order = n ** 3
-    for p in factor_int(n):
+    for p in factorint(n):
         order = order // (p * p) * (p * p - 1)
     return order
 

@@ -17,10 +17,11 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .backend import factor_int, is_prime, rat_str
+from sympy import factorint, isprime
+
+from .backend import rat, rat_str
 from .groups import GroupTooLarge, close_group, coset_table
 from .families import FAMILY_BUILDERS, build_family
 from . import linalg as la
@@ -60,8 +61,8 @@ def _parse_tuple4(tok, what, rational=False):
     out = []
     for p in parts:
         try:
-            out.append(Fraction(p.strip()) if rational else int(p.strip()))
-        except ValueError:
+            out.append(rat(p.strip()) if rational else int(p.strip()))
+        except (ValueError, ZeroDivisionError):
             raise CliInputError("bad entry %r in %s" % (p, what))
     return tuple(out)
 
@@ -100,13 +101,9 @@ def _alpha_matrix(tok):
     """An --alpha value: rational 4-tuple, cleared to a primitive integer
     matrix of positive determinant."""
     fr = _parse_tuple4(tok, "--alpha", rational=True)
-    lcm = 1
-    for x in fr:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
+    den = lcm(*(x.denominator for x in fr))
+    ints = [x.numerator * (den // x.denominator) for x in fr]
+    content = gcd(*ints)
     if content > 1:
         ints = [x // content for x in ints]
     a, b, c, d = ints
@@ -122,7 +119,7 @@ def _alpha_matrix(tok):
 def _alpha_prime(alpha):
     """The unique prime whose power is det(alpha)."""
     det = alpha[0] * alpha[3] - alpha[1] * alpha[2]
-    fac = factor_int(det)
+    fac = factorint(det)
     if len(fac) != 1:
         raise CliInputError(
             "--alpha determinant %d is not a prime power" % det)
@@ -387,7 +384,7 @@ def main(argv=None):
         # hecke takes one -p, bench a list of them or none
         primes = getattr(args, "p", None)
         for p in [primes] if isinstance(primes, int) else primes or []:
-            if not is_prime(p):
+            if not isprime(p):
                 raise CliInputError("-p must be a prime, got %d" % p)
         return args.func(args)
     except CliInputError as exc:

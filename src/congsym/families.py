@@ -8,7 +8,8 @@ s4 (the quaternion-based projectively-S4 group at an odd prime).
 
 from math import gcd
 
-from .backend import factor_int, is_prime
+from sympy import factorint, isprime
+
 from .groups import close_group, crt_matrix, IDENT, S_MAT, T_MAT, mat_mod
 
 
@@ -68,7 +69,7 @@ def _ns_like(N, plus):
     if N % 2 == 0 or N < 3:
         raise ValueError("non-split Cartan level must be an odd prime or "
                          "squarefree odd composite, got %d" % N)
-    fac = factor_int(N)
+    fac = factorint(N)
     if any(e > 1 for e in fac.values()):
         raise ValueError("non-split Cartan level must be squarefree, got %d" % N)
     gens = []
@@ -94,7 +95,7 @@ def ns_plus(N):
 
 def s4(p):
     """Quaternion-unit construction of the projectively-S4 subgroup mod p."""
-    if not is_prime(p) or p == 2:
+    if not isprime(p) or p == 2:
         raise ValueError("s4 family requires an odd prime")
     i = (0, p - 1, 1, 0)
     j = None

@@ -19,7 +19,7 @@ Matrices mod N and over Z are row-major 4-tuples (a, b, c, d) for
 
 from math import gcd
 
-from .backend import egcd, inv_mod, sl2_order
+from .backend import egcd, sl2_order
 
 GROUP_CAP = 2 ** 24
 
@@ -58,7 +58,7 @@ def mat_inv_mod(g, n):
     """Inverse of a matrix with unit determinant mod n."""
     if n == 1:
         return (0, 0, 0, 0)
-    di = inv_mod(mat_det(g) % n, n)
+    di = pow(mat_det(g), -1, n)
     return ((g[3] * di) % n, (-g[1] * di) % n, (-g[2] * di) % n, (g[0] * di) % n)
 
 

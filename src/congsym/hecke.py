@@ -4,16 +4,20 @@ and degeneracy maps between the symbol spaces of two induced congruence
 subgroups.
 
 All operators act on the presentation built in spaces.py and are returned as
-rational matrices, columns being the images of the basis symbols.  The
-double-coset operator and both degeneracy maps are sums of integer matrices
-applied to the basis symbols, one routine (coset_operator) for all three.
+rational matrices, columns being the images of the basis symbols.  Each
+column is built as integer counts on the free Manin symbols and reduced once
+(ModSymSpace.reduce).  The double-coset operator and both degeneracy maps
+are sums of integer matrices applied to the basis symbols, one routine
+(coset_operator) for all three.  A Heilbronn family is a list of integer
+matrices, each of multiplicity one.
 """
 
 from collections import Counter
-from itertools import repeat
 from math import gcd
 
-from .backend import rat, inv_mod, divisors, is_prime
+from sympy import divisors, isprime
+
+from .backend import rat
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, lift_to_sl2,
                      gamma_generators, find_det_element, IDENT)
@@ -51,7 +55,7 @@ def element_of_det(G, n):
     if gcd(nm, N) != 1:
         raise ValueError("determinant %d is not a unit mod %d" % (n, N))
     delta = find_det_element(G, nm)
-    ninv = inv_mod(nm, N)
+    ninv = pow(nm, -1, N)
     gamma = lift_to_sl2(mat_mod((delta[0], delta[1] * ninv,
                                  delta[2], delta[3] * ninv), N), N)
     alpha = (gamma[0], gamma[1] * n, gamma[2], gamma[3] * n)
@@ -109,18 +113,18 @@ def coset_operator(S_src, S_dst, mats):
     sum over B in mats of B [P, r_i] = (B r_i P) (x) {B r_i 0, B r_i oo} in
     S_dst (columns are images of the S_src basis).  The B are integer
     matrices of positive determinant; the weight action is the unscaled
-    adjugate substitution of sym_action."""
+    adjugate substitution of sym_action.  The symbols of a column are summed
+    as integer counts and reduced once."""
     m = S_src.m
     cols = []
     for (w, i) in S_src.basis_tags:
         poly = monomial(m, w)
-        vec = S_dst.zero_vector()
+        counts = {}
         for M in mats:
             B = mat_mul(M, S_src.table.reps[i])
-            acc = S_dst.symbol_coords(sym_action(B, poly), (B[1], B[3]),
-                                      (B[0], B[2]))
-            vec = [x + y for x, y in zip(vec, acc)]
-        cols.append(vec)
+            S_dst.add_symbol(counts, sym_action(B, poly), (B[1], B[3]),
+                             (B[0], B[2]))
+        cols.append(S_dst.reduce(counts))
     return la.transpose(cols)
 
 
@@ -143,7 +147,7 @@ def hecke_tp(S, p, path="merel"):
     zero when no element of G has determinant p mod N (_det_free).
     ValueError when p is not a prime: the naive path would give the single
     double coset of diag(1, p), which is not T_p for composite p."""
-    if not is_prime(p):
+    if not isprime(p):
         raise ValueError("T_p needs a prime p, got %d" % p)
     if path == "merel":
         return hecke_tn_fast(S, p)
@@ -157,24 +161,9 @@ def hecke_tp(S, p, path="merel"):
 
 # ------------------------------------------------------ Heilbronn and Merel
 
-class HeilbronnSet:
-    """A family of integer matrices of determinant n with multiplicities."""
-
-    def __init__(self, n, pairs):
-        self.n = n
-        self.pairs = pairs  # list of (multiplicity, matrix)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-
 def heilbronn_merel_set(n):
-    """The determinant-n family {(a, b; c, d) : a > b >= 0, d > c >= 0},
-    each with multiplicity one."""
-    pairs = []
+    """The determinant-n family {(a, b; c, d) : a > b >= 0, d > c >= 0}."""
+    family = []
     for a in range(1, n + 1):
         for b in range(a):
             q = a - b
@@ -185,8 +174,8 @@ def heilbronn_merel_set(n):
                     continue
                 d = num // a
                 if d > c:
-                    pairs.append((1, (a, b, c, d)))
-    return HeilbronnSet(n, pairs)
+                    family.append((a, b, c, d))
+    return family
 
 
 def col_hnf(M):
@@ -196,17 +185,16 @@ def col_hnf(M):
     return (a, c, b, d)
 
 
-def condition_cn_check(H):
-    """Verify the universal-expansion condition: within each right
-    SL2(Z)-class of determinant-n matrices, the weighted endpoint divisors
-    sum to [oo] - [0]."""
-    n = H.n
+def condition_cn_check(n, family):
+    """Verify the universal-expansion condition for a family of
+    determinant-n matrices: within each right SL2(Z)-class, the endpoint
+    divisors sum to [oo] - [0]."""
     sums = {}
-    for u, M in H:
+    for M in family:
         key = col_hnf(M)
         bucket = sums.setdefault(key, {})
-        for cusp, sign in ((cusp_normalize(M[0], M[2]), u),
-                           (cusp_normalize(M[1], M[3]), -u)):
+        for cusp, sign in ((cusp_normalize(M[0], M[2]), 1),
+                           (cusp_normalize(M[1], M[3]), -1)):
             bucket[cusp] = bucket.get(cusp, 0) + sign
     expected = sorted((a, 0, c, d) for d in divisors(n)
                       for a in [n // d] for c in range(d))
@@ -248,7 +236,9 @@ def cremona_walk(p, x=IDENT, n=0):
     Cremona's determinant-p family, in order: diag(1, p), then for each r
     the start ((p, -r), (0, 1)) and the members of the steps of
     cremona_quotients.  A step with quotient q takes the product
-    (a, b, c, d) to (b, q b - a, d, q d - c), so no member is formed."""
+    (a, b, c, d) to (b, q b - a, d, q d - c), so no member is formed.  From
+    the identity, unreduced, it is the family itself, which satisfies
+    condition C_p for odd p but not for p = 2."""
     a0, b0, c0, d0 = x
     out = [mat_mul(x, (1, 0, 0, p), n)]
     for r, qs in cremona_quotients(p):
@@ -266,13 +256,6 @@ def cremona_walk(p, x=IDENT, n=0):
     return out
 
 
-def heilbronn_cremona_set(p):
-    """Cremona's determinant-p family: the walk of cremona_walk from the
-    identity, unreduced.  Each member has multiplicity one.  It satisfies
-    condition C_p for odd p but not for p = 2."""
-    return HeilbronnSet(p, [(1, M) for M in cremona_walk(p)])
-
-
 def cremona_cosets(table, p):
     """The function x -> the cosets of x M for the members M of Cremona's
     family of the odd prime p, in cremona_walk order, for x in SL2(Z/N)
@@ -286,7 +269,7 @@ def cremona_cosets(table, p):
     (table.t_cycles).  The quotients are computed once."""
     N = table.N
     quotients = cremona_quotients(p)
-    pinv = inv_mod(p % N, N)
+    pinv = pow(p, -1, N)
     shifts = [-r * pinv % N for r, _ in quotients]
     cycles = table.t_cycles()
     after_s = [cycles[j] for j in table.perm_S]
@@ -309,18 +292,18 @@ def cremona_cosets(table, p):
 
 
 def hecke_counts(S, n, H=None):
-    """The first step of hecke_sweep: the function t -> T_n applied to basis
-    symbol t as integer counts on the free module of Manin symbols, a dict
-    key -> count with key j (m + 1) + w for the symbol [x^w y^(m-w), r_j].
+    """The function t -> T_n applied to basis symbol t as integer counts on
+    the free Manin symbols (see ModSymSpace), a dict key -> count.
 
-    The family H defaults to Cremona's for an odd prime n (smaller, and
-    built in O(n log n) steps) and to Merel's otherwise.  Each member M
-    sends t = [P, r_i] to [M^adj P, r_i M]; the coset of r_i M is that of
-    x M with x = pre r_i mod N, pre the least element of G of determinant
-    n, scaled by n^-1.  Cremona's family is walked on coset indices
-    (cremona_cosets, its quotients computed once per call); Merel's family
-    and an explicit H look up each product x M in the coset table.  If no
-    element of G has determinant n mod N the operator is zero."""
+    The family H, a list of determinant-n matrices, defaults to Cremona's
+    for an odd prime n (smaller, and built in O(n log n) steps) and to
+    Merel's otherwise.  Each member M sends t = [P, r_i] to
+    [M^adj P, r_i M]; the coset of r_i M is that of x M with x = pre r_i mod
+    N, pre the least element of G of determinant n, scaled by n^-1.
+    Cremona's family is walked on coset indices (cremona_cosets, its
+    quotients computed once per call); Merel's family and an explicit H
+    look up each product x M in the coset table.  If no element of G has
+    determinant n mod N the operator is zero."""
     if _det_free(S, n):
         return lambda t: {}
     if n == 1:
@@ -329,20 +312,16 @@ def hecke_counts(S, n, H=None):
     N = table.N
     m = S.m
     stride = m + 1
-    ninv = inv_mod(n % N, N)
-    pre = mat_mod(tuple(ninv * x for x in find_det_element(S.G, n)), N)
-    if H is None and n % 2 and is_prime(n):
-        mults = None        # every multiplicity is one
+    pre = mat_mod(tuple(pow(n, -1, N) * x for x in find_det_element(S.G, n)),
+                  N)
+    if H is None and n % 2 and isprime(n):
         # listed only for their polynomial action at m > 0
-        members = heilbronn_cremona_set(n) if m else None
+        members = cremona_walk(n) if m else None
         coset_list = cremona_cosets(table, n)
     else:
         members = heilbronn_merel_set(n) if H is None else H
-        mults = [u for u, _ in members]
-        if all(u == 1 for u in mults):
-            mults = None
         index = table.coset_index_mod
-        family = [mat_mod(M, N) for _, M in members]
+        family = [mat_mod(M, N) for M in members]
 
         def coset_list(x):
             return [index(mat_mul(x, M, N)) for M in family]
@@ -354,52 +333,27 @@ def hecke_counts(S, n, H=None):
     def counts(t):
         w, i = S.basis_tags[t]
         cosets = coset_list(mat_mul(pre, table.reps_mod[i], N))
-        if m == 0 and mults is None:
-            return Counter(cosets)
-        out = {}
         if m == 0:
-            for u, j in zip(mults, cosets):
-                out[j] = out.get(j, 0) + u
-            return out
+            return Counter(cosets)
         if w not in poly_of:
             poly_of[w] = [sym_action(imat_adjugate(M), monomial(m, w))
-                          for _, M in members]
-        for u, j, poly in zip(mults or repeat(1), cosets, poly_of[w]):
+                          for M in members]
+        out = {}
+        for j, poly in zip(cosets, poly_of[w]):
             for w2, c in enumerate(poly):
                 if c != 0:
                     key = j * stride + w2
-                    out[key] = out.get(key, 0) + u * c
+                    out[key] = out.get(key, 0) + c
         return out
 
     return counts
 
 
-def reduce_counts(S, counts):
-    """The second step of hecke_sweep: coordinates of an integer combination
-    of free Manin symbols (a dict key -> count) through S.reduce_cols, summed
-    on integers over their common denominator."""
-    den, cols = S.int_reduce_cols()
-    acc = [0] * S.dim
-    for key, cnt in counts.items():
-        for pos, c in cols[key]:
-            acc[pos] += cnt * c
-    made = {a: rat(a, den) for a in set(acc)}     # one rational per value
-    return [made[a] for a in acc]
-
-
-def hecke_sweep(S, n, H=None):
-    """The function t -> coordinates of T_n applied to basis symbol t, in two
-    steps: integer counts on the free module from one sweep of the family H
-    (hecke_counts), reduced through the Manin relations (reduce_counts)."""
-    counts = hecke_counts(S, n, H)
-    return lambda t: reduce_counts(S, counts(t))
-
-
 def hecke_tn_fast(S, n, H=None):
-    """Matrix of T_n: the column of every basis symbol from one
-    hecke_sweep."""
-    column = hecke_sweep(S, n, H)
-    return la.transpose([column(t) for t in range(S.dim)])
+    """Matrix of T_n: the counts of every basis symbol from one sweep of the
+    family (hecke_counts), reduced through the Manin relations."""
+    counts = hecke_counts(S, n, H)
+    return la.transpose([S.reduce(counts(t)) for t in range(S.dim)])
 
 
 # ---------------------------------------------------------- diamond, sigma
@@ -426,7 +380,7 @@ def sigma_class(S, p):
     if N == 1:
         return (1, 0, 0, 1)
     delta = find_det_element(S.G, p % N)
-    pinv = inv_mod(p % N, N)
+    pinv = pow(p, -1, N)
     return mat_mod(tuple(pinv * x for x in mat_mul(delta, delta, N)), N)
 
 

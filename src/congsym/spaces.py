@@ -15,7 +15,7 @@ from math import gcd, lcm
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from .backend import ONE
+from .backend import ONE, rat
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, IDENT, S_MAT,
                      TAU_MAT, is_real_type)
@@ -106,60 +106,70 @@ def cusp_to_matrix(cusp):
 
 class ModSymSpace:
     """Finite presentation of the weight-k modular symbols of Gamma_G by
-    Manin symbols."""
+    Manin symbols.
 
-    def __init__(self, table, k, reduce_cols, basis_tags):
+    A free Manin symbol [x^w y^(m-w), r_j] has the key j (m + 1) + w.  The
+    reduction table sends each key to its coordinates on the basis, as
+    integer pairs (pos, c) over one common denominator den.  Every operator
+    builds integer counts on the keys, a dict key -> count, and reduce
+    turns them into coordinates; pull_back pairs row vectors with the
+    table."""
+
+    def __init__(self, table, k, den, cols, basis_tags):
         self.table = table
         self.k = k
         self.m = k - 2
         self.one = ONE
-        self.reduce_cols = reduce_cols
+        self._den = den
+        self._cols = cols
         self.basis_tags = basis_tags
         self.dim = len(basis_tags)
         self._boundary = None
-        self._int_cols = None
 
     @property
     def G(self):
         return self.table.G
 
-    def int_reduce_cols(self):
-        """reduce_cols over their common denominator D, built on first use:
-        (D, cols), cols[key] the integer pairs (pos, D c) of reduce_cols[key].
-        """
-        if self._int_cols is None:
-            den = lcm(*(c.denominator for col in self.reduce_cols
-                        for c in col.values()))
-            self._int_cols = (den, [
-                [(pos, c.numerator * (den // c.denominator))
-                 for pos, c in col.items()] for col in self.reduce_cols])
-        return self._int_cols
-
     def gen_index(self, w, i):
         return i * (self.m + 1) + w
 
-    def zero_vector(self):
-        z = self.one * 0
-        return [z] * self.dim
+    def reduce(self, counts):
+        """Coordinates of an integer combination of free Manin symbols (a
+        dict key -> count), summed on integers over den."""
+        acc = [0] * self.dim
+        cols = self._cols
+        for key, cnt in counts.items():
+            for pos, c in cols[key]:
+                acc[pos] += cnt * c
+        made = {a: rat(a, self._den) for a in set(acc)}   # one per value
+        return [made[a] for a in acc]
 
-    def add_gen(self, vec, w, i, coeff):
-        for pos, c in self.reduce_cols[self.gen_index(w, i)].items():
-            vec[pos] = vec[pos] + coeff * c
+    def pull_back(self, rows):
+        """(D, table) for rational row vectors on the basis: table[key][i] is
+        the integer D <rows[i], reduce({key: 1})>, so the pairing of rows[i]
+        with reduce(counts) is sum counts[key] table[key][i] / D."""
+        dw = lcm(*(x.denominator for row in rows for x in row))
+        ints = [[x.numerator * (dw // x.denominator) for x in row]
+                for row in rows]
+        return dw * self._den, [[sum(row[pos] * c for pos, c in col)
+                                 for row in ints] for col in self._cols]
 
-    def manin_coords(self, poly, g):
-        """Coordinates of the Manin symbol [poly, g] for integer g in SL2."""
-        vec = self.zero_vector()
-        self.add_manin(vec, poly, g, self.one)
-        return vec
-
-    def add_manin(self, vec, poly, g, coeff):
+    def add_manin(self, counts, poly, g, coeff=1):
+        """Add coeff times the Manin symbol [poly, g], g an integer SL2
+        matrix, to counts."""
         j = self.table.coset_index(g)
         for w, c in enumerate(poly):
             if c != 0:
-                self.add_gen(vec, w, j, coeff * c)
+                key = self.gen_index(w, j)
+                counts[key] = counts.get(key, 0) + coeff * c
+        return counts
 
-    def chain_from_infinity(self, poly, cusp, vec, coeff):
-        """Accumulate coordinates of poly (x) {oo, cusp} into vec."""
+    def manin_coords(self, poly, g):
+        """Coordinates of the Manin symbol [poly, g]."""
+        return self.reduce(self.add_manin({}, poly, g))
+
+    def chain_from_infinity(self, counts, poly, cusp, coeff):
+        """Add coeff times poly (x) {oo, cusp} to counts."""
         u, v = cusp
         if v == 0:
             return
@@ -178,7 +188,8 @@ class ModSymSpace:
             if mat_det(g) != 1:
                 raise RuntimeError("convergent matrix %r does not have "
                                    "determinant 1" % (g,))
-            self.add_manin(vec, sym_action(imat_adjugate(g), poly), g, coeff)
+            self.add_manin(counts, sym_action(imat_adjugate(g), poly), g,
+                           coeff)
             p_prev2, q_prev2 = p_prev, q_prev
             p_prev, q_prev = p_cur, q_cur
             k += 1
@@ -186,27 +197,25 @@ class ModSymSpace:
             raise RuntimeError("convergents of %d/%d end at %d/%d"
                                % (u, v, p_prev, q_prev))
 
-    def symbol_coords(self, poly, a, b):
-        """Coordinates of the modular symbol poly (x) {a, b}."""
+    def add_symbol(self, counts, poly, a, b):
+        """Add the modular symbol poly (x) {a, b} to counts."""
         a = cusp_normalize(*a)
         b = cusp_normalize(*b)
-        vec = self.zero_vector()
-        if a == b:
-            return vec
-        self.chain_from_infinity(poly, b, vec, self.one)
-        self.chain_from_infinity(poly, a, vec, -self.one)
-        return vec
+        if a != b:
+            self.chain_from_infinity(counts, poly, b, 1)
+            self.chain_from_infinity(counts, poly, a, -1)
+        return counts
 
     def __repr__(self):
         return "ModSymSpace(N=%d, k=%d, dim=%d)" % (self.table.N, self.k, self.dim)
 
 
 class _UnionFind:
-    """Union-find with multiplicative edge scalars: gen = c * root."""
+    """Union-find with signs on the edges: gen = c * root, c = +-1."""
 
     def __init__(self, n):
         self.parent = list(range(n))
-        self.scalar = [ONE] * n
+        self.scalar = [1] * n
         self.dead = set()
 
     def find(self, j):
@@ -215,7 +224,7 @@ class _UnionFind:
             path.append(j)
             j = self.parent[j]
         # path compression
-        acc = ONE
+        acc = 1
         for p in reversed(path):
             acc = acc * self.scalar[p]
             self.parent[p] = j
@@ -236,7 +245,7 @@ class _UnionFind:
         if r1 in self.dead:
             self.dead.add(r2)
         self.parent[r1] = r2
-        self.scalar[r1] = c * c2 / c1
+        self.scalar[r1] = c * c2 * c1
 
 
 def build_space(Gamma, k):
@@ -273,14 +282,14 @@ def build_space(Gamma, k):
         return Gamma.coset_index(mat_mul(Gamma.reps[i], h_int))
 
     # two-term relations: x = -x sigma and x = x J
-    sgn_m = ONE if m % 2 == 0 else -ONE
+    sgn_m = 1 if m % 2 == 0 else -1
     for i in range(n_cosets):
         j_s = coset(i, S_MAT)
         j_j = coset(i, neg_ident)
         for w in range(stride):
             # x sigma = [sigma^-1 x^w y^(m-w), r_i sigma]
             #         = (-1)^w [x^(m-w) y^w, r_i sigma]
-            c = -ONE if w % 2 == 0 else ONE
+            c = -1 if w % 2 == 0 else 1
             uf.union(i * stride + w, j_s * stride + (m - w), c)
             # x J = (-1)^m [x^w y^(m-w), r_i J]
             uf.union(i * stride + w, j_j * stride + w, sgn_m)
@@ -307,7 +316,7 @@ def build_space(Gamma, k):
                 r, c = uf.find(gen)
                 if r in col:
                     row[col[r]] = row.get(col[r], 0) + coeff * c
-            row = {t: x for t, x in row.items() if x}
+            row = {t: QQ(x) for t, x in row.items() if x}
             if row:
                 rows[len(rows)] = row
     red, pivots = DomainMatrix(rows, (len(rows), len(roots)), QQ).rref(
@@ -322,13 +331,18 @@ def build_space(Gamma, k):
         p = min(prow)
         expr[p] = {pos[t]: -x for t, x in prow.items() if t != p}
 
-    reduce_cols = []
+    # the reduction table over one denominator; a generator is +-1 times
+    # its root, whose column is shared or negated
+    den = lcm(*(x.denominator for e in expr.values() for x in e.values()))
+    root_cols = {t: [(i, x.numerator * (den // x.denominator))
+                     for i, x in e.items()] for t, e in expr.items()}
+    cols = []
     for j in range(n_gens):
         r, c = uf.find(j)
-        reduce_cols.append({i: c * x for i, x in expr[col[r]].items()}
-                           if r in col else {})
+        col_r = root_cols[col[r]] if r in col else []
+        cols.append(col_r if c == 1 else [(i, -x) for i, x in col_r])
 
-    return ModSymSpace(Gamma, k, reduce_cols, basis_tags)
+    return ModSymSpace(Gamma, k, den, cols, basis_tags)
 
 
 # ------------------------------------------------------------- cusp classes
@@ -452,25 +466,20 @@ def star_involution(S):
     """Matrix of the star involution (columns are images of basis symbols).
     The basis symbol [x^w y^(m-w), r] maps to (-1)^(m-w+1) [x^w y^(m-w),
     eta r eta^-1] for eta = diag(-1, 1).  A monomial Manin symbol is one
-    generator, so each column is a signed column of reduce_cols; these
-    sparse columns are checked against the boundary map (_check_permutes_cusps)
-    and written into rows that share one zero."""
+    generator, so each column is the reduction of one signed key; its
+    nonzero entries are checked against the boundary map
+    (_check_permutes_cusps)."""
     if not is_real_type(S.G):
         raise NotRealType("group is not of real type; no star involution")
     m = S.m
     cols = []
     for (w, i) in S.basis_tags:
         j = S.table.coset_index(_eta_conj(S.table.reps[i]))
-        col = S.reduce_cols[S.gen_index(w, j)]
-        cols.append({pos: -c for pos, c in col.items()} if (m - w) % 2 == 0
-                    else dict(col))
-    _check_permutes_cusps(boundary_map(S).matrix, cols)
-    zero = S.one * 0
-    rows = [[zero] * S.dim for _ in range(S.dim)]
-    for t, col in enumerate(cols):
-        for pos, x in col.items():
-            rows[pos][t] = x
-    return rows
+        cols.append(S.reduce({S.gen_index(w, j): (-1) ** (m - w + 1)}))
+    sparse = [{pos: x for pos, x in enumerate(col) if x.numerator}
+              for col in cols]
+    _check_permutes_cusps(boundary_map(S).matrix, sparse)
+    return la.transpose(cols)
 
 
 def _eta_conj(g):
@@ -522,25 +531,11 @@ def plus_subspace(S, iota):
 
 def cusp_count(Gamma):
     """Number of cusps of the curve: orbits of the cosets under right
-    multiplication by T and by -I (the stabilizer of infinity in SL2(Z))."""
-    n = Gamma.index
-    if Gamma.N == 1:
-        return 1
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    N = Gamma.N
-    for i in range(n):
-        j = Gamma.coset_index_mod(mat_mod(
-            (-Gamma.reps_mod[i][0], -Gamma.reps_mod[i][1],
-             -Gamma.reps_mod[i][2], -Gamma.reps_mod[i][3]), N))
-        for k in (Gamma.perm_T[i], j):
-            a, b = find(i), find(k)
-            if a != b:
-                parent[a] = b
-    return len({find(i) for i in range(n)})
+    multiplication by T and by -I (the stabilizer of infinity in SL2(Z)).
+    -I is central, so it maps the T-orbit of r to that of -r, and each
+    orbit is a pair of T-orbits (orbit_table), or one."""
+    tab = orbit_table(Gamma)
+    neg = [Gamma.coset_index_mod(mat_mod(tuple(-x for x in r), Gamma.N))
+           for r in Gamma.reps_mod]
+    return len({frozenset((tab[i][0], tab[j][0]))
+                for i, j in enumerate(neg)})

@@ -5,7 +5,9 @@ Euler factors."""
 import math
 from itertools import islice
 
-from .backend import is_prime, factor_int, rat, rat_str
+from sympy import factorint, isprime
+
+from .backend import rat, rat_str
 from .polys import UniPoly, factor_rational_poly, is_irreducible_poly, NumberField
 from . import linalg as la
 from .groups import is_real_type
@@ -25,7 +27,7 @@ def iter_good_primes(G):
     """Primes p, in increasing order, with p coprime to the modulus and
     p mod N a determinant of G."""
     for p in range(2, 10 ** 6 + 1):
-        if is_prime(p) and (G.N == 1 or (G.N % p != 0
+        if isprime(p) and (G.N == 1 or (G.N % p != 0
                                          and (p % G.N) in G.det_image)):
             yield p
     raise RuntimeError("no good primes found")
@@ -172,19 +174,26 @@ def decompose(ctx, seed=0):
         primes = ctx.good_primes(count=1)
     p0 = primes[0]
     pieces = []
-    # (basis, index of the next prime, factor at p0, known irreducible)
-    stack = [(la.identity_matrix(ctx.dim), 0, None, False)]
+    # (basis, index of the next prime, factor at p0, known irreducible);
+    # on the whole module, whose basis is the identity, T_p and the
+    # components are used as they are
+    whole = la.identity_matrix(ctx.dim)
+    stack = [(whole, 0, None, False)]
     while stack:
         basis, idx, g0, final = stack.pop()
         split = False
         while not final and idx < len(primes):
-            R = la.restrict_to_invariant_subspace(ctx.op(primes[idx]), basis)
+            R = ctx.op(primes[idx])
+            if basis is not whole:
+                R = la.restrict_to_invariant_subspace(R, basis)
             fac = factor_rational_poly(la.charpoly(R))
             if len(fac) > 1:
                 components = la.primary_components(R, fac, seed)
                 for (g, e), W in zip(fac, components):
-                    stack.append((la.mat_mul(W, basis), idx + 1,
-                                  g if g0 is None else g0, e == 1))
+                    if basis is not whole:
+                        W = la.mat_mul(W, basis)
+                    stack.append((W, idx + 1, g if g0 is None else g0,
+                                  e == 1))
                 split = True
                 break
             g, e = fac[0]
@@ -288,7 +297,7 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     the full symbol space: e T_n = a_n e.  So a_n = <e, T_n s>/<e, s> for
     one basis symbol s with <e, s> != 0, and each T_n is needed on s alone.
     The vectors w_i = v (T^t)^i are pulled back once to the free module of
-    Manin symbols, as the integer table of <w_i, reduce_cols[key]> over one
+    Manin symbols (ModSymSpace.pull_back), as an integer table over one
     denominator; a sweep of T_n over s (hecke_counts) gives integer counts
     on that module, and their pairing with the table gives the <w_i, T_n s>,
     so no vector of the symbol space is formed per n.
@@ -343,16 +352,11 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     s = next(j for j in range(S.dim) if any(wi[j] for wi in w))
     e_s_inv = fone / pair([S.one if j == s else 0 for j in range(S.dim)])
 
-    # the w_i pulled back to the free module of Manin symbols, over one
-    # denominator: <w_i, T_n s> is the sum over keys of counts[key] *
-    # table[key][i] / (dw dr), for the integer counts of hecke_counts, so
-    # a_n = sum_i c_i h_i <e, s>^-1 / (dw dr); the products run on integers
-    dw = math.lcm(*(x.denominator for wi in w for x in wi))
-    dr, cols = S.int_reduce_cols()
-    w_int = [[x.numerator * (dw // x.denominator) for x in wi] for wi in w]
-    table = [[sum(wi[pos] * c for pos, c in col) for wi in w_int]
-             for col in cols]
-    scaled = [hi * e_s_inv * rat(1, dw * dr) for hi in h]
+    # <w_i, T_n s> is the sum over keys of counts[key] table[key][i] / D,
+    # for the integer counts of hecke_counts, so a_n = sum_i c_i h_i
+    # <e, s>^-1 / D; the products run on integers
+    den, table = S.pull_back(w)
+    scaled = [hi * e_s_inv * rat(1, den) for hi in h]
 
     def sweep_value(n):
         """a_n from one sweep of T_n over the symbol s."""
@@ -411,7 +415,7 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     pp_cache = {}
     values = {1: fone}
     for n in range(2, L):
-        fac = sorted(factor_int(n).items())
+        fac = sorted(factorint(n).items())
         # the part m of n prime to N: where one of its factors p^r has its
         # residue outside det(G), T_m is not the product of the T_(p^r)
         good = [(p, r) for p, r in fac if N % p]

@@ -1,6 +1,6 @@
 import pytest
+from sympy import factorint
 
-from congsym.backend import factor_int
 from congsym.groups import (close_group, coset_table, crt_matrix, mat_det,
                             mat_mod, mat_mul, IDENT)
 from congsym.families import build_family
@@ -38,7 +38,7 @@ def ns_elements(N, plus):
     product with diag(1, -1)) and combined by CRT: the reference for
     families.ns and families.ns_plus, which build from generators."""
     level, elems = 1, [mat_mod(IDENT, 1)]
-    for p in sorted(factor_int(N)):
+    for p in sorted(factorint(N)):
         u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         local = [(a, u * b % p, b, a) for a in range(p) for b in range(p)
                  if a or b]

@@ -144,9 +144,9 @@ def test_criterion_09_property_suites():
 
     # Heilbronn-Merel family and a mutated failure
     for n in range(1, 31):
-        assert hk.condition_cn_check(hk.heilbronn_merel_set(n)), n
+        assert hk.condition_cn_check(n, hk.heilbronn_merel_set(n)), n
     good = hk.heilbronn_merel_set(7)
-    assert not hk.condition_cn_check(hk.HeilbronnSet(7, good.pairs[1:]))
+    assert not hk.condition_cn_check(7, good[1:])
 
     # fast path vs double-coset path
     for tag, param in [("gamma0", 11), ("gamma1", 13), ("ns_plus", 13)]:

@@ -1,7 +1,7 @@
-from sympy import QQ
+import pytest
+from sympy import QQ, divisors, factorint, isprime
 
-from congsym.backend import (rat, rat_str, egcd, inv_mod, factor_int,
-                             divisors, is_prime, sl2_order, XorShift64)
+from congsym.backend import rat, rat_str, egcd, sl2_order, XorShift64
 
 
 def test_rat_arithmetic():
@@ -17,14 +17,22 @@ def test_egcd_and_inverse():
     for a, b in [(12, 18), (35, 64), (-9, 24), (1, 1)]:
         g, x, y = egcd(a, b)
         assert a * x + b * y == g
-    assert inv_mod(3, 7) == 5
-    assert (inv_mod(11, 16) * 11) % 16 == 1
+    # inverses mod n are pow(a, -1, n): 0 mod 1, ValueError for a non-unit
+    assert pow(3, -1, 7) == 5
+    assert (pow(11, -1, 16) * 11) % 16 == 1
+    assert pow(5, -1, 1) == 0
+    with pytest.raises(ValueError):
+        pow(6, -1, 16)
 
 
 def test_factor_and_divisors():
-    assert factor_int(360) == {2: 3, 3: 2, 5: 1}
+    """sympy's factorint, divisors and isprime, as the program uses them:
+    divisors in increasing order, and no prime below 2 (a -p of 1, 0 or -3
+    is an input error)."""
+    assert factorint(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert is_prime(97) and not is_prime(91)
+    assert isprime(97) and not isprime(91)
+    assert not any(isprime(n) for n in (1, 0, -3))
 
 
 def test_sl2_order():

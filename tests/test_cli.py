@@ -36,6 +36,10 @@ def test_parse_group_errors():
 def test_alpha_parsing():
     assert _alpha_matrix("1,0,0,2") == (1, 0, 0, 2)
     assert _alpha_matrix("[1/2,0,0,1]") == (1, 0, 0, 2)
+    # decimal and exponent forms, and a common factor divided out
+    assert _alpha_matrix("2.5,0,0,1/3") == (15, 0, 0, 2)
+    assert _alpha_matrix("+3,0,0,1e1") == (3, 0, 0, 10)
+    assert _alpha_matrix("2,4,0,6") == (1, 2, 0, 3)
     assert _alpha_prime((1, 0, 0, 8)) == 2
     with pytest.raises(CliInputError):
         _alpha_matrix("1,0,0,0")
@@ -176,6 +180,19 @@ def test_hecke_and_bench_need_a_prime(capsys, argv):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == "error: -p must be a prime, got %s\n" % argv[4]
+
+
+# each exited 1 with a ZeroDivisionError traceback
+@pytest.mark.parametrize("argv", [
+    ("eigensystem", "gamma0", "11", "--alpha", "1/0,0,0,1"),
+    ("hecke", "gamma0", "11", "-p", "11", "--alpha", "1/0,0,0,1"),
+    ("bench", "gamma0", "11", "-p", "11", "--alpha", "1/0,0,0,1"),
+], ids=["eigensystem", "hecke", "bench"])
+def test_alpha_zero_denominator_exit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: bad entry '1/0' in --alpha\n"
 
 
 # each exited 0 and ignored the operator; eigensystem printed the standard

@@ -2,10 +2,10 @@ from math import lcm
 
 import pytest
 import sympy
-from sympy import QQ
+from sympy import QQ, factorint
 from sympy.polys.matrices import DomainMatrix
 
-from congsym.backend import factor_int, rat, XorShift64
+from congsym.backend import rat, XorShift64
 from congsym import linalg as la
 from congsym import spectra as spec
 from congsym.polys import UniPoly, factor_rational_poly
@@ -210,7 +210,7 @@ def test_primary_components_match_horner_kernel(name):
 
 
 def _denominator_prime(m):
-    return min(factor_int(lcm(*(x.denominator for row in m for x in row))))
+    return min(factorint(lcm(*(x.denominator for row in m for x in row))))
 
 
 def test_primary_components_skip_a_denominator_prime(monkeypatch):

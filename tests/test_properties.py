@@ -91,4 +91,4 @@ def test_poly_division(cs, ds):
 @given(st.integers(min_value=1, max_value=25))
 @settings(max_examples=25, deadline=None)
 def test_heilbronn_merel_condition(n):
-    assert hk.condition_cn_check(hk.heilbronn_merel_set(n))
+    assert hk.condition_cn_check(n, hk.heilbronn_merel_set(n))

@@ -1,6 +1,6 @@
 import pytest
 
-from congsym.backend import XorShift64
+from congsym.backend import XorShift64, rat
 from congsym.groups import coset_table, imat_adjugate, mat_mul
 from congsym.families import build_family
 from congsym import linalg as la
@@ -16,6 +16,11 @@ from conftest import space_for
 SIGMA = (0, -1, 1, 0)
 TAU = (0, -1, 1, -1)
 J = (-1, 0, 0, -1)
+
+
+def symbol_coords(S, P, a, b):
+    """Coordinates of the modular symbol P (x) {a, b}."""
+    return S.reduce(S.add_symbol({}, P, a, b))
 
 
 def manin_relation_defects(S):
@@ -92,6 +97,14 @@ def test_cusp_counts():
     assert cusp_count(coset_table(build_family("gamma", 2))) == 3
     assert cusp_count(coset_table(build_family("gamma1", 5))) == 4
     assert cusp_count(coset_table(build_family("ns_plus", 13))) == 6
+    # sum over d | N of phi(gcd(d, N/d)) for gamma0; N^2/2 prod (1 - p^-2)
+    # for gamma(N), N > 2; sum over d | N of phi(d) phi(N/d) / 2 for
+    # gamma1(N), N > 4
+    for tag, param, cusps in [("gamma0", 48, 12), ("gamma", 8, 24),
+                              ("gamma1", 4, 3), ("gamma1", 13, 12),
+                              ("ns_plus", 37, 18), ("ns", 15, 8), ("s4", 13, 7),
+                              ("gamma_full", 1, 1), ("gamma_full", 12, 1)]:
+        assert cusp_count(coset_table(build_family(tag, param))) == cusps
 
 
 def test_manin_relations_gamma0_11(s_gamma0_11):
@@ -110,9 +123,9 @@ def test_three_term_path_relation(s_gamma0_11):
                 cusps.append((u, v))
         a, b, c = cusps
         P = monomial(S.m, 0)
-        total = [x + y + z for x, y, z in zip(S.symbol_coords(P, a, b),
-                                              S.symbol_coords(P, b, c),
-                                              S.symbol_coords(P, c, a))]
+        total = [x + y + z for x, y, z in zip(symbol_coords(S, P, a, b),
+                                              symbol_coords(S, P, b, c),
+                                              symbol_coords(S, P, c, a))]
         assert all(t == 0 for t in total)
 
 
@@ -121,9 +134,10 @@ def test_boundary_of_path_sum_vanishes(s_gamma0_11):
     info = boundary_map(S)
     rows = info.matrix
     P = monomial(S.m, 0)
-    vec = [x + y + z for x, y, z in zip(S.symbol_coords(P, (1, 0), (0, 1)),
-                                        S.symbol_coords(P, (0, 1), (1, 3)),
-                                        S.symbol_coords(P, (1, 3), (1, 0)))]
+    vec = [x + y + z
+           for x, y, z in zip(symbol_coords(S, P, (1, 0), (0, 1)),
+                              symbol_coords(S, P, (0, 1), (1, 3)),
+                              symbol_coords(S, P, (1, 3), (1, 0)))]
     for j in range(len(info.cusps)):
         assert sum(vec[i] * rows[i][j] for i in range(S.dim)) == 0
 
@@ -181,9 +195,9 @@ def test_plus_basis_is_restricted_kernel(tag, param, k):
         (a0, a1), (b0, b1) = [(rng.randint(-9, 9), rng.randint(1, 9))
                               for _ in range(2)]
         P = monomial(S.m, w)
-        image = la.mat_vec(iota, S.symbol_coords(P, (a0, a1), (b0, b1)))
-        flipped = S.symbol_coords(sym_action((-1, 0, 0, 1), P),
-                                  (-a0, a1), (-b0, b1))
+        image = la.mat_vec(iota, symbol_coords(S, P, (a0, a1), (b0, b1)))
+        flipped = symbol_coords(S, sym_action((-1, 0, 0, 1), P),
+                                (-a0, a1), (-b0, b1))
         assert image == [-x for x in flipped]
     assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim)
     bt = la.transpose(boundary_map(S).matrix)
@@ -265,7 +279,25 @@ def test_star_requires_real_type(g_8e1):
 def test_modular_symbol_wrapper(s_gamma0_11):
     S = s_gamma0_11
     P = monomial(S.m, 0)
-    v = S.symbol_coords(P, (0, 1), (1, 0))
+    v = symbol_coords(S, P, (0, 1), (1, 0))
     assert len(v) == S.dim
-    back = [a + b for a, b in zip(v, S.symbol_coords(P, (1, 0), (0, 1)))]
+    back = [a + b for a, b in zip(v, symbol_coords(S, P, (1, 0), (0, 1)))]
     assert all(c == 0 for c in back)
+
+
+@pytest.mark.parametrize("tag, param, k", [("gamma1", 13, 3),
+                                           ("ns_plus", 13, 2)])
+def test_pull_back_pairs_rows_with_reduced_keys(tag, param, k):
+    """pull_back(rows) is, for every free-symbol key, the integer D times
+    the pairing of each row with the reduction of that key."""
+    S = space_for(tag, param, k)
+    rng = XorShift64(11)
+    rows = [[rat(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(S.dim)]
+            for _ in range(3)]
+    den, table = S.pull_back(rows)
+    assert len(table) == S.table.index * (S.m + 1)
+    for key, pulled in enumerate(table):
+        col = S.reduce({key: 1})
+        assert pulled == [den * sum(a * b for a, b in zip(row, col))
+                          for row in rows]
+        assert all(isinstance(x, int) for x in pulled)

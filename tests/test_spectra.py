@@ -3,8 +3,9 @@ from itertools import islice
 
 import pytest
 import sympy
+from sympy import factorint, isprime
 
-from congsym.backend import rat, factor_int, is_prime
+from congsym.backend import rat
 from congsym.groups import coset_table
 from congsym.families import build_family
 from congsym import hecke as hk
@@ -237,7 +238,7 @@ def _reference_values(pieces, L, seed=0):
 
         vals = {1: one}
         for n in range(2, L):
-            fac = factor_int(n)
+            fac = factorint(n)
             if any(N % p == 0 for p in fac):
                 vals[n] = 0 * one
             elif not multiplicative:
@@ -330,7 +331,7 @@ def test_eichler_shimura_11a1(ctx_gamma0_11):
     """a_p = p + 1 - #E(F_p) for E = 11a1: y^2 + y = x^3 - x^2 - 10x - 20."""
     es = spec.eigen_system(spec.decompose(ctx_gamma0_11)[0], L=200)
     for p in range(2, 200):
-        if not is_prime(p) or p == 11:
+        if not isprime(p) or p == 11:
             continue
         ys = {}
         for y in range(p):

@@ -83,7 +83,6 @@ class GroupModN:
         self.G0 = G0
         self.transversal = transversal
         self.det_image = sorted(transversal)
-        self._least_of_det = {}  # det mod N -> least element, on first use
 
     def __contains__(self, g):
         g = mat_mod(g, self.N)
@@ -209,9 +208,10 @@ class CongruenceSubgroup:
     - per orbit, the list of its d_O coset indices, indexed by t mod d_O.
 
     That is O(N^2) entries plus one per coset; nothing has one entry per
-    element of SL2(Z/N).  The cosets are numbered by breadth-first search
-    over right multiplication by S and T from the identity, and perm_S,
-    perm_T are the actions of S and T on them."""
+    element of SL2(Z/N), and cap bounds both the N^2 frame slots and the
+    index.  The cosets are numbered by breadth-first search over right
+    multiplication by S and T from the identity, and perm_S, perm_T are
+    the actions of S and T on them."""
 
     def __init__(self, G, cap=GROUP_CAP):
         self.G = G
@@ -227,8 +227,10 @@ class CongruenceSubgroup:
             self.perm_T = [0]
             self._frame = [([0], 0, 0)]
             return
-        if total > cap:
-            raise GroupTooLarge("SL2(Z/%d) has %d elements, beyond the cap" % (N, total))
+        if max(N * N, total // len(g0)) > cap:
+            raise GroupTooLarge("the coset table mod %d has %d frame slots "
+                                "and %d cosets, beyond the cap"
+                                % (N, N * N, total // len(g0)))
         sm = mat_mod(S_MAT, N)
         tm = mat_mod(T_MAT, N)
         ident = mat_mod(IDENT, N)
@@ -394,13 +396,11 @@ def is_real_type(G):
 
 
 def find_det_element(G, n):
-    """Least element of G (in tuple order) with determinant n mod N: the
-    least of the coset G0 t_n, found once per n."""
-    d = n % G.N
-    if d not in G._least_of_det:
-        t = G.transversal.get(d)
-        if t is None:
-            raise ValueError("no element of determinant %d: T_n undefined "
-                             "for this group" % n)
-        G._least_of_det[d] = min(mat_mul(g, t, G.N) for g in G.G0)
-    return G._least_of_det[d]
+    """The element t_n of G's transversal, of determinant n mod N.  Any
+    element of determinant n would do for the operators built from it: the
+    choice changes only by an element of G0 on the left."""
+    t = G.transversal.get(n % G.N)
+    if t is None:
+        raise ValueError("no element of determinant %d: T_n undefined "
+                         "for this group" % n)
+    return t

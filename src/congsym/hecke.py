@@ -299,7 +299,7 @@ def hecke_counts(S, n, H=None):
     for an odd prime n (smaller, and built in O(n log n) steps) and to
     Merel's otherwise.  Each member M sends t = [P, r_i] to
     [M^adj P, r_i M]; the coset of r_i M is that of x M with x = pre r_i mod
-    N, pre the least element of G of determinant n, scaled by n^-1.
+    N, pre the element find_det_element(G, n), scaled by n^-1.
     Cremona's family is walked on coset indices (cremona_cosets, its
     quotients computed once per call); Merel's family and an explicit H
     look up each product x M in the coset table.  If no element of G has
@@ -372,8 +372,8 @@ def diamond_operator(S, s_mod):
 
 
 def sigma_class(S, p):
-    """The SL2(Z/N) class p^-1 * delta_p^2 (delta_p the least element of G
-    of determinant p) of the diamond operator in the Hecke recursion
+    """The SL2(Z/N) class p^-1 * delta_p^2 (delta_p = find_det_element(G,
+    p), of determinant p) of the diamond operator in the Hecke recursion
     T_(p^(r+1)) = T_p T_(p^r) - p^(k-1) <sigma_p> T_(p^(r-1)) at a good
     prime p."""
     N = S.table.N

@@ -110,30 +110,6 @@ class UniPoly:
     def __floordiv__(self, other):
         return self.divmod(other)[0]
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return UniPoly([c / lead for c in self.coeffs])
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def derivative(self):
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x):
-        """Evaluate by Horner; x may be a rational or NumberFieldElem."""
-        result = x * 0
-        for c in reversed(self.coeffs):
-            result = result * x + c
-        return result
-
     def to_str(self, var="x"):
         if self.is_zero():
             return "0"

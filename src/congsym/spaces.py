@@ -17,8 +17,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from .backend import ONE, rat
 from . import linalg as la
-from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, IDENT, S_MAT,
-                     TAU_MAT, is_real_type)
+from .groups import (mat_mul, mat_det, imat_adjugate, S_MAT, TAU_MAT,
+                     is_real_type)
 
 INFINITY = (1, 0)
 
@@ -83,23 +83,6 @@ def cusp_normalize(u, v):
     if v < 0:
         u, v = -u, -v
     return (u, v)
-
-
-def cusp_to_matrix(cusp):
-    """An SL2(Z) matrix whose first column is the given primitive vector."""
-    u, v = cusp
-    if (u, v) == (1, 0):
-        return IDENT
-    from .backend import egcd
-    g, s, t = egcd(u, v)
-    if g != 1:
-        raise ValueError("vector (%d, %d) is not primitive" % (u, v))
-    if s * u + t * v != 1:
-        s, t = -s, -t
-    mat = (u, -t, v, s)
-    if mat_det(mat) != 1:
-        raise RuntimeError("%r does not have determinant 1" % (mat,))
-    return mat
 
 
 # ----------------------------------------------------------------- the space
@@ -347,127 +330,69 @@ def build_space(Gamma, k):
 
 # ------------------------------------------------------------- cusp classes
 
-def orbit_table(Gamma):
-    """T-orbit table: per coset a pair (orbit id, exponent), orbits numbered
-    in the order of their least cosets and exponents counted from those."""
-    ids = {}
-    return [(ids.setdefault(cycle[0], len(ids)), e)
-            for cycle, e in Gamma.t_cycles()]
-
-
-def _apply_to_vector(g, w):
-    return (g[0] * w[0] + g[1] * w[1], g[2] * w[0] + g[3] * w[1])
-
-
-def vector_equiv(Gamma, tab, w1, w2):
-    """Is there gamma in Gamma_G with gamma * w1 = w2 exactly, as primitive
-    vectors?  The witness is built and checked."""
-    h = cusp_to_matrix(w1)
-    g_b = cusp_to_matrix(w2)
-    i_h = Gamma.coset_index(h)
-    i_b = Gamma.coset_index(g_b)
-    if tab[i_h][0] != tab[i_b][0]:
-        return False
-    d = tab[i_h][1] - tab[i_b][1]
-    mid = mat_mul(mat_mul(Gamma.reps[i_b], (1, d, 0, 1)),
-                  imat_adjugate(Gamma.reps[i_h]))
-    gamma_b = mat_mul(g_b, imat_adjugate(Gamma.reps[i_b]))
-    gamma_h = mat_mul(h, imat_adjugate(Gamma.reps[i_h]))
-    gamma = mat_mul(mat_mul(gamma_b, mid), imat_adjugate(gamma_h))
-    if not Gamma.contains(gamma) or _apply_to_vector(gamma, w1) != w2:
-        raise RuntimeError("witness %r does not map %r to %r"
-                           % (gamma, w1, w2))
-    return True
-
-
-def cusp_vanishing(Gamma, tab, a, m=0):
-    """Does the boundary class of the primitive vector a die in the weight
-    m+2 boundary space?  The class satisfies [-w] = (-1)^m [w], so it
-    vanishes exactly when m is odd and some gamma maps a to -a."""
-    return m % 2 == 1 and vector_equiv(Gamma, tab, a, (-a[0], -a[1]))
-
-
-class BoundaryInfo:
-    def __init__(self, cusps, matrix):
-        self.cusps = cusps
-        self.matrix = matrix  # rows: basis elements, cols: cusp classes
+def cusp_classes(Gamma):
+    """Per coset i, the pair (T-orbit of i, T-orbit of perm_S^2 i), each
+    T-orbit named by its least coset.  The stabilizer of e1 in SL2(Z) is
+    {T^j}, so the Gamma-class of the vector r_i e1 is the T-orbit of coset
+    i, and that of -r_i e1 = r_i S^2 e1 the T-orbit of perm_S^2 i."""
+    cycles = Gamma.t_cycles()
+    s = Gamma.perm_S
+    return [(cycles[i][0][0], cycles[s[s[i]]][0][0])
+            for i in range(Gamma.index)]
 
 
 def boundary_map(S):
-    """Matrix of the boundary map on the basis, discovering cusp classes
-    lazily.  A basis symbol [x^w y^(m-w), r] maps to the class of the first
-    column of r (when w = m) minus the class of the second column (w = 0),
-    where the class of -w is (-1)^m times the class of w.  Two vectors are in
-    one class exactly when the cosets of their cusp_to_matrix lie in one
-    T-orbit (vector_equiv), so the classes seen so far are keyed by that
-    orbit: each vector costs at most two lookups, for w and -w, and each hit
-    is confirmed by a checked vector_equiv witness."""
+    """Matrix of the boundary map, a row per basis symbol and a column per
+    cusp class, cached on S.  A basis symbol [x^w y^(m-w), r_i] maps to the
+    class of r_i e1 = r_i oo (when w = m) minus the class of r_i S e1 = r_i 0
+    (when w = 0), read off cusp_classes at cosets i and perm_S[i].  The
+    class of -v is (-1)^m times that of v, so a class with v ~ -v vanishes
+    when m is odd.  Columns are numbered in the order classes are first
+    met."""
     if S._boundary is not None:
         return S._boundary
     table = S.table
-    tab = orbit_table(table)
+    classes = cusp_classes(table)
     m = S.m
-    cusps = []        # representative primitive vectors, one per kept class
-    seen = {}         # T-orbit id -> (kept class index or None, representative)
-    rows = [[] for _ in range(S.dim)]
-    zero = S.one * 0
-
-    def _row_add(row, idx, val):
-        while len(row) <= idx:
-            row.append(zero)
-        row[idx] = row[idx] + val
-
-    def orbit_of(vec):
-        return tab[table.coset_index(cusp_to_matrix(vec))][0]
-
-    def class_coefficient(t, w_vec, sign):
-        for c in (1, -1):
-            target = (c * w_vec[0], c * w_vec[1])
-            hit = seen.get(orbit_of(target))
-            if hit is None:
-                continue
-            idx, rep_vec = hit
-            if not vector_equiv(table, tab, rep_vec, target):
-                raise RuntimeError("%r and %r share a T-orbit but not a class"
-                                   % (rep_vec, target))
-            if idx is not None:
-                # gamma * rep = c * w, so [w] = c^m [rep]
-                coeff = -S.one if c == -1 and m % 2 == 1 else S.one
-                _row_add(rows[t], idx, sign * coeff)
-            return
-        if cusp_vanishing(table, tab, w_vec, m):
-            seen[orbit_of(w_vec)] = (None, w_vec)
-            return
-        seen[orbit_of(w_vec)] = (len(cusps), w_vec)
-        cusps.append(w_vec)
-        _row_add(rows[t], len(cusps) - 1, sign * S.one)
-
+    column = {}       # T-orbit -> (column, sign of its vectors), or None
+    ncols = 0
+    rows = [{} for _ in range(S.dim)]
     for t, (w, i) in enumerate(S.basis_tags):
-        rep = table.reps[i]
-        if w == m:
-            class_coefficient(t, (rep[0], rep[2]), S.one)
+        ends = [(i, 1)] if w == m else []
         if w == 0:
-            class_coefficient(t, (rep[1], rep[3]), -S.one)
-    ncols = len(cusps)
-    matrix = [row + [zero] * (ncols - len(row)) for row in rows]
-    S._boundary = BoundaryInfo(cusps, matrix)
+            ends.append((table.perm_S[i], -1))
+        for j, sign in ends:
+            a, b = classes[j]
+            if a not in column:
+                if a == b and m % 2:
+                    column[a] = None
+                else:
+                    column[b] = (ncols, (-1) ** m)
+                    column[a] = (ncols, 1)
+                    ncols += 1
+            if column[a] is not None:
+                c, s = column[a]
+                rows[t][c] = rows[t].get(c, 0) + sign * s
+    zero = rat(0)
+    S._boundary = [[rat(row[c]) if c in row else zero for c in range(ncols)]
+                   for row in rows]
     return S._boundary
 
 
 def cuspidal_subspace(S):
     """Basis of the kernel of the boundary map, as coordinate vectors."""
-    info = boundary_map(S)
-    if not info.cusps:
+    bmat = boundary_map(S)
+    if not bmat or not bmat[0]:
         return la.identity_matrix(S.dim)
-    return la.kernel(la.transpose(info.matrix), sparse=True)
+    return la.kernel(la.transpose(bmat), sparse=True)
 
 
 def star_involution(S):
     """Matrix of the star involution (columns are images of basis symbols).
     The basis symbol [x^w y^(m-w), r] maps to (-1)^(m-w+1) [x^w y^(m-w),
     eta r eta^-1] for eta = diag(-1, 1).  A monomial Manin symbol is one
-    generator, so each column is the reduction of one signed key; its
-    nonzero entries are checked against the boundary map
+    generator, so each column is one signed key's entry of the reduction
+    table; the columns are checked against the boundary map
     (_check_permutes_cusps)."""
     if not is_real_type(S.G):
         raise NotRealType("group is not of real type; no star involution")
@@ -475,11 +400,16 @@ def star_involution(S):
     cols = []
     for (w, i) in S.basis_tags:
         j = S.table.coset_index(_eta_conj(S.table.reps[i]))
-        cols.append(S.reduce({S.gen_index(w, j): (-1) ** (m - w + 1)}))
-    sparse = [{pos: x for pos, x in enumerate(col) if x.numerator}
-              for col in cols]
-    _check_permutes_cusps(boundary_map(S).matrix, sparse)
-    return la.transpose(cols)
+        sign = (-1) ** (m - w + 1)
+        cols.append({pos: rat(sign * c, S._den)
+                     for pos, c in S._cols[S.gen_index(w, j)]})
+    _check_permutes_cusps(boundary_map(S), cols)
+    zero = rat(0)
+    iota = [[zero] * S.dim for _ in range(S.dim)]
+    for t, col in enumerate(cols):
+        for pos, x in col.items():
+            iota[pos][t] = x
+    return iota
 
 
 def _eta_conj(g):
@@ -525,7 +455,7 @@ def plus_subspace(S, iota):
     basis of its space with a unit vector at each position that is the last
     nonzero entry of some vector of the space, so this is the same list as
     the +1 kernel of iota restricted to a cuspidal basis, times that basis."""
-    bt = la.transpose(boundary_map(S).matrix)
+    bt = la.transpose(boundary_map(S))
     return la.kernel(bt + la.shift_diagonal(iota, -S.one), sparse=True)
 
 
@@ -533,9 +463,5 @@ def cusp_count(Gamma):
     """Number of cusps of the curve: orbits of the cosets under right
     multiplication by T and by -I (the stabilizer of infinity in SL2(Z)).
     -I is central, so it maps the T-orbit of r to that of -r, and each
-    orbit is a pair of T-orbits (orbit_table), or one."""
-    tab = orbit_table(Gamma)
-    neg = [Gamma.coset_index_mod(mat_mod(tuple(-x for x in r), Gamma.N))
-           for r in Gamma.reps_mod]
-    return len({frozenset((tab[i][0], tab[j][0]))
-                for i, j in enumerate(neg)})
+    orbit is a pair of T-orbits (cusp_classes), or one."""
+    return len({frozenset(pair) for pair in cusp_classes(Gamma)})

@@ -15,6 +15,9 @@ from .spaces import cuspidal_subspace, star_involution, plus_subspace
 from .hecke import (hecke_tn_fast, hecke_counts, diamond_operator,
                     diamond_column, sigma_class)
 
+CANDIDATE_PRIMES = 3     # the T_p behind _generator_candidates
+RANDOM_CANDIDATES = 8    # seeded combinations after the single T_p
+
 
 def sturm_bound(k, Gamma):
     """floor(k*m/12 - (m-1)/N) for the coset index m of Gamma_G."""
@@ -130,23 +133,23 @@ class HeckePiece:
         return "HeckePiece(dim=%d, label=%s)" % (self.dimension, lab)
 
 
-def _generator_candidates(ops, seed, attempts=8):
+def _generator_candidates(ops, seed):
     """Deterministic stream of Hecke-algebra elements: the single operators
     first, then seeded random combinations."""
     for T in ops:
         yield T
-    for t in range(attempts):
+    for t in range(RANDOM_CANDIDATES):
         yield la.seeded_random_combination(ops, seed + t)
 
 
-def is_irreducible(piece, seed=0, attempts=8, n_ops=3):
+def is_irreducible(piece, seed=0):
     """Probabilistic irreducibility: True when some deterministic candidate
     operator has an irreducible characteristic polynomial on the piece."""
     if piece.dimension <= 1:
         return True
-    primes = piece.ctx.good_primes(count=n_ops)
+    primes = piece.ctx.good_primes(count=CANDIDATE_PRIMES)
     ops = [piece.op(p) for p in primes]
-    for T in _generator_candidates(ops, seed, attempts):
+    for T in _generator_candidates(ops, seed):
         if is_irreducible_poly(la.charpoly(T)):
             return True
     return False
@@ -273,10 +276,10 @@ class EigenSystem:
 
 def _generator(piece, seed):
     """The first element T of _generator_candidates over T_p, for the first
-    three good primes p, whose characteristic polynomial on the piece is a
-    power of an irreducible g with g(T) = 0.  Returns those primes, the
-    position of T in the stream and g."""
-    primes = piece.ctx.good_primes(count=3)
+    CANDIDATE_PRIMES good primes p, whose characteristic polynomial on the
+    piece is a power of an irreducible g with g(T) = 0.  Returns those
+    primes, the position of T in the stream and g."""
+    primes = piece.ctx.good_primes(count=CANDIDATE_PRIMES)
     ops = [piece.op(p) for p in primes]
     for t, T in enumerate(_generator_candidates(ops, seed)):
         fac = factor_rational_poly(la.charpoly(T))

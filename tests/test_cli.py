@@ -246,3 +246,13 @@ def test_byte_determinism(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_dims_past_the_old_table_cap(capsys):
+    """|SL2(Z/289)| = 24 054 048 exceeds the cap, but the table stores
+    289^2 frame slots and 306 cosets.  X0(289) has 18 cusps and genus 17."""
+    code, out, _ = run_cli(capsys, "dims", "gamma0", "289")
+    assert code == 0
+    assert out.splitlines() == ["level: 289", "index: 306", "cusps: 18",
+                                "dim_full: 51", "dim_cuspidal: 34",
+                                "dim_plus: 17"]

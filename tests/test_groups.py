@@ -211,8 +211,17 @@ def test_real_type(g_8e1, g_h155):
 
 
 def test_find_det_element():
-    """An element of each determinant of G, for every n in its class mod N;
-    none for a determinant G lacks."""
+    G = build_family("gamma0", 11)
+    g = find_det_element(G, 2)
+    assert (g[0] * g[3] - g[1] * g[2]) % 11 == 2
+    with pytest.raises(ValueError):
+        find_det_element(build_family("gamma", 11), 2)
+
+
+def test_find_det_element_is_least():
+    """An element of each determinant of G, for every n in its class mod N.
+    (The name predates returning the transversal element instead of the
+    least element of its coset.)"""
     for G in (build_family("gamma0", 11), build_family("ns_plus", 13),
               build_family("gamma1", 8)):
         elems = closure_elements(G.N, G.generators)
@@ -220,8 +229,6 @@ def test_find_det_element():
             for m in (n, n + 5 * G.N):
                 g = find_det_element(G, m)
                 assert mat_det(g) % G.N == n and g in elems
-    with pytest.raises(ValueError):
-        find_det_element(build_family("gamma", 11), 2)
 
 
 def test_group_too_large():

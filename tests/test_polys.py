@@ -18,8 +18,17 @@ def test_arithmetic():
     assert f // g == g
     assert g ** 3 == P(1, 3, 3, 1)
     assert f.degree == 2 and P().degree == -1
+
+
+def test_divmod_and_gcd():
+    f = P(-1, 0, 1)         # x^2 - 1
+    g = P(1, 1)
+    q, r = f.divmod(g)
+    assert q * g + r == f
     q, r = f.divmod(P(-1, 1))
-    assert q * P(-1, 1) + r == f and r == P(4)
+    assert q * P(-1, 1) + r == f and r == P()
+    q, r = P(1, 2, 1).divmod(P(-1, 1))
+    assert q * P(-1, 1) + r == P(1, 2, 1) and r == P(4)
 
 
 def test_factorization():

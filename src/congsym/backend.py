@@ -1,11 +1,9 @@
-"""Exact rational arithmetic and small integer utilities.  Factoring,
-primality and divisors are sympy's (factorint, isprime, divisors), and
-inverses mod n are pow(a, -1, n).
+"""Exact rational arithmetic and small integer utilities.
 
-The program's one rational type is sympy's QQ: rat(n, d) is QQ(n, d), whose
-elements are gmpy2's mpq when sympy finds gmpy2 and sympy's pure-Python
-PythonMPQ otherwise.  The linear algebra hands these elements to sympy's
-DomainMatrix over QQ as they are.
+The program's one rational type is the standard library's Fraction.
+Factoring (by trial division), primality, divisors and prev_prime need no
+sympy, whose import costs more than the set-up and the plus space.
+Inverses mod n are pow(a, -1, n).
 
 The PRNG used for seeded random Hecke combinations is xorshift64*.  Seed s
 is scrambled by splitmix64 into the 64-bit state (a bijection, so distinct
@@ -13,12 +11,61 @@ seeds give distinct states; a zero result is replaced by the golden-ratio
 constant 0x9E3779B97F4A7C15).  Default seed is 0 everywhere.
 """
 
-from sympy import QQ, factorint
+from fractions import Fraction
 
-rat = QQ
-RAT_IMPL = QQ.dtype.__name__
-
+rat = Fraction
+RAT_IMPL = "Fraction"
 ONE = rat(1)
+
+# Miller-Rabin to these 12 bases is proven for n < PSI_12 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PSI_12 = 318665857834031151167461
+
+
+def is_prime(n):
+    """Whether the integer n is prime; ValueError for n >= PSI_12."""
+    if n >= PSI_12:
+        raise ValueError("primality of %d is not proven by the Miller-Rabin "
+                         "bases 2, ..., 37 (n >= %d)" % (n, PSI_12))
+    if n < 2 or any(n % p == 0 for p in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # 2^s exactly divides n - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1
+               or any(pow(a, d << i, n) == n - 1 for i in range(s))
+               for a in _MR_BASES)
+
+
+def prev_prime(n):
+    """The largest prime below n > 2."""
+    if n <= 2:
+        raise ValueError("no prime below %d" % n)
+    return next(p for p in range(n - 1, 1, -1) if is_prime(p))
+
+
+def factor_int(n):
+    """{p: e} for the primes p dividing n >= 1, in increasing order, by
+    trial division."""
+    if n < 1:
+        raise ValueError("cannot factor %d" % n)
+    out, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def divisors(n):
+    """The positive divisors of n >= 1 in increasing order."""
+    out = [1]
+    for p, e in factor_int(n).items():
+        out = [d * p ** i for d in out for i in range(e + 1)]
+    return sorted(out)
 
 
 def rat_str(v):
@@ -48,7 +95,7 @@ def sl2_order(n):
     if n == 1:
         return 1
     order = n ** 3
-    for p in factorint(n):
+    for p in factor_int(n):
         order = order // (p * p) * (p * p - 1)
     return order
 

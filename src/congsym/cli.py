@@ -19,9 +19,7 @@ import sys
 import time
 from math import gcd, lcm
 
-from sympy import factorint, isprime
-
-from .backend import rat, rat_str
+from .backend import PSI_12, factor_int, is_prime, rat, rat_str
 from .groups import GroupTooLarge, close_group, coset_table
 from .families import FAMILY_BUILDERS, build_family
 from . import linalg as la
@@ -119,7 +117,7 @@ def _alpha_matrix(tok):
 def _alpha_prime(alpha):
     """The unique prime whose power is det(alpha)."""
     det = alpha[0] * alpha[3] - alpha[1] * alpha[2]
-    fac = factorint(det)
+    fac = factor_int(det)
     if len(fac) != 1:
         raise CliInputError(
             "--alpha determinant %d is not a prime power" % det)
@@ -384,7 +382,9 @@ def main(argv=None):
         # hecke takes one -p, bench a list of them or none
         primes = getattr(args, "p", None)
         for p in [primes] if isinstance(primes, int) else primes or []:
-            if not isprime(p):
+            if p >= PSI_12:
+                raise CliInputError("-p %d is past the proven prime range" % p)
+            if not is_prime(p):
                 raise CliInputError("-p must be a prime, got %d" % p)
         return args.func(args)
     except CliInputError as exc:

@@ -8,8 +8,7 @@ s4 (the quaternion-based projectively-S4 group at an odd prime).
 
 from math import gcd
 
-from sympy import factorint, isprime
-
+from .backend import factor_int, is_prime
 from .groups import close_group, crt_matrix, IDENT, S_MAT, T_MAT, mat_mod
 
 
@@ -69,7 +68,7 @@ def _ns_like(N, plus):
     if N % 2 == 0 or N < 3:
         raise ValueError("non-split Cartan level must be an odd prime or "
                          "squarefree odd composite, got %d" % N)
-    fac = factorint(N)
+    fac = factor_int(N)
     if any(e > 1 for e in fac.values()):
         raise ValueError("non-split Cartan level must be squarefree, got %d" % N)
     gens = []
@@ -95,7 +94,7 @@ def ns_plus(N):
 
 def s4(p):
     """Quaternion-unit construction of the projectively-S4 subgroup mod p."""
-    if not isprime(p) or p == 2:
+    if not is_prime(p) or p == 2:
         raise ValueError("s4 family requires an odd prime")
     i = (0, p - 1, 1, 0)
     j = None

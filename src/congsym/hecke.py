@@ -15,9 +15,7 @@ matrices, each of multiplicity one.
 from collections import Counter
 from math import gcd
 
-from sympy import divisors, isprime
-
-from .backend import rat
+from .backend import divisors, is_prime, rat
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, lift_to_sl2,
                      gamma_generators, find_det_element, IDENT)
@@ -147,7 +145,7 @@ def hecke_tp(S, p, path="merel"):
     zero when no element of G has determinant p mod N (_det_free).
     ValueError when p is not a prime: the naive path would give the single
     double coset of diag(1, p), which is not T_p for composite p."""
-    if not isprime(p):
+    if not is_prime(p):
         raise ValueError("T_p needs a prime p, got %d" % p)
     if path == "merel":
         return hecke_tn_fast(S, p)
@@ -314,7 +312,7 @@ def hecke_counts(S, n, H=None):
     stride = m + 1
     pre = mat_mod(tuple(pow(n, -1, N) * x for x in find_det_element(S.G, n)),
                   N)
-    if H is None and n % 2 and isprime(n):
+    if H is None and n % 2 and is_prime(n):
         # listed only for their polynomial action at m > 0
         members = cremona_walk(n) if m else None
         coset_list = cremona_cosets(table, n)

@@ -1,56 +1,60 @@
 """Exact linear algebra over the rationals and Q[x].
 
 Matrices are lists of row lists acting on column vectors; vectors are lists.
-Entries are elements of sympy's QQ (backend.rat), so each routine only
-changes format: the rows become a sparse sympy DomainMatrix over QQ and its
-result becomes rows again.  Restriction and Horner evaluation clear
-denominators and multiply over ZZ.  charpoly works modulo primes near 2^60
-and primary_components modulo primes near 2^61, both in plain Python
-integers, with one Hessenberg reduction mod a prime (_charpoly_mod) for
-charpoly and the certificate of primary_components.  det_poly_matrix works
-over Q[x] with UniPoly entries.
+Entries are Fractions (backend.rat).  One sparse Gauss-Jordan (echelon)
+serves rref, rank, sparse kernels and spaces.build_space.  Products,
+restriction, Horner evaluation, dense kernels and det_poly_matrix clear
+denominators and run on sympy's DomainMatrix over ZZ or Z[x], imported at
+first use.  charpoly works modulo primes near 2^60 and primary_components
+modulo primes near 2^61, both in plain Python integers, with one Hessenberg
+reduction mod a prime (_charpoly_mod) for charpoly and the certificate of
+primary_components.
 """
 
+from collections import defaultdict
 from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm
 
-from sympy import QQ, ZZ, Symbol, prevprime
-from sympy.polys.densetools import dup_clear_denoms
-from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow
-from sympy.polys.matrices import DomainMatrix
-
-from .backend import ONE, rat, XorShift64
+from .backend import ONE, rat, prev_prime, XorShift64
 from .polys import UniPoly
-
-_QX = QQ[Symbol("x")]
-
-
-def _dm(rows, K=QQ):
-    dod = {i: nz for i, row in enumerate(rows)
-           if (nz := {j: x for j, x in enumerate(row) if x})}
-    return DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), K)
 
 
 def _dm_zz(rows):
-    """(d, a): the least common denominator d of the entries of rows and the
-    integer DomainMatrix a = d * rows."""
+    """(d, d rows over ZZ as a DomainMatrix) for d the lcm of denominators."""
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
     d = lcm(*(x.denominator for row in rows for x in row))
     dod = {i: nz for i, row in enumerate(rows)
-           if (nz := {j: ZZ(x.numerator * (d // x.denominator))
+           if (nz := {j: x.numerator * (d // x.denominator)
                       for j, x in enumerate(row) if x})}
     return d, DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), ZZ)
 
 
-def _lists(a):
-    """Rows of a, written from its nonzero entries into rows that share one
-    zero."""
-    nrows, ncols = a.shape
-    rows = [[a.domain.zero] * ncols for _ in range(nrows)]
-    for i, nz in a.to_sdm().items():
+def _lists(a, den=1):
+    """Rows of a / den for an integer DomainMatrix a."""
+    sdm = a.to_sdm()
+    return from_dicts([sdm.get(i, {}) for i in range(a.shape[0])],
+                      a.shape[1], den)
+
+
+def from_dicts(rows, ncols, den=1):
+    """Dense rows of the sparse rows[i] / den, one Fraction per value."""
+    zero = rat(0)
+    out = [[zero] * ncols for _ in rows]
+    made = {}
+    for row, nz in zip(out, rows):
         for j, y in nz.items():
-            rows[i][j] = y
-    return rows
+            if (x := made.get(y)) is None:
+                x = made[y] = rat(y, den)
+            row[j] = x
+    return out
+
+
+def _dicts(rows):
+    """Sparse rows of rational rows, integral entries as ints."""
+    return [{j: x.numerator if x.denominator == 1 else x
+             for j, x in enumerate(row) if x} for row in rows]
 
 
 def identity_matrix(n):
@@ -66,7 +70,8 @@ def zero_matrix(n, m):
 def mat_mul(a, b):
     if not a or not b:
         return [[] for _ in a]
-    return _lists(_dm(a) * _dm(b))
+    (da, A), (db, B) = _dm_zz(a), _dm_zz(b)
+    return _lists(A * B, da * db)
 
 
 def mat_vec(a, v):
@@ -98,21 +103,71 @@ def is_zero_matrix(a):
     return all(all(x == 0 for x in row) for row in a)
 
 
+def echelon(rows):
+    """(red, pivots): the nonzero rows of the reduced echelon form of rows,
+    dicts column -> nonzero int or Fraction, in pivot order.  As sympy's
+    sdm_irref, rows are taken by first nonzero column, last first, and an
+    index column -> rows nonzero there finds the rows a new pivot clears,
+    so the cost follows the nonzeros.  Ints stay ints while pivots are +-1."""
+    todo = sorted((r for r in rows if r), key=min)
+    pivot_row = {}                  # pivot column -> its row
+    holders = defaultdict(set)      # column -> pivot rows nonzero there
+    while todo:
+        a = dict(todo.pop())
+        for j in pivot_row.keys() & a.keys():
+            _subtract(a, a[j], pivot_row[j])
+        if not a:
+            continue
+        j = min(a)
+        if a[j] != 1:
+            t = -1 if a[j] == -1 else 1 / rat(a[j])
+            a = {k: x * t for k, x in a.items()}
+        pivot_row[j] = a
+        for p in holders.pop(j, ()):
+            b = pivot_row[p]
+            _subtract(b, b[j], a)
+            for k in a:
+                (holders[k].add if k in b else holders[k].discard)(p)
+        for k in a:
+            holders[k].add(j)
+    pivots = sorted(pivot_row)
+    return [pivot_row[p] for p in pivots], pivots
+
+
+def _subtract(b, y, a):
+    """b -= y a, for sparse rows, in place."""
+    for k, x in a.items():
+        if z := b.get(k, 0) - y * x:
+            b[k] = z
+        else:
+            del b[k]
+
+
 def rref(rows):
     """Reduced row echelon form (zero rows last) and the pivot columns."""
-    red, pivots = _dm(rows).rref()
-    return _lists(red), list(pivots)
+    red, pivots = echelon(_dicts(rows))
+    return (from_dicts(red + [{}] * (len(rows) - len(red)),
+                       len(rows[0]) if rows else 0), pivots)
 
 
 def kernel(rows, sparse=False):
     """Basis of {v : rows v = 0}: for each free column j in turn, v[j] = 1 and
     v[c] = -red[r][j] at the pivot column c of row r of the reduced form.
-    sparse=True reduces by Gauss-Jordan over the field, which suits the
+    sparse=True reduces by echelon, Gauss-Jordan over Q, which suits the
     Manin-symbol matrices (a few small nonzeros per row, little fill-in);
-    sympy's own choice clears denominators and eliminates fraction-free,
-    which suits dense matrices.  The reduced form is the same either way."""
-    red, pivots = _dm(rows).rref(method="GJ" if sparse else "auto")
-    return _lists(red.nullspace_from_rref(pivots))
+    otherwise sympy clears denominators and eliminates fraction-free, which
+    suits dense matrices.  The reduced form is the same either way."""
+    ncols = len(rows[0]) if rows else 0
+    if sparse:
+        (red, pivots), den = echelon(_dicts(rows)), 1
+    else:       # red is den times the reduced form
+        red, den, pivots = _dm_zz(rows)[1].rref_den(method="FF")
+        red = map(red.to_sdm().get, range(len(pivots)))
+    vectors = {j: {j: den} for j in sorted(set(range(ncols)) - set(pivots))}
+    for p, row in zip(pivots, red):
+        for j in row.keys() - {p}:
+            vectors[j][p] = -row[j]
+    return from_dicts(list(vectors.values()), ncols, den)
 
 
 def row_space_basis(rows):
@@ -121,7 +176,7 @@ def row_space_basis(rows):
 
 
 def mat_rank(rows):
-    return _dm(rows).rank()
+    return len(echelon(_dicts(rows))[1])
 
 
 def in_row_space(rows, v):
@@ -154,7 +209,7 @@ def restrict_to_invariant_subspace(m, basis):
     if not basis:
         return []
     r, s = _restrict_zz(*_dm_zz(m), basis)
-    return _lists(r.to_field() / QQ(s))
+    return _lists(r, s)
 
 
 def _restrict_zz(d, a, basis):
@@ -190,13 +245,11 @@ def charpoly(m):
     from the bound, so the result is proven, not just unchanged by one more
     prime.
 
-    A prime below 2^60 is two 30-bit digits of a Python integer.  On T_2
-    at ns_plus 53 and 97 (96 x 96 and 353 x 353; CPython 3.11, x86-64),
-    _charpoly_mod takes 0.72 and 19 ms per bit of modulus at 60 bits,
-    against 0.94 and 20 at 30 bits, 0.66 and 22 at 90, 0.78 and 35 at 128
-    and 1.0 and 49 at 256."""
-    d, a = _dm_zz(m)
-    rows = a.to_list()
+    A prime below 2^60 is two 30-bit digits of a Python integer; per bit of
+    modulus, _charpoly_mod on T_2 at ns_plus 53 and 97 (CPython 3.11,
+    x86-64) was cheaper there than at 30, 128 or 256 bits."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    rows = [[x.numerator * (d // x.denominator) for x in row] for row in m]
     bound = 2 * _coefficient_bound(rows)
     res, mod = [0] * (len(m) + 1), 1
     for i in count():
@@ -207,7 +260,7 @@ def charpoly(m):
         mod *= q
         if mod > bound:
             break
-    return UniPoly([QQ(x - mod if 2 * x > mod else x, d ** i)
+    return UniPoly([rat(x - mod if 2 * x > mod else x, d ** i)
                     for i, x in enumerate(res)][::-1])
 
 
@@ -229,18 +282,17 @@ def _coefficient_bound(a):
 @cache
 def _charpoly_prime(i):
     """The i-th prime below 2^60, counted down from 2^60."""
-    return prevprime(_charpoly_prime(i - 1) if i else 2 ** 60)
+    return prev_prime(_charpoly_prime(i - 1) if i else 2 ** 60)
 
 
 def mat_poly_eval(f, m):
     """f(m) for a UniPoly f and a rational matrix m.  The Horner steps run on
     integers: for m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
-    coeffs = f.coeffs[::-1]
     d, a = _dm_zz(m)
-    e, h = dup_clear_denoms([c * d ** i for i, c in enumerate(coeffs)],
-                            QQ, ZZ, convert=True)
-    fm = a.eval_poly(h).to_field() / QQ(e * d ** max(f.degree, 0))
-    return _lists(fm)
+    cs = [c * d ** i for i, c in enumerate(f.coeffs[::-1])]
+    e = lcm(*(c.denominator for c in cs))
+    h = [c.numerator * (e // c.denominator) for c in cs]
+    return _lists(a.eval_poly(h), e * d ** max(f.degree, 0))
 
 
 # the moduli of primary_components, primes 2^61 - d in decreasing order; at
@@ -308,6 +360,8 @@ def _spans_mod(rows, den, factors, todo, p, rng):
     vectors m^j h(m) u, for m = rows / den, h the product of the other
     factors to their exponents and random u, reduced by _insert.  Each span
     stops at dimension e deg g; all stop when a new u adds nothing."""
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_pow
     c = pow(den, -1, p)
     rows = [[(j, x * c % p) for j, x in row] for row in rows]
     n = len(rows)
@@ -382,7 +436,7 @@ def _rational_lift(rows, mod):
                 r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
             if abs(s1) > bound or gcd(r1, s1) != 1:
                 return None
-            lifted.append(QQ(r1, s1))
+            lifted.append(rat(r1, s1))
         out.append(lifted)
     return out
 
@@ -402,6 +456,8 @@ def _is_component(d, a, W, g, e, others):
     factor h mod q of g^e mod q is a constant, so the monic h is 1.  A q
     where g meets another factor mod q proves nothing, and the next one is
     tried."""
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_gcd, gf_pow
     if len(W) != e * g.degree:
         return False
     try:
@@ -520,9 +576,17 @@ def _unpack(x, n, w):
 
 
 def det_poly_matrix(m):
-    """Determinant of a square matrix with UniPoly entries, over Q[x]."""
-    rows = [[_QX.ring.from_list(f.coeffs[::-1]) for f in row] for row in m]
-    return UniPoly(_dm(rows, _QX).det().to_dense()[::-1])
+    """Determinant of a square matrix with UniPoly entries: det(d m) / d^n
+    over Z[x], for d the least common denominator of the coefficients."""
+    from sympy import ZZ, Symbol
+    from sympy.polys.matrices import DomainMatrix
+    zx = ZZ[Symbol("x")]
+    d = lcm(*(c.denominator for row in m for f in row for c in f.coeffs))
+    rows = [[zx.ring.from_list([c.numerator * (d // c.denominator)
+                                for c in reversed(f.coeffs)]) for f in row]
+            for row in m]
+    det = DomainMatrix(rows, (len(m), len(m)), zx).det()
+    return UniPoly([rat(c, d ** len(m)) for c in reversed(det.to_dense())])
 
 
 def seeded_random_combination(ops, seed=0):
@@ -530,9 +594,7 @@ def seeded_random_combination(ops, seed=0):
     if not ops:
         raise ValueError("empty operator list")
     rng = XorShift64(seed)
-    n = len(ops[0])
-    out = zero_matrix(n, len(ops[0][0]) if n else 0)
-    for op in ops:
-        c = rng.randint(1, 9)
-        out = mat_add(out, mat_scale(op, rat(c)))
+    out = mat_scale(ops[0], rat(rng.randint(1, 9)))
+    for op in ops[1:]:
+        out = mat_add(out, mat_scale(op, rat(rng.randint(1, 9))))
     return out

@@ -2,13 +2,11 @@
 
 Polynomials are coefficient lists, lowest degree first, trailing coefficient
 nonzero ([] is the zero polynomial).  Number field elements are coordinate
-vectors modulo a monic irreducible polynomial.
+vectors modulo a monic irreducible polynomial.  Factoring over Z is
+sympy's (dup_sqf_list, dup_zz_factor), imported at first use.
 """
 
-from sympy import QQ, ZZ
-from sympy.polys.densetools import dup_clear_denoms
-from sympy.polys.factortools import dup_zz_factor
-from sympy.polys.sqfreetools import dup_sqf_list
+from math import lcm
 
 from .backend import rat
 
@@ -151,11 +149,15 @@ def factor_rational_poly(f):
     decomposition algorithms", SYMSAC 1976), and much faster on a charpoly
     with repeated factors than factoring it whole.
     """
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_zz_factor
+    from sympy.polys.sqfreetools import dup_sqf_list
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
-    _, g = dup_clear_denoms(f.coeffs[::-1], QQ, ZZ, convert=True)
+    d = lcm(*(c.denominator for c in f.coeffs))
+    g = [c.numerator * (d // c.denominator) for c in reversed(f.coeffs)]
     out = []
     for part, m in dup_sqf_list(g, ZZ)[1]:
         for h, k in dup_zz_factor(part, ZZ)[1]:

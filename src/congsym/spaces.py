@@ -12,9 +12,6 @@ class of g(P (x) {0, oo}); the right action is [P, g] h = [h^-1 P, g h].
 from collections import Counter
 from math import gcd, lcm
 
-from sympy import QQ
-from sympy.polys.matrices import DomainMatrix
-
 from .backend import ONE, rat
 from . import linalg as la
 from .groups import (mat_mul, mat_det, imat_adjugate, S_MAT, TAU_MAT,
@@ -237,8 +234,8 @@ def build_space(Gamma, k):
     The two-term relations (x = -x sigma, x = x J) identify generators up to
     sign and are folded by a union-find; a class is dead when they force it
     to equal its negative.  The three-term relations x + x tau + x tau^2 = 0
-    are then the rows of one sparse matrix over QQ whose columns are the
-    live class roots, reduced once to reduced echelon form by Gauss-Jordan.
+    are then the rows of one sparse matrix over Q whose columns are the
+    live class roots, reduced once to reduced echelon form (la.echelon).
     The columns are in pivot-preference order: roots of non-extreme weight
     (0 < w < k - 2) first, and within each kind the higher generator index
     first.  The pivots are eliminated, each as minus the rest of its row;
@@ -284,7 +281,7 @@ def build_space(Gamma, k):
     # three-term tau relations on the class roots, one row per symbol
     tau_polys = [sym_action(tau_inv, monomial(m, w)) for w in range(stride)]
     tau2_polys = [sym_action(TAU_MAT, monomial(m, w)) for w in range(stride)]
-    rows = {}
+    rows = []
     for i in range(n_cosets):
         j1 = coset(i, TAU_MAT)
         j2 = coset(i, tau2)
@@ -299,19 +296,14 @@ def build_space(Gamma, k):
                 r, c = uf.find(gen)
                 if r in col:
                     row[col[r]] = row.get(col[r], 0) + coeff * c
-            row = {t: QQ(x) for t, x in row.items() if x}
-            if row:
-                rows[len(rows)] = row
-    red, pivots = DomainMatrix(rows, (len(rows), len(roots)), QQ).rref(
-        method="GJ")
+            rows.append({t: x for t, x in row.items() if x})
+    red, pivots = la.echelon(rows)
 
-    pivots = set(pivots)
-    basis = sorted(r for t, r in enumerate(roots) if t not in pivots)
+    basis = sorted(roots[t] for t in set(range(len(roots))) - set(pivots))
     basis_tags = [(r % stride, r // stride) for r in basis]
     pos = {col[r]: i for i, r in enumerate(basis)}   # column -> basis index
     expr = {t: {i: ONE} for t, i in pos.items()}
-    for prow in red.to_sdm().values():
-        p = min(prow)
+    for p, prow in zip(pivots, red):
         expr[p] = {pos[t]: -x for t, x in prow.items() if t != p}
 
     # the reduction table over one denominator; a generator is +-1 times
@@ -373,9 +365,7 @@ def boundary_map(S):
             if column[a] is not None:
                 c, s = column[a]
                 rows[t][c] = rows[t].get(c, 0) + sign * s
-    zero = rat(0)
-    S._boundary = [[rat(row[c]) if c in row else zero for c in range(ncols)]
-                   for row in rows]
+    S._boundary = la.from_dicts(rows, ncols)
     return S._boundary
 
 
@@ -392,7 +382,7 @@ def star_involution(S):
     The basis symbol [x^w y^(m-w), r] maps to (-1)^(m-w+1) [x^w y^(m-w),
     eta r eta^-1] for eta = diag(-1, 1).  A monomial Manin symbol is one
     generator, so each column is one signed key's entry of the reduction
-    table; the columns are checked against the boundary map
+    table, integers over its denominator, checked against the boundary map
     (_check_permutes_cusps)."""
     if not is_real_type(S.G):
         raise NotRealType("group is not of real type; no star involution")
@@ -401,15 +391,9 @@ def star_involution(S):
     for (w, i) in S.basis_tags:
         j = S.table.coset_index(_eta_conj(S.table.reps[i]))
         sign = (-1) ** (m - w + 1)
-        cols.append({pos: rat(sign * c, S._den)
-                     for pos, c in S._cols[S.gen_index(w, j)]})
-    _check_permutes_cusps(boundary_map(S), cols)
-    zero = rat(0)
-    iota = [[zero] * S.dim for _ in range(S.dim)]
-    for t, col in enumerate(cols):
-        for pos, x in col.items():
-            iota[pos][t] = x
-    return iota
+        cols.append({pos: sign * c for pos, c in S._cols[S.gen_index(w, j)]})
+    _check_permutes_cusps(boundary_map(S), cols, S._den)
+    return la.transpose(la.from_dicts(cols, S.dim, S._den))
 
 
 def _eta_conj(g):
@@ -426,19 +410,19 @@ def _up_to_sign(vec):
     return tuple(items)
 
 
-def _check_permutes_cusps(bmat, iota_cols):
+def _check_permutes_cusps(bmat, iota_cols, den=1):
     """B^t iota must be B^t with its rows permuted and signed, because iota
     permutes the cusp classes; then iota keeps ker B^t, the cuspidal
-    subspace.  bmat is the boundary matrix B (a row per basis symbol) and
-    iota_cols the sparse columns of iota; column t of B^t iota is the sum of
-    the rows B[s] weighted by iota[s][t]."""
-    b_rows = [{c: x for c, x in enumerate(row) if x} for row in bmat]
+    subspace.  bmat is B (a row per basis symbol), iota_cols the sparse
+    columns of den iota, and B^t (den iota) is compared with den B^t."""
+    b_rows = [{c: x.numerator for c, x in enumerate(row) if x}
+              for row in bmat]
     ncols = len(bmat[0]) if bmat else 0
     bt = [{} for _ in range(ncols)]
     bt_iota = [{} for _ in range(ncols)]
     for s, row in enumerate(b_rows):
         for c, x in row.items():
-            bt[c][s] = x
+            bt[c][s] = den * x
     for t, col in enumerate(iota_cols):
         for s, x in col.items():
             for c, b in b_rows[s].items():

@@ -5,9 +5,7 @@ Euler factors."""
 import math
 from itertools import islice
 
-from sympy import factorint, isprime
-
-from .backend import rat, rat_str
+from .backend import factor_int, is_prime, rat, rat_str
 from .polys import UniPoly, factor_rational_poly, is_irreducible_poly, NumberField
 from . import linalg as la
 from .groups import is_real_type
@@ -30,7 +28,7 @@ def iter_good_primes(G):
     """Primes p, in increasing order, with p coprime to the modulus and
     p mod N a determinant of G."""
     for p in range(2, 10 ** 6 + 1):
-        if isprime(p) and (G.N == 1 or (G.N % p != 0
+        if is_prime(p) and (G.N == 1 or (G.N % p != 0
                                          and (p % G.N) in G.det_image)):
             yield p
     raise RuntimeError("no good primes found")
@@ -418,7 +416,7 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     pp_cache = {}
     values = {1: fone}
     for n in range(2, L):
-        fac = sorted(factorint(n).items())
+        fac = sorted(factor_int(n).items())
         # the part m of n prime to N: where one of its factors p^r has its
         # residue outside det(G), T_m is not the product of the T_(p^r)
         good = [(p, r) for p, r in fac if N % p]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from congsym.backend import PSI_12
 from congsym.cli import (main, parse_group, _alpha_matrix, _alpha_prime,
                          CliInputError, EXIT_PARSE, EXIT_BAD_PRIME)
 
@@ -180,6 +181,17 @@ def test_hecke_and_bench_need_a_prime(capsys, argv):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == "error: -p must be a prime, got %s\n" % argv[4]
+
+
+def test_prime_past_the_proven_range(capsys):
+    """is_prime proves nothing from PSI_12 on, so such a -p is an input
+    error, not a guess."""
+    code, out, err = run_cli(capsys, "hecke", "gamma0", "11", "-p",
+                             str(PSI_12 + 2))
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: -p %d is past the proven prime range\n" % (
+        PSI_12 + 2)
 
 
 # each exited 1 with a ZeroDivisionError traceback

@@ -1,12 +1,15 @@
 """Randomized algebraic invariants (hypothesis)."""
 
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from congsym.backend import rat
 from congsym.groups import mat_mul, mat_det, imat_adjugate
 from congsym.polys import UniPoly
 from congsym.spaces import sym_action, monomial, cusp_normalize
 from congsym import hecke as hk
+from congsym import linalg as la
 
 small_int = st.integers(min_value=-30, max_value=30)
 
@@ -92,3 +95,46 @@ def test_poly_division(cs, ds):
 @settings(max_examples=25, deadline=None)
 def test_heilbronn_merel_condition(n):
     assert hk.condition_cn_check(n, hk.heilbronn_merel_set(n))
+
+
+# sparse rational matrices: mostly zeros, small numerators and denominators,
+# whole zero rows, and shapes down to 0 x 0 and n x 0
+sparse_entry = st.one_of(
+    st.just(0), st.just(0), st.just(0),
+    st.builds(rat, st.integers(min_value=-9, max_value=9),
+              st.integers(min_value=1, max_value=6)))
+
+
+@st.composite
+def sparse_matrix(draw):
+    ncols = draw(st.integers(min_value=0, max_value=8))
+    rows = draw(st.lists(st.one_of(
+        st.just([0] * ncols),
+        st.lists(sparse_entry, min_size=ncols, max_size=ncols)),
+        max_size=8))
+    return [[rat(x) for x in row] for row in rows]
+
+
+@given(sparse_matrix())
+@settings(max_examples=200, deadline=None)
+def test_echelon_matches_sympy_gauss_jordan(rows):
+    """la.echelon, and rref, mat_rank and both kernels built on it or on
+    the fraction-free path, against sympy's DomainMatrix.rref(method="GJ")
+    over QQ and the kernel read off that form."""
+    ncols = len(rows[0]) if rows else 0
+    dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
+                       for row in rows], (len(rows), ncols), QQ)
+    red, pivots = dm.rref(method="GJ")
+    expect = [[rat(int(x.numerator), int(x.denominator)) for x in row]
+              for row in red.to_Matrix().tolist()] if rows else []
+    got, got_pivots = la.echelon(
+        [{j: x for j, x in enumerate(row) if x} for row in rows])
+    assert got_pivots == list(pivots)
+    assert got == [{j: x for j, x in enumerate(row) if x}
+                   for row in expect[:len(pivots)]]
+    assert la.rref(rows) == (expect, list(pivots))
+    assert la.mat_rank(rows) == len(pivots)
+    null = red.nullspace_from_rref(pivots).to_Matrix().tolist() if rows else []
+    kernel = [[rat(int(x.p), int(x.q)) for x in v] for v in null]
+    assert la.kernel(rows, sparse=True) == kernel
+    assert la.kernel(rows) == kernel

@@ -3,7 +3,9 @@
 Every failure in congsym is a documented exception: never an `assert`,
 which `python -O` strips, and never an AssertionError or NotImplementedError
 from deep in the stack.  The library imports neither numpy nor scipy, whose
-import every process would pay for.  Every library name the benchmark's
+import every process would pay for, and the set-up, the plus space and
+`congsym dims` load no sympy, whose import costs more than all of their
+work.  Every library name the benchmark's
 tracer wraps exists, so a rename fails here and not only in a traced run.
 And every top-level library function or class has a caller outside the
 unit tests.
@@ -15,6 +17,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import congsym
 
@@ -45,15 +49,40 @@ def test_no_assert_or_forbidden_raise():
     assert found == []
 
 
-def test_cli_imports_neither_numpy_nor_scipy():
+def _packages_loaded_after(code):
+    """The top-level packages among numpy, scipy and sympy that a fresh
+    interpreter has loaded after running code."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(congsym.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, congsym.cli; "
-            "print(sorted({'numpy', 'scipy'} & {m.split('.')[0] "
-            "for m in sys.modules}))")
+    code += ("\nimport sys\nprint(sorted({'numpy', 'scipy', 'sympy'} & "
+             "{m.split('.')[0] for m in sys.modules}))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           check=True, env=env, text=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    """Nor sympy: importing the command line loads none of the three."""
+    assert _packages_loaded_after("import congsym.cli") == "[]"
+
+
+@pytest.mark.parametrize("code", [
+    "from congsym.families import build_family\n"
+    "from congsym.groups import coset_table\n"
+    "from congsym.spaces import build_space\n"
+    "from congsym.spectra import SpectralContext\n"
+    "ctx = SpectralContext(build_space(coset_table(\n"
+    "    build_family('ns_plus', 13)), 2))\n"
+    "assert ctx.kind == 'plus' and ctx.dim == 3",
+    "from congsym.cli import main\n"
+    "assert main(['dims', 'ns_plus', '13']) == 0",
+], ids=["plus-space", "cli-dims"])
+def test_set_up_and_plus_space_never_import_sympy(code):
+    """The set-up, the plus space and `congsym dims` run on Fractions and
+    the in-house elimination; sympy comes in only where a polynomial is
+    factored over Z or a DomainMatrix product or fraction-free elimination
+    is needed."""
+    assert _packages_loaded_after(code) == "[]"
 
 
 def test_traced_names_exist():

@@ -7,7 +7,8 @@ Group argument grammar (positional tokens after the subcommand):
     N GEN [GEN ...]         a level and explicit generators, each GEN a
                             row-major 4-tuple like [1,3,12,3] or 1,3,12,3
 
-Exit codes: 0 success, 2 input parse error, 3 resource cap exceeded,
+Exit codes: 0 success, 1 bench found the two Hecke paths unequal (PATH
+MISMATCH on stderr), 2 input parse error, 3 resource cap exceeded,
 4 operator at a prime dividing the level requested without the explicit
 double-coset data that makes it effectively computable.
 """
@@ -28,6 +29,7 @@ from . import hecke as hk
 from . import spectra as spec
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_RESOURCE = 3
 EXIT_BAD_PRIME = 4
@@ -299,7 +301,7 @@ def cmd_bench(args):
             timings[path] = time.perf_counter() - t0
         if mats["naive"] != mats["merel"]:
             print("p=%d: PATH MISMATCH" % p, file=sys.stderr)
-            return 1
+            return EXIT_MISMATCH
         rows.append({"p": p, "naive_s": round(timings["naive"], 6),
                      "merel_s": round(timings["merel"], 6),
                      "equal": True, "hash": _matrix_hash(mats["merel"])})

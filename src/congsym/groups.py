@@ -1,17 +1,19 @@
 """Subgroups of GL2(Z/N), induced congruence subgroups of SL2(Z), coset
 tables, lifting and generators.
 
-A subgroup G of GL2(Z/N) is kept as its determinant-one part G0 and one
-element t_d per determinant d, never as the set of its elements: G0 is
-closed from the Schreier generators t_d g t_(d det g)^-1 (Schreier's lemma
-for the cosets G0 t_d), and g lies in G when det g is a determinant of G
-and g t_(det g)^-1 lies in G0; see close_group.
+A subgroup G of GL2(Z/N) is kept as generators gens0 of its determinant-one
+part G0 and one element t_d per determinant d, never as a set of elements:
+close_group sifts the Schreier generators t_d g t_(d det g)^-1 of G0.  One
+breadth-first search, orbit_of, gives a G0-orbit of first columns and the
+width of the (cyclic) stabilizer of its first point; at e1 that is a
+one-point stabilizer chain (Sims 1970; Seress, Permutation Group
+Algorithms, 2003, ch. 4), which gives |G0| and membership in G0.
 
-The coset table of Gamma_G \\ SL2(Z) = G0 \\ SL2(Z/N) (G0 the determinant-one
-part of G) is read off first columns: x and its first column v = x e1
-determine the coset through the G0-orbit of v and one coordinate t mod N,
-so the table holds O(N^2) entries (one per primitive vector mod N and one
-per coset) and never one per element of SL2(Z/N); see CongruenceSubgroup.
+The coset table of Gamma_G \\ SL2(Z) = G0 \\ SL2(Z/N) is read off first
+columns: x and its first column v = x e1 determine the coset through the
+G0-orbit of v and one coordinate t mod N, so the table holds O(N^2) entries
+(one per primitive vector mod N and one per coset) and never one per
+element of SL2(Z/N); see CongruenceSubgroup.
 
 Matrices mod N and over Z are row-major 4-tuples (a, b, c, d) for
 [[a, b], [c, d]].
@@ -35,8 +37,6 @@ class GroupTooLarge(Exception):
 
 
 def mat_mod(g, n):
-    if n == 1:
-        return (0, 0, 0, 0)
     return (g[0] % n, g[1] % n, g[2] % n, g[3] % n)
 
 
@@ -56,8 +56,6 @@ def mat_det(g):
 
 def mat_inv_mod(g, n):
     """Inverse of a matrix with unit determinant mod n."""
-    if n == 1:
-        return (0, 0, 0, 0)
     di = pow(mat_det(g), -1, n)
     return ((g[3] * di) % n, (-g[1] * di) % n, (-g[2] * di) % n, (g[0] * di) % n)
 
@@ -71,27 +69,66 @@ def is_unit(x, n):
     return n == 1 or gcd(x % n, n) == 1
 
 
-class GroupModN:
-    """Subgroup G of GL2(Z/N), kept as its determinant-one part G0 (a set)
-    and a transversal {d: t_d}, one element of G per determinant d, so that
-    G is the union of the cosets G0 t_d.  Nothing else has one entry per
-    element of G."""
+def orbit_of(N, gens, s):
+    """The orbit of the first column v_0 of s in SL2(Z/N) under the group
+    generated by gens (in SL2(Z/N)), as {a N + c: h_v}, and the width w of
+    its stabilizer.  g_v is the product of generators on the search's path
+    from v_0 to v = (a, c), and h_v the first row of s^-1 g_v^-1, so a new
+    point g v gets h_v g^-1.  The stabilizer of v_0 is cyclic,
+    {s u_t s^-1 : w | t} with u_t = ((1, t), (0, 1)); by Schreier's lemma
+    it is generated by the g_(gv)^-1 g g_v = s u_t s^-1 with
+    t = h_(gv) g (-h_v[1], h_v[0]), so w is the gcd of N and those t."""
+    a, b, c, d = s
+    h = (d % N, -b % N)                         # the first row of s^-1
+    members = {a * N + c: h}
+    queue = [(a, c, h)]
+    width = N
+    for x, y, (h0, h1) in queue:
+        for g0, g1, g2, g3 in gens:
+            u = (g0 * x + g1 * y) % N
+            v = (g2 * x + g3 * y) % N
+            k = members.get(u * N + v)
+            if k is None:
+                # h_v g^-1, with g^-1 = (g3, -g1, -g2, g0) at det 1
+                k = members[u * N + v] = ((h0 * g3 - h1 * g2) % N,
+                                          (h1 * g0 - h0 * g1) % N)
+                queue.append((u, v, k))
+            else:
+                t = k[0] * (h0 * g1 - h1 * g0) + k[1] * (h0 * g3 - h1 * g2)
+                if t % width:
+                    width = gcd(width, t)
+    return members, width
 
-    def __init__(self, N, generators, G0, transversal):
+
+class GroupModN:
+    """Subgroup G of GL2(Z/N): generators gens0 of its determinant-one part
+    G0, and a transversal {d: t_d} with G the union of the cosets G0 t_d.
+    orbit, width = orbit_of(N, gens0, 1), so |G0| = |orbit| N / width, and
+    x of determinant 1 lies in G0 when x e1 = v is in the orbit and
+    g_v^-1 x = u_t has width | t, t = h_v (x[1], x[3])."""
+
+    def __init__(self, N, generators, gens0, transversal):
         self.N = N
         self.generators = list(generators)
-        self.G0 = G0
+        self.gens0 = gens0
         self.transversal = transversal
         self.det_image = sorted(transversal)
+        self.orbit, self.width = orbit_of(N, gens0, mat_mod(IDENT, N))
+        self.order0 = len(self.orbit) * N // self.width
+
+    def in_g0(self, x):
+        """Is x, of determinant 1 and reduced mod N, in G0?"""
+        h = self.orbit.get(x[0] * self.N + x[2])
+        return h is not None and (h[0] * x[1] + h[1] * x[3]) % self.width == 0
 
     def __contains__(self, g):
         g = mat_mod(g, self.N)
         t = self.transversal.get(mat_det(g) % self.N)
-        return t is not None and mat_mul(g, mat_inv_mod(t, self.N),
-                                         self.N) in self.G0
+        return t is not None and self.in_g0(
+            mat_mul(g, mat_inv_mod(t, self.N), self.N))
 
     def order(self):
-        return len(self.G0) * len(self.det_image)
+        return self.order0 * len(self.det_image)
 
     def __repr__(self):
         return "GroupModN(N=%d, order=%d)" % (self.N, self.order())
@@ -102,9 +139,10 @@ def close_group(N, gens, cap=GROUP_CAP):
 
     A breadth-first search over the determinants finds the transversal
     t_d (t_1 the identity).  By Schreier's lemma G0 is generated by the
-    t_d g t_(d det g)^-1, closed under them one at a time: one already in
-    G0 is skipped; a new one multiplies all of G0 so far, and every
-    generator multiplies the elements that adds.  cap bounds |G0|."""
+    t_d g t_(d det g)^-1; each is sifted through the membership test of
+    the group the kept ones generate, and one that fails it is kept and the
+    orbit of e1 searched again.  A kept generator at least doubles the
+    group, so at most log2 |G0| are kept.  cap bounds |G0|."""
     if N < 1:
         raise ValueError("modulus must be positive")
     norm = []
@@ -113,8 +151,7 @@ def close_group(N, gens, cap=GROUP_CAP):
         if not is_unit(mat_det(gm), N):
             raise ValueError("generator %r is not invertible mod %d" % (g, N))
         norm.append(gm)
-    ident = mat_mod(IDENT, N)
-    trans = {1 % N: ident}
+    trans = {1 % N: mat_mod(IDENT, N)}
     dets = [1 % N]
     for d in dets:
         for g in norm:
@@ -122,26 +159,16 @@ def close_group(N, gens, cap=GROUP_CAP):
             if e not in trans:
                 trans[e] = mat_mul(trans[d], g, N)
                 dets.append(e)
-    G0 = {ident}
-    schreier = []
+    inv = {d: mat_inv_mod(t, N) for d, t in trans.items()}
+    G = GroupModN(N, norm, [], trans)
     for d in dets:
         for g in norm:
-            s = mat_mul(mat_mul(trans[d], g, N),
-                        mat_inv_mod(trans[d * mat_det(g) % N], N), N)
-            if s in G0:
-                continue
-            schreier.append(s)
-            old = len(G0)
-            queue = list(G0)
-            for i, x in enumerate(queue):
-                for h in schreier if i >= old else [s]:
-                    y = mat_mul(x, h, N)
-                    if y not in G0:
-                        if len(G0) >= cap:
-                            raise GroupTooLarge("G0 exceeds %d elements" % cap)
-                        G0.add(y)
-                        queue.append(y)
-    return GroupModN(N, norm, G0, trans)
+            s = mat_mul(mat_mul(trans[d], g, N), inv[d * mat_det(g) % N], N)
+            if not G.in_g0(s):
+                G = GroupModN(N, norm, G.gens0 + [s], trans)
+                if G.order0 > cap:
+                    raise GroupTooLarge("G0 exceeds %d elements" % cap)
+    return G
 
 
 def lift_to_sl2(g, N):
@@ -178,7 +205,7 @@ def lift_to_sl2(g, N):
     for k in (-1, 0, 1):
         sk = s0 + k * N
         cand = (x0 + sk * c0, y0 + sk * d0, c0, d0)
-        score = max(abs(e) for e in cand)
+        score = max(map(abs, cand))
         if best is None or score < best[0]:
             best = (score, cand)
     lift = best[1]
@@ -200,8 +227,10 @@ class CongruenceSubgroup:
     g_v v_O = v and h_v = s_O^-1 g_v^-1, the coset of x is that of
     s_O u_t with t = h_v[0] x[1] + h_v[1] x[3] mod N.  Two such t give one
     coset exactly when they differ by an element of
-    W_O = {s : s_O u_s s_O^-1 in G0} = d_O Z/N, read off the stabilizer of
-    v_O in G0, so the coset depends on t mod d_O only.  The table is
+    W_O = {s : s_O u_s s_O^-1 in G0} = d_O Z/N, the stabilizer of v_O in
+    G0, so the coset depends on t mod d_O only, and another choice of g_v
+    moves t by a multiple of d_O.  One search orbit_of(N, G.gens0, s_O)
+    gives the orbit with its h_v and d_O.  The table is
 
     - _frame, a list indexed by a N + c: for each primitive (a, c) the
       triple (cosets of its orbit, h_v[0], h_v[1]), and None elsewhere;
@@ -217,20 +246,11 @@ class CongruenceSubgroup:
         self.G = G
         N = self.N = G.N
         total = sl2_order(N)
-        g0 = G.G0
         self._t_cycles = None
-        if N == 1:
-            self.index = 1
-            self.reps = [IDENT]
-            self.reps_mod = [(0, 0, 0, 0)]
-            self.perm_S = [0]
-            self.perm_T = [0]
-            self._frame = [([0], 0, 0)]
-            return
-        if max(N * N, total // len(g0)) > cap:
+        if max(N * N, total // G.order0) > cap:
             raise GroupTooLarge("the coset table mod %d has %d frame slots "
                                 "and %d cosets, beyond the cap"
-                                % (N, N * N, total // len(g0)))
+                                % (N, N * N, total // G.order0))
         sm = mat_mod(S_MAT, N)
         tm = mat_mod(T_MAT, N)
         ident = mat_mod(IDENT, N)
@@ -242,20 +262,7 @@ class CongruenceSubgroup:
         def add_orbit(s):
             """Enter the G0-orbit of the first column of s in the frame,
             with s_O = s."""
-            a, b, c, d = s
-            width = N
-            members = {a * N + c: (d % N, -b % N)}    # h = first row of s^-1
-            for g in g0:
-                x = (g[0] * a + g[1] * c) % N
-                y = (g[2] * a + g[3] * c) % N
-                if x == a and y == c:
-                    # g = s u_w s^-1 with w the (0, 1) entry of s^-1 g s
-                    width = gcd(width, d * (g[0] * b + g[1] * d)
-                                - b * (g[2] * b + g[3] * d))
-                elif x * N + y not in members:
-                    # first row of s^-1 g^-1, g^-1 = (g3, -g1, -g2, g0)
-                    members[x * N + y] = ((d * g[3] + b * g[2]) % N,
-                                          -(d * g[1] + b * g[0]) % N)
+            members, width = orbit_of(N, G.gens0, s)
             cosets = [None] * width
             for key, (h0, h1) in members.items():
                 frame[key] = (cosets, h0, h1)
@@ -280,9 +287,9 @@ class CongruenceSubgroup:
             perm_t[i] = coset_of(mat_mul(m, tm, N))
             i += 1
         self.index = len(reps_mod)
-        if self.index * len(g0) != total:
+        if self.index * G.order0 != total:
             raise RuntimeError("%d cosets of a group of order %d do not "
-                               "cover SL2(Z/%d)" % (self.index, len(g0), N))
+                               "cover SL2(Z/%d)" % (self.index, G.order0, N))
         self.reps_mod = reps_mod
         self.perm_S = perm_s
         self.perm_T = perm_t
@@ -340,7 +347,7 @@ class CongruenceSubgroup:
         """Is the integer matrix x in Gamma_G (det 1 and reduction in G0)?"""
         if mat_det(x) != 1:
             return False
-        return mat_mod(x, self.N) in self.G.G0
+        return self.G.in_g0(mat_mod(x, self.N))
 
     def __repr__(self):
         return "CongruenceSubgroup(N=%d, index=%d)" % (self.N, self.index)

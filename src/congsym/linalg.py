@@ -1,14 +1,13 @@
-"""Exact linear algebra over the rationals and Q[x].
+"""Exact linear algebra over the rationals.
 
 Matrices are lists of row lists acting on column vectors; vectors are lists.
 Entries are Fractions (backend.rat).  One sparse Gauss-Jordan (echelon)
 serves rref, rank, sparse kernels and spaces.build_space.  Products,
-restriction, Horner evaluation, dense kernels and det_poly_matrix clear
-denominators and run on sympy's DomainMatrix over ZZ or Z[x], imported at
-first use.  charpoly works modulo primes near 2^60 and primary_components
-modulo primes near 2^61, both in plain Python integers, with one Hessenberg
-reduction mod a prime (_charpoly_mod) for charpoly and the certificate of
-primary_components.
+restriction, Horner evaluation and dense kernels clear denominators and
+run on sympy's DomainMatrix over ZZ, imported at first use.  charpoly works
+modulo primes near 2^60 and primary_components modulo primes near 2^61,
+both in plain Python integers, with one Hessenberg reduction mod a prime
+(_charpoly_mod) for charpoly and the certificate of primary_components.
 """
 
 from collections import defaultdict
@@ -573,20 +572,6 @@ def _unpack(x, n, w):
     """The n values of _pack(values, w) == x."""
     b = x.to_bytes(n * w, "little")
     return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
-
-
-def det_poly_matrix(m):
-    """Determinant of a square matrix with UniPoly entries: det(d m) / d^n
-    over Z[x], for d the least common denominator of the coefficients."""
-    from sympy import ZZ, Symbol
-    from sympy.polys.matrices import DomainMatrix
-    zx = ZZ[Symbol("x")]
-    d = lcm(*(c.denominator for row in m for f in row for c in f.coeffs))
-    rows = [[zx.ring.from_list([c.numerator * (d // c.denominator)
-                                for c in reversed(f.coeffs)]) for f in row]
-            for row in m]
-    det = DomainMatrix(rows, (len(m), len(m)), zx).det()
-    return UniPoly([rat(c, d ** len(m)) for c in reversed(det.to_dense())])
 
 
 def seeded_random_combination(ops, seed=0):

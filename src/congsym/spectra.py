@@ -247,13 +247,12 @@ def dual_vector_space(ctx, piece):
 class EigenSystem:
     """Eigenvalues a_n, n < L, of a Hecke piece over its coefficient field."""
 
-    def __init__(self, piece, modulus, field, values, L, absent, assumed):
+    def __init__(self, piece, modulus, field, values, L, assumed):
         self.piece = piece
         self.modulus = modulus      # monic minimal polynomial of the generator
         self.field = field          # NumberField, or None when rational
-        self.values = values        # dict n -> value (None when absent)
+        self.values = values        # dict n -> value
         self.L = L
-        self.absent = absent        # bad primes with no supplied operator
         self.assumed = assumed      # bad primes defaulted to zero
 
     def a(self, n):
@@ -289,7 +288,7 @@ def _generator(piece, seed):
     raise RuntimeError("no generator with power-of-irreducible charpoly")
 
 
-def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
+def eigen_system(piece, L=100, seed=0, bad_ops=None):
     """Eigenvalue system of an irreducible (or simple-isotypic) piece.
 
     T is the generator (see _generator) and g its minimal polynomial on the
@@ -314,8 +313,7 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
     bad_ops maps a prime p dividing the modulus to a matrix on the working
     module (a user-supplied double-coset combination), read through e
     restricted to the working module, which must be an eigenvector of it
-    (ValueError otherwise); without it a_p is absent (None) or, with
-    default_bad_zero, assumed to be 0.
+    (ValueError otherwise); without it a_p is assumed to be 0.
     """
     ctx = piece.ctx
     S = ctx.S
@@ -371,7 +369,6 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
                 total = total + hi * ci
         return total
 
-    absent = set()
     assumed = set()
 
     def bad_value(p, R):
@@ -388,19 +385,16 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
         return lam
 
     def prime_powers(p):
-        """[a_1, a_p, a_(p^2), ...] below L, or None when a_p is absent."""
+        """[a_1, a_p, a_(p^2), ...] below L."""
         rmax = 1
         while p ** (rmax + 1) < L:
             rmax += 1
         if N > 1 and N % p == 0:
             if bad_ops is not None and p in bad_ops:
                 base = bad_value(p, bad_ops[p])
-            elif default_bad_zero:
+            else:
                 assumed.add(p)
                 base = fone * 0
-            else:
-                absent.add(p)
-                return None
             return [base ** r for r in range(rmax + 1)]
         if N > 1 and p % N not in S.G.det_image:
             return [fone] + [sweep_value(p ** r)
@@ -429,19 +423,17 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None, default_bad_zero=True):
         for p, r in fac:
             if p not in pp_cache:
                 pp_cache[p] = prime_powers(p)
-            if pp_cache[p] is None:
-                terms = None
-                break
             terms.append(pp_cache[p][r])
-        if terms is not None and swept:
+        if swept:
             terms.append(sweep_value(math.prod(p ** r for p, r in good)))
-        values[n] = (None if terms is None
-                     else math.prod(terms[1:], start=terms[0]))
-    return EigenSystem(piece, g, field, values, L, absent, assumed)
+        values[n] = math.prod(terms[1:], start=terms[0])
+    return EigenSystem(piece, g, field, values, L, assumed)
 
 
 def local_euler_factor(piece, p):
-    """det(1 - T_p X + <sigma_p> p^(k-1) X^2) on the piece."""
+    """det(1 - T_p X + <sigma_p> p^(k-1) X^2) on the piece: det(1 - A X)
+    for A = [[T_p, -p^(k-1) <sigma_p>], [1, 0]] (by the Schur complement of
+    the lower right block of 1 - A X), so the charpoly of A reversed."""
     ctx = piece.ctx
     S = ctx.S
     N = S.table.N
@@ -451,8 +443,7 @@ def local_euler_factor(piece, p):
     R = piece.op(p)
     D = piece.restricted(ctx.diamond(p))
     d = piece.dimension
-    one = S.one
-    pk = one * (p ** (S.k - 1))
-    mat = [[UniPoly([one * (1 if i == j else 0), -R[i][j], pk * D[i][j]])
-            for j in range(d)] for i in range(d)]
-    return la.det_poly_matrix(mat)
+    pk = p ** (S.k - 1)
+    A = [R[i] + [-pk * x for x in D[i]] for i in range(d)]
+    A += [[int(i == j) for j in range(2 * d)] for i in range(d)]
+    return UniPoly(la.charpoly(A).coeffs[::-1])

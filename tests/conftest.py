@@ -16,7 +16,7 @@ def space_for(tag, param, k=2):
 def closure_elements(N, gens):
     """Every element of the subgroup of GL2(Z/N) generated by gens, by
     breadth-first closure over all of G: the reference for close_group,
-    which lists only G0."""
+    which keeps generators of G0 and one element per determinant."""
     gens = [mat_mod(g, N) for g in gens]
     elements = {mat_mod(IDENT, N)}
     frontier = list(elements)

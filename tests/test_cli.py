@@ -4,7 +4,8 @@ import pytest
 
 from congsym.backend import PSI_12
 from congsym.cli import (main, parse_group, _alpha_matrix, _alpha_prime,
-                         CliInputError, EXIT_PARSE, EXIT_BAD_PRIME)
+                         CliInputError, EXIT_MISMATCH, EXIT_PARSE,
+                         EXIT_BAD_PRIME)
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +252,17 @@ def test_bench_output(capsys):
     code, out, _ = run_cli(capsys, "bench", "gamma0", "11", "-p", "2")
     assert code == 0
     assert "equal" in out and "hash=" in out
+
+
+def test_bench_path_mismatch_exit(capsys, monkeypatch):
+    """bench exits 1 when the naive and Merel matrices differ."""
+    def by_path(G, S, p, path, alphas):
+        return [[1 if path == "naive" else 2]]
+    monkeypatch.setattr("congsym.cli._hecke_matrix", by_path)
+    code, out, err = run_cli(capsys, "bench", "gamma0", "11", "-p", "2")
+    assert code == EXIT_MISMATCH == 1
+    assert out == ""
+    assert err == "p=2: PATH MISMATCH\n"
 
 
 def test_byte_determinism(capsys):

@@ -22,10 +22,11 @@ def test_close_group_orders():
 
 
 def assert_same_group(G, H):
-    """G = H: the same G0 and determinants, and each t_d of G in H, so
-    G lies in H and has its order."""
-    assert G.G0 == H.G0
+    """G = H: the same order and determinants, and G's generators of G0 and
+    each t_d of G in H, so G lies in H and has its order."""
+    assert G.order() == H.order()
     assert G.det_image == H.det_image
+    assert all(H.in_g0(g) for g in G.gens0)
     assert all(t in H for t in G.transversal.values())
 
 
@@ -59,9 +60,11 @@ REFERENCE_GROUPS = [
 def test_close_group_matches_full_closure(request, tag, param):
     """G0 and the transversal describe the group the breadth-first closure
     over all of G lists (for ns and ns_plus, the group listed as
-    a + b sqrt(u) at each prime): the order, G0, the determinants, the least
-    element of each determinant, real type, and membership, over all of
-    GL2(Z/N) for N <= 12 and over G and random matrices above."""
+    a + b sqrt(u) at each prime): the order, |G0| and membership in G0 of
+    every determinant-one element, at most log2 |G0| generators of G0, the
+    determinants, an element of each determinant, real type, and
+    membership, over all of GL2(Z/N) for N <= 12 and over G and random
+    matrices above."""
     if tag == "explicit":
         G = close_group(1, [])
     elif tag in ("8e1", "h155", "level16"):
@@ -74,7 +77,10 @@ def test_close_group_matches_full_closure(request, tag, param):
     else:
         E = closure_elements(N, G.generators)
     assert G.order() == len(E)
-    assert G.G0 == {g for g in E if mat_det(g) % N == 1 % N}
+    E0 = [g for g in E if mat_det(g) % N == 1 % N]
+    assert G.order0 == len(E0) and all(G.in_g0(g) for g in E0)
+    # each generator close_group keeps at least doubles the group
+    assert 2 ** len(G.gens0) <= G.order0
     by_det = {}
     for g in E:
         by_det.setdefault(mat_det(g) % N, []).append(g)
@@ -96,8 +102,8 @@ def test_close_group_matches_full_closure(request, tag, param):
 
 
 def test_close_group_memory():
-    """Only G0 is kept: gamma0 211 (|G| = 9 305 100, |G0| = 44 310) took
-    about 1 GB when every element of G was listed."""
+    """Only generators of G0 are kept: gamma0 211 (|G| = 9 305 100,
+    |G0| = 44 310) took about 1 GB when every element of G was listed."""
     tracemalloc.start()
     try:
         G = build_family("gamma0", 211)
@@ -105,8 +111,23 @@ def test_close_group_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    assert (G.order(), len(G.G0)) == (9305100, 44310)
+    assert (G.order(), G.order0) == (9305100, 44310)
     assert coset_table(G).index == 212
+
+
+def test_close_group_keeps_no_element_set():
+    """gamma_full 101 (|G| = 103 020 000, |G0| = |SL2(F101)| = 1 030 200):
+    the group and its one-coset table take a few MiB under tracemalloc,
+    where the G0 set took 110.8 MiB."""
+    tracemalloc.start()
+    try:
+        G = build_family("gamma_full", 101)
+        index = coset_table(G).index
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert (G.order(), index) == (103020000, 1)
 
 
 def test_cap_counts_g0():
@@ -155,7 +176,7 @@ def test_coset_index_is_the_coset(tag, param):
                     r = Gamma.reps_mod[i]
                     assert mat_mul(x, mat_inv_mod(r, N), N) in G
                     hits[i] += 1
-    assert hits == [len(G.G0)] * Gamma.index
+    assert hits == [G.order0] * Gamma.index
 
 
 @pytest.mark.parametrize("tag, param, digest", [
@@ -188,8 +209,9 @@ def test_coset_table_memory(param, limit_mib):
 
 def test_lift_to_sl2():
     for N in (5, 11, 16):
-        G = build_family("gamma_full", N)
-        for g in list(sorted(G.G0))[:20]:
+        sl2 = [g for g in closure_elements(N, build_family(
+            "gamma_full", N).generators) if mat_det(g) % N == 1]
+        for g in sorted(sl2)[:20]:
             m = lift_to_sl2(g, N)
             assert mat_det(m) == 1
             assert mat_mod(m, N) == g

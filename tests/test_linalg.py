@@ -128,24 +128,6 @@ def test_seeded_combination_deterministic():
         la.seeded_random_combination(ops, 7)
 
 
-def test_det_poly_matrix():
-    x = UniPoly([0, 1])
-    one = UniPoly([1])
-    m = [[x, one * 0], [one * 0, x - 2]]
-    assert la.det_poly_matrix(m) == x * (x - 2)
-
-
-def test_det_poly_matrix_large_is_charpoly():
-    # 10x10: det(xI - m) over Q[x] against the charpoly of m
-    rng = XorShift64(3)
-    n = 10
-    m = [[rat(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-         for _ in range(n)]
-    xim = [[UniPoly([-m[i][j], 1 if i == j else 0]) for j in range(n)]
-           for i in range(n)]
-    assert la.det_poly_matrix(xim) == la.charpoly(m)
-
-
 def _companion(f):
     """Companion matrix of a monic UniPoly f: charpoly f, cyclic."""
     d = f.degree

@@ -58,7 +58,7 @@ def _charpolys(tag, param, primes):
     return [la.charpoly(ctx.op(l)) for l in primes]
 
 
-@pytest.mark.parametrize("p", [11, 13, 17])
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
 def test_chen_isogeny(p):
     """Jac X0+(p^2) ~ Jac X_ns+(p) x Jac X0(p), compatibly with T_l for
     l != p (I. Chen, Proc. LMS 77, 1998; de Smit-Edixhoven, Math. Res.

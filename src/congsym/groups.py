@@ -69,7 +69,7 @@ def is_unit(x, n):
     return n == 1 or gcd(x % n, n) == 1
 
 
-def orbit_of(N, gens, s):
+def orbit_of(N, gens, s, cap=None):
     """The orbit of the first column v_0 of s in SL2(Z/N) under the group
     generated by gens (in SL2(Z/N)), as {a N + c: h_v}, and the width w of
     its stabilizer.  g_v is the product of generators on the search's path
@@ -77,7 +77,9 @@ def orbit_of(N, gens, s):
     point g v gets h_v g^-1.  The stabilizer of v_0 is cyclic,
     {s u_t s^-1 : w | t} with u_t = ((1, t), (0, 1)); by Schreier's lemma
     it is generated by the g_(gv)^-1 g g_v = s u_t s^-1 with
-    t = h_(gv) g (-h_v[1], h_v[0]), so w is the gcd of N and those t."""
+    t = h_(gv) g (-h_v[1], h_v[0]), so w is the gcd of N and those t.  With
+    cap, GroupTooLarge is raised before a new point would take the points
+    found times N / (the gcd so far), at most |orbit| N / w, past cap."""
     a, b, c, d = s
     h = (d % N, -b % N)                         # the first row of s^-1
     members = {a * N + c: h}
@@ -89,6 +91,8 @@ def orbit_of(N, gens, s):
             v = (g2 * x + g3 * y) % N
             k = members.get(u * N + v)
             if k is None:
+                if cap and len(members) * (N // width) >= cap:
+                    raise GroupTooLarge("G0 exceeds %d elements" % cap)
                 # h_v g^-1, with g^-1 = (g3, -g1, -g2, g0) at det 1
                 k = members[u * N + v] = ((h0 * g3 - h1 * g2) % N,
                                           (h1 * g0 - h0 * g1) % N)
@@ -107,13 +111,13 @@ class GroupModN:
     x of determinant 1 lies in G0 when x e1 = v is in the orbit and
     g_v^-1 x = u_t has width | t, t = h_v (x[1], x[3])."""
 
-    def __init__(self, N, generators, gens0, transversal):
+    def __init__(self, N, generators, gens0, transversal, cap=GROUP_CAP):
         self.N = N
         self.generators = list(generators)
         self.gens0 = gens0
         self.transversal = transversal
         self.det_image = sorted(transversal)
-        self.orbit, self.width = orbit_of(N, gens0, mat_mod(IDENT, N))
+        self.orbit, self.width = orbit_of(N, gens0, mat_mod(IDENT, N), cap)
         self.order0 = len(self.orbit) * N // self.width
 
     def in_g0(self, x):
@@ -142,7 +146,8 @@ def close_group(N, gens, cap=GROUP_CAP):
     t_d g t_(d det g)^-1; each is sifted through the membership test of
     the group the kept ones generate, and one that fails it is kept and the
     orbit of e1 searched again.  A kept generator at least doubles the
-    group, so at most log2 |G0| are kept.  cap bounds |G0|."""
+    group, so at most log2 |G0| are kept.  cap bounds |G0|, and no search
+    holds more than cap points."""
     if N < 1:
         raise ValueError("modulus must be positive")
     norm = []
@@ -160,12 +165,12 @@ def close_group(N, gens, cap=GROUP_CAP):
                 trans[e] = mat_mul(trans[d], g, N)
                 dets.append(e)
     inv = {d: mat_inv_mod(t, N) for d, t in trans.items()}
-    G = GroupModN(N, norm, [], trans)
+    G = GroupModN(N, norm, [], trans, cap)
     for d in dets:
         for g in norm:
             s = mat_mul(mat_mul(trans[d], g, N), inv[d * mat_det(g) % N], N)
             if not G.in_g0(s):
-                G = GroupModN(N, norm, G.gens0 + [s], trans)
+                G = GroupModN(N, norm, G.gens0 + [s], trans, cap)
                 if G.order0 > cap:
                     raise GroupTooLarge("G0 exceeds %d elements" % cap)
     return G

@@ -251,7 +251,7 @@ class EigenSystem:
         self.piece = piece
         self.modulus = modulus      # monic minimal polynomial of the generator
         self.field = field          # NumberField, or None when rational
-        self.values = values        # dict n -> value
+        self.values = values        # dict n -> value, for 1 <= n < L
         self.L = L
         self.assumed = assumed      # bad primes defaulted to zero
 
@@ -259,9 +259,7 @@ class EigenSystem:
         return self.values.get(n)
 
     def a_str(self, n):
-        v = self.values.get(n)
-        if v is None:
-            return "?"
+        v = self.values[n]
         if self.field is None:
             return rat_str(v)
         return v.to_str()

@@ -138,6 +138,30 @@ def test_cap_counts_g0():
     assert G.order() == 1872
 
 
+def traced_peak(f):
+    """Peak traced memory of f(), which may raise GroupTooLarge."""
+    tracemalloc.start()
+    try:
+        try:
+            f()
+        except GroupTooLarge:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cap_stops_the_orbit_search():
+    """A group beyond the cap is refused before its orbit of e1 is listed:
+    SL2(Z/101) has |G0| = 1030200 and an orbit of 10200 points, and the
+    search stops once it has proved |G0| > 1000."""
+    with pytest.raises(GroupTooLarge):
+        close_group(101, [S_MAT, T_MAT], cap=1000)
+    capped = traced_peak(lambda: close_group(101, [S_MAT, T_MAT], cap=1000))
+    full = traced_peak(lambda: close_group(101, [S_MAT, T_MAT]))
+    assert capped * 20 < full
+
+
 def test_coset_table_indices():
     assert coset_table(build_family("gamma0", 11)).index == 12
     assert coset_table(build_family("gamma1", 5)).index == 24

@@ -60,11 +60,34 @@ def least_nonresidue(p):
     raise ValueError("no quadratic non-residue mod %d" % p)
 
 
+def _cartan_generator(p, u):
+    """(x, y), the first in the order of y then x, with x + y sqrt(u) of
+    order p^2 - 1 in F_p[sqrt(u)]^*, the cyclic non-split Cartan: z has
+    that order when z^((p^2 - 1)/r) != 1 for each prime r | p^2 - 1."""
+    def mul(z, w):
+        return ((z[0] * w[0] + u * z[1] * w[1]) % p,
+                (z[0] * w[1] + z[1] * w[0]) % p)
+
+    def power(z, e):
+        out = (1, 0)
+        while e:
+            if e & 1:
+                out = mul(out, z)
+            z = mul(z, z)
+            e >>= 1
+        return out
+
+    n = p * p - 1
+    return next((x, y) for y in range(1, p) for x in range(p)
+                if all(power((x, y), n // r) != (1, 0) for r in factor_int(n)))
+
+
 def _ns_like(N, plus):
-    """Generated, at each p | N, by a + sqrt(u) for a in F_p (u the least
-    non-residue, sqrt(u) = ((0, u), (1, 0))) and the scalars, as
-    x + y sqrt(u) = y (x/y + sqrt(u)), and with plus by diag(1, -1); each
-    lifted by CRT with the identity at the other primes."""
+    """Generated, at each p | N, by one x + y sqrt(u) of order p^2 - 1
+    (_cartan_generator; u the least non-residue, x + y sqrt(u) the matrix
+    ((x, u y), (y, x))), which generates the cyclic non-split Cartan, and
+    with plus by diag(1, -1); each lifted by CRT with the identity at the
+    other primes."""
     if N % 2 == 0 or N < 3:
         raise ValueError("non-split Cartan level must be an odd prime or "
                          "squarefree odd composite, got %d" % N)
@@ -74,8 +97,8 @@ def _ns_like(N, plus):
     gens = []
     for p in sorted(fac):
         u = least_nonresidue(p)
-        local = [(a, u, 1, a) for a in range(p)]
-        local += [(c, 0, 0, c) for c in _unit_generators(p)]
+        x, y = _cartan_generator(p, u)
+        local = [(x, u * y % p, y, x)]
         if plus:
             local.append((1, 0, 0, p - 1))
         gens += [crt_matrix(g, p, IDENT, N // p) for g in local]

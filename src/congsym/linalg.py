@@ -2,12 +2,15 @@
 
 Matrices are lists of row lists acting on column vectors; vectors are lists.
 Entries are Fractions (backend.rat).  One sparse Gauss-Jordan (echelon)
-serves rref, rank, sparse kernels and spaces.build_space.  Products,
-restriction, Horner evaluation and dense kernels clear denominators and
-run on sympy's DomainMatrix over ZZ, imported at first use.  charpoly works
-modulo primes near 2^60 and primary_components modulo primes near 2^61,
-both in plain Python integers, with one Hessenberg reduction mod a prime
-(_charpoly_mod) for charpoly and the certificate of primary_components.
+serves rref, rank, kernels and spaces.build_space.  Products, restriction
+and Horner evaluation clear denominators and run on sparse integer rows,
+one dict column -> nonzero int per row (_int_rows), with one product
+routine (_mul_rows).  charpoly works modulo primes near 2^60;
+primary_components and cut_space work modulo primes near 2^61 (_PRIMES),
+lift by rational reconstruction and check the lift exactly.  All of it runs
+on plain Python integers: one Hessenberg reduction mod a prime
+(_charpoly_mod) serves charpoly and the certificate of primary_components,
+and one packed elimination mod a prime (_rref_mod) serves cut_space.
 """
 
 from collections import defaultdict
@@ -16,25 +19,35 @@ from itertools import count
 from math import gcd, isqrt, lcm
 
 from .backend import ONE, rat, prev_prime, XorShift64
-from .polys import UniPoly
+from .polys import UniPoly, gf_gcd, gf_mul, gf_pow
 
 
-def _dm_zz(rows):
-    """(d, d rows over ZZ as a DomainMatrix) for d the lcm of denominators."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
+def _int_rows(rows):
+    """(d, the sparse rows of d rows over the integers) for d the lcm of
+    the denominators."""
     d = lcm(*(x.denominator for row in rows for x in row))
-    dod = {i: nz for i, row in enumerate(rows)
-           if (nz := {j: x.numerator * (d // x.denominator)
-                      for j, x in enumerate(row) if x})}
-    return d, DomainMatrix(dod, (len(rows), len(rows[0]) if rows else 0), ZZ)
+    return d, [{j: x.numerator * (d // x.denominator)
+                for j, x in enumerate(row) if x} for row in rows]
 
 
-def _lists(a, den=1):
-    """Rows of a / den for an integer DomainMatrix a."""
-    sdm = a.to_sdm()
-    return from_dicts([sdm.get(i, {}) for i in range(a.shape[0])],
-                      a.shape[1], den)
+def _mul_rows(a, b):
+    """The product a b of sparse integer matrices given by their rows."""
+    out = []
+    for ra in a:
+        acc = {}
+        for k, x in ra.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: z for j, z in acc.items() if z})
+    return out
+
+
+def _transpose_rows(rows, ncols):
+    out = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def from_dicts(rows, ncols, den=1):
@@ -69,8 +82,8 @@ def zero_matrix(n, m):
 def mat_mul(a, b):
     if not a or not b:
         return [[] for _ in a]
-    (da, A), (db, B) = _dm_zz(a), _dm_zz(b)
-    return _lists(A * B, da * db)
+    (da, A), (db, B) = _int_rows(a), _int_rows(b)
+    return from_dicts(_mul_rows(A, B), len(b[0]), da * db)
 
 
 def mat_vec(a, v):
@@ -149,24 +162,17 @@ def rref(rows):
                        len(rows[0]) if rows else 0), pivots)
 
 
-def kernel(rows, sparse=False):
+def kernel(rows):
     """Basis of {v : rows v = 0}: for each free column j in turn, v[j] = 1 and
-    v[c] = -red[r][j] at the pivot column c of row r of the reduced form.
-    sparse=True reduces by echelon, Gauss-Jordan over Q, which suits the
-    Manin-symbol matrices (a few small nonzeros per row, little fill-in);
-    otherwise sympy clears denominators and eliminates fraction-free, which
-    suits dense matrices.  The reduced form is the same either way."""
+    v[c] = -red[r][j] at the pivot column c of row r of the reduced form
+    (echelon, Gauss-Jordan over Q)."""
     ncols = len(rows[0]) if rows else 0
-    if sparse:
-        (red, pivots), den = echelon(_dicts(rows)), 1
-    else:       # red is den times the reduced form
-        red, den, pivots = _dm_zz(rows)[1].rref_den(method="FF")
-        red = map(red.to_sdm().get, range(len(pivots)))
-    vectors = {j: {j: den} for j in sorted(set(range(ncols)) - set(pivots))}
+    red, pivots = echelon(_dicts(rows))
+    vectors = {j: {j: 1} for j in sorted(set(range(ncols)) - set(pivots))}
     for p, row in zip(pivots, red):
         for j in row.keys() - {p}:
             vectors[j][p] = -row[j]
-    return from_dicts(list(vectors.values()), ncols, den)
+    return from_dicts(list(vectors.values()), ncols)
 
 
 def row_space_basis(rows):
@@ -207,22 +213,23 @@ def restrict_to_invariant_subspace(m, basis):
     holds those of m * basis[j])."""
     if not basis:
         return []
-    r, s = _restrict_zz(*_dm_zz(m), basis)
-    return _lists(r, s)
+    r, s = _restrict_zz(*_int_rows(m), basis)
+    return from_dicts(r, len(basis), s)
 
 
 def _restrict_zz(d, a, basis):
-    """(r, s) with r an integer DomainMatrix and r / s the matrix R of
-    m = a / d in the coordinates of the m-invariant basis B: the rows of
-    m B^t at B's unit columns, checked against B^t R = m B^t, ValueError
-    where that fails.  The products run over the integers: with b = c B
-    integral, a b^t is d c m B^t, its rows at the unit columns are d c R,
-    and the check reads b^t (d c R) = c a b^t."""
-    c, b = _dm_zz(basis)
-    bt = b.transpose()
-    abt = a * bt
-    r = abt.extract(_unit_columns(basis), list(range(len(basis))))
-    if bt * r != abt * c:
+    """(r, s) with r sparse integer rows and r / s the matrix R of m = a / d
+    in the coordinates of the m-invariant basis B: the rows of m B^t at B's
+    unit columns, checked against B^t R = m B^t, ValueError where that
+    fails.  The products run over the integers: with b = c B integral,
+    a b^t is d c m B^t, its rows at the unit columns are d c R, and the
+    check reads b^t (d c R) = c a b^t."""
+    c, b = _int_rows(basis)
+    bt = _transpose_rows(b, len(basis[0]))
+    abt = _mul_rows(a, bt)
+    r = [abt[j] for j in _unit_columns(basis)]
+    if _mul_rows(bt, r) != [{j: c * x for j, x in row.items()}
+                            for row in abt]:
         raise ValueError("basis is not invariant under the matrix")
     return r, d * c
 
@@ -285,13 +292,37 @@ def _charpoly_prime(i):
 
 
 def mat_poly_eval(f, m):
-    """f(m) for a UniPoly f and a rational matrix m.  The Horner steps run on
-    integers: for m = a/d and n = deg f, f(m) = d^-n sum_i f_i d^(n-i) a^i."""
-    d, a = _dm_zz(m)
+    """f(m) for a UniPoly f and a rational matrix m."""
+    d, a = _int_rows(m)
+    e, h = _scaled_coeffs(f, d)
+    return from_dicts(_horner([{i: 1} for i in range(len(m))], a, h),
+                      len(m), e)
+
+
+def _scaled_coeffs(f, d):
+    """(e, h): integers h, highest degree first, with
+    f(a / d) = (h_0 a^n + h_1 a^(n-1) + ... + h_n) / e for n = deg f,
+    as f(a / d) = d^-n sum_i f_i d^(n-i) a^i."""
     cs = [c * d ** i for i, c in enumerate(f.coeffs[::-1])]
     e = lcm(*(c.denominator for c in cs))
-    h = [c.numerator * (e // c.denominator) for c in cs]
-    return _lists(a.eval_poly(h), e * d ** max(f.degree, 0))
+    return (e * d ** max(f.degree, 0),
+            [c.numerator * (e // c.denominator) for c in cs])
+
+
+def _horner(b, a, h):
+    """The sparse integer rows of b (h_0 a^n + h_1 a^(n-1) + ... + h_n),
+    for sparse integer rows b and a and integers h, by Horner's rule."""
+    out = [{} for _ in b]
+    for c in h:
+        out = _mul_rows(out, a)
+        if c:
+            for row, brow in zip(out, b):
+                for j, x in brow.items():
+                    if z := row.get(j, 0) + c * x:
+                        row[j] = z
+                    else:
+                        del row[j]
+    return out
 
 
 # the moduli of primary_components, primes 2^61 - d in decreasing order; at
@@ -316,9 +347,8 @@ def primary_components(m, factors, seed=0):
     lies in ker g(m)^e, has its dimension e deg g, and is that space; and a
     subspace has one reduced echelon basis, so the result depends on neither
     the primes nor the seed.  RuntimeError when the primes run out."""
-    den, a = _dm_zz(m)
-    sdm = a.to_sdm()
-    rows = [list(sdm.get(i, {}).items()) for i in range(len(m))]
+    den, a = _int_rows(m)
+    rows = [list(row.items()) for row in a]
     # a prime dividing a denominator of m or of a factor is skipped
     bad = lcm(den, *(x.denominator for g, _ in factors for x in g.coeffs))
     rng = XorShift64(seed)
@@ -333,18 +363,9 @@ def primary_components(m, factors, seed=0):
             if len(span) < e * g.degree:
                 continue
             pivots = sorted(span)
-            res = [span[j] for j in pivots]
-            mod = p
-            # residues of another echelon shape start the CRT afresh: one of
-            # the two primes was bad for this factor
-            if i in lifts and lifts[i][0] == pivots:
-                _, old, q = lifts[i]
-                t = pow(q, -1, p)
-                res = [[x + q * ((y - x) * t % p) for x, y in zip(r, s)]
-                       for r, s in zip(old, res)]
-                mod = q * p
-            lifts[i] = (pivots, res, mod)
-            W = _rational_lift(res, mod)
+            lifts[i] = _crt(lifts.get(i), pivots, [span[j] for j in pivots],
+                            p)
+            W = _rational_lift(*lifts[i][1:])
             others = [f for j, (f, _) in enumerate(factors) if j != i]
             if W is not None and _is_component(den, a, W, g, e, others):
                 out[i] = W
@@ -359,8 +380,6 @@ def _spans_mod(rows, den, factors, todo, p, rng):
     vectors m^j h(m) u, for m = rows / den, h the product of the other
     factors to their exponents and random u, reduced by _insert.  Each span
     stops at dimension e deg g; all stop when a new u adds nothing."""
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_mul, gf_pow
     c = pow(den, -1, p)
     rows = [[(j, x * c % p) for j, x in row] for row in rows]
     n = len(rows)
@@ -368,14 +387,14 @@ def _spans_mod(rows, den, factors, todo, p, rng):
     def apply(v):
         return [sum(x * v[j] for j, x in row) % p for row in rows]
 
-    powers = [gf_pow(_poly_mod(g, p), e, p, ZZ) for g, e in factors]
+    powers = [gf_pow(_poly_mod(g, p), e, p) for g, e in factors]
     dims = {i: len(powers[i]) - 1 for i in todo}      # e deg g
     hs = {}
     for i in todo:
         h = [1]
         for j, f in enumerate(powers):
             if j != i:
-                h = gf_mul(h, f, p, ZZ)
+                h = gf_mul(h, f, p)
         hs[i] = h[::-1]
     spans = {i: {} for i in todo}
     while True:
@@ -421,6 +440,165 @@ def _insert(span, v, p):
     return True
 
 
+def cut_space(V, ops, d):
+    """The reduced echelon basis (rows with a 1 at distinct pivot columns,
+    their first nonzero entries, where every other row is 0) of
+    D = {v in the row span of V : v g(T) = 0 for the first k pairs (T, g)},
+    for the least k at which D has dimension d, the pairs (T, g) of a
+    square rational T and a UniPoly g drawn in turn from the iterable ops.
+    V's span must be invariant under right multiplication by each T
+    (_restrict_zz checks it exactly, ValueError otherwise), and contain a
+    subspace of dimension d that every g(T) kills.
+
+    In the coordinates x of v = x V, v g(T) = 0 reads g(R) x^t = 0 for R
+    the matrix of T^t on V.  Mod a prime q of _PRIMES, with the rows of K a
+    basis of the kernel found so far, each pair cuts it by the kernel of
+    g(R) K^t (_horner_mod, _kernel_mod) until it has dimension d; the rows
+    of K V, in reduced echelon form mod q, are lifted by rational
+    reconstruction, over more primes by CRT where that fails.  Each lifted
+    v is then checked exactly: v is in the span of V and v g(T) = 0 for the
+    k pairs used, by sparse vector-matrix products.  That suffices: a rank
+    can only drop mod q, so D has dimension at most d, and d independent
+    vectors of D span it.  RuntimeError when the primes run out."""
+    m = len(V)
+    units = _unit_columns(V)
+    dv, v_rows = _int_rows(V)
+    ops = iter(ops)
+    conds = []      # per pair taken: R = r / s and T = t / dt, with g's h
+
+    def condition(i):
+        """(r, hr, t, ht) for the i-th pair: g(R) is a multiple of
+        sum_j hr_j r^(n-j), and v g(T) = 0 exactly when _horner([v], t, ht)
+        is 0."""
+        if i == len(conds):
+            T, g = next(ops)
+            dt, t = _int_rows(T)
+            r, s = _restrict_zz(dt, _transpose_rows(t, len(T)), V)
+            conds.append((r, _scaled_coeffs(g, s)[1],
+                          t, _scaled_coeffs(g, dt)[1]))
+        return conds[i]
+
+    lift = None
+    for q in _PRIMES:
+        if dv % q == 0:
+            continue
+        K = [[int(i == j) for j in range(m)] for i in range(m)]
+        used = 0
+        try:
+            while len(K) > d:
+                r, hr = condition(used)[:2]
+                used += 1
+                M = _horner_mod(r, hr, [list(c) for c in zip(*K)], q)
+                K = _mul_mod(_kernel_mod(M, len(K), q), K, q)
+        except StopIteration:
+            pass
+        if len(K) != d:
+            continue
+        rows = _mul_rows([dict(enumerate(row)) for row in K], v_rows)
+        pivots, res = _rref_mod([[row.get(j, 0) % q for j in range(len(V[0]))]
+                                 for row in rows], q)
+        lift = _crt(lift, pivots, res, q)
+        W = _rational_lift(*lift[1:])
+        if W is None:
+            continue
+        _, w = _int_rows(W)
+        # v's coordinates in V are its entries at V's unit columns
+        x = [{k: row[j] for k, j in enumerate(units) if j in row} for row in w]
+        if _mul_rows(x, v_rows) == [{j: dv * y for j, y in row.items()}
+                                    for row in w] and \
+                all(not any(_horner(w, t, ht))
+                    for _, _, t, ht in conds[:used]):
+            return W
+    raise RuntimeError("dual space not found at %d primes" % len(_PRIMES))
+
+
+def _horner_mod(r, h, X, q):
+    """The rows of (h_0 R^n + h_1 R^(n-1) + ... + h_n) X mod the prime q,
+    for R given by sparse integer rows r, X by rows of residues and
+    integers h, by Horner's rule on rows packed as in _rref_mod: a row of
+    R Y + c X is one sum of big-integer products, its slots below
+    (len(r) + 1) q^2, reduced mod q after each step."""
+    n = len(X[0])
+    w = (2 * q.bit_length() + (len(r) + 1).bit_length() + 8) // 8
+    xs = [_pack(row, w) for row in X]
+    out = [0] * len(X)
+    for c in h:
+        out = [_pack([x % q for x in _unpack(
+            sum(x % q * out[k] for k, x in row.items()) + c % q * xr, n, w)],
+            w) for row, xr in zip(r, xs)]
+    return [_unpack(y, n, w) for y in out]
+
+
+def _mul_mod(a, b, q):
+    """The rows of a b mod the prime q, for sparse integer rows a and rows
+    b of residues.  The rows of b are packed as in _rref_mod, so a row of
+    a b is one sum of big-integer products, its slots below len(b) q^2."""
+    n = len(b[0]) if b else 0
+    w = (2 * q.bit_length() + len(b).bit_length() + 8) // 8
+    bs = [_pack(row, w) for row in b]
+    return [[x % q for x in _unpack(sum(x % q * bs[k] for k, x in row.items()),
+                                    n, w)] for row in a]
+
+
+def _kernel_mod(rows, ncols, q):
+    """A basis of {y : rows y = 0 mod q} for rows of residues, as sparse
+    rows: for each free column j of the reduced echelon form red, y_j = 1,
+    y_c = -red[r][j] at the pivot c of row r and 0 elsewhere."""
+    pivots, red = _rref_mod(rows, q)
+    return [{j: 1, **{c: q - row[j] for c, row in zip(pivots, red) if row[j]}}
+            for j in sorted(set(range(ncols)) - set(pivots))]
+
+
+def _rref_mod(rows, q):
+    """(pivots, red): the pivot columns and the nonzero rows of the reduced
+    row echelon form mod the prime q of rows of residues.
+
+    Each row is packed into one integer, entry j in slot j of w bytes, as
+    in _charpoly_mod, so clearing an entry x is one big-integer
+    multiply-add by q - x.  Pivot rows are stored reduced mod q, so a row
+    cleared by r of them has slots below (r + 1) q^2 < 2^(8 w)."""
+    ncols = len(rows[0]) if rows else 0
+    w = (2 * q.bit_length() + ncols.bit_length() + 8) // 8
+    W = 8 * w
+    mask = (1 << W) - 1
+    piv = {}        # pivot column -> packed row, reduced, 1 at the column
+    for row in rows:
+        r = _pack(row, w)
+        for c, prow in piv.items():
+            if x := (r >> W * c & mask) % q:
+                r += (q - x) * prow
+        vals = [x % q for x in _unpack(r, ncols, w)]
+        c = next((j for j, x in enumerate(vals) if x), None)
+        if c is not None:
+            t = pow(vals[c], -1, q)
+            piv[c] = _pack([x * t % q for x in vals], w)
+    # each pivot row is 0 at the pivots found before it; clear the later
+    # ones, last row first, so that each row used is reduced
+    order = list(piv)
+    for i in range(len(order) - 1, -1, -1):
+        r = piv[order[i]]
+        for c in order[i + 1:]:
+            if x := (r >> W * c & mask) % q:
+                r += (q - x) * piv[c]
+        piv[order[i]] = _pack([x % q for x in _unpack(r, ncols, w)], w)
+    pivots = sorted(piv)
+    return pivots, [_unpack(piv[c], ncols, w) for c in pivots]
+
+
+def _crt(lift, pivots, rows, p):
+    """(pivots, residue rows, modulus) for residue rows mod the prime p of a
+    reduced echelon basis with these pivot columns, combined by CRT with
+    lift, the same triple from earlier primes, where its pivots are these.
+    Residues of another echelon shape start afresh: one of the primes was
+    bad for this basis."""
+    if lift is None or lift[0] != pivots:
+        return pivots, rows, p
+    _, old, q = lift
+    t = pow(q, -1, p)
+    return pivots, [[x + q * ((y - x) * t % p) for x, y in zip(r, s)]
+                    for r, s in zip(old, rows)], q * p
+
+
 def _rational_lift(rows, mod):
     """The rationals r/s with |r|, s <= sqrt(mod/2) congruent to the entries
     mod mod, or None where one has none."""
@@ -441,8 +619,8 @@ def _rational_lift(rows, mod):
 
 
 def _is_component(d, a, W, g, e, others):
-    """Whether the span of W is ker g(m)^e, for m = a / d with a an integer
-    DomainMatrix and charpoly(m) the product of g^e and powers of the
+    """Whether the span of W is ker g(m)^e, for m = a / d with a sparse
+    integer rows and charpoly(m) the product of g^e and powers of the
     irreducible factors others.
 
     m must leave W invariant (checked exactly) with len(W) = e deg g; then
@@ -455,15 +633,13 @@ def _is_component(d, a, W, g, e, others):
     factor h mod q of g^e mod q is a constant, so the monic h is 1.  A q
     where g meets another factor mod q proves nothing, and the next one is
     tried."""
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_gcd, gf_pow
     if len(W) != e * g.degree:
         return False
     try:
         r, s = _restrict_zz(d, a, W)
     except ValueError:
         return False
-    rows = r.to_list()
+    rows = [[row.get(j, 0) for j in range(len(W))] for row in r]
     bad = lcm(s, *(x.denominator for f in [g] + others for x in f.coeffs))
     for q in _PRIMES:
         if bad % q == 0:
@@ -471,15 +647,15 @@ def _is_component(d, a, W, g, e, others):
         gq = _poly_mod(g, q)
         t = pow(s, -1, q)
         if _charpoly_mod([[x * t for x in row] for row in rows], q) != \
-                gf_pow(gq, e, q, ZZ):
+                gf_pow(gq, e, q):
             return False
-        if all(gf_gcd(gq, _poly_mod(f, q), q, ZZ) == [1] for f in others):
+        if all(gf_gcd(gq, _poly_mod(f, q), q) == [1] for f in others):
             return True
     return False
 
 
 def _poly_mod(f, q):
-    """The UniPoly f mod q, highest degree first (sympy's gf_ form)."""
+    """The UniPoly f mod q, highest degree first (the gf_ form of polys)."""
     return [x.numerator * pow(x.denominator, -1, q) % q
             for x in reversed(f.coeffs)]
 

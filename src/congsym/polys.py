@@ -2,8 +2,11 @@
 
 Polynomials are coefficient lists, lowest degree first, trailing coefficient
 nonzero ([] is the zero polynomial).  Number field elements are coordinate
-vectors modulo a monic irreducible polynomial.  Factoring over Z is
-sympy's (dup_sqf_list, dup_zz_factor), imported at first use.
+vectors modulo a monic irreducible polynomial.  Polynomials over Z/q, for a
+prime q, are lists of residues highest degree first (sympy's gf_ form):
+gf_mul, gf_pow, gf_rem and gf_gcd.  factor_rational_poly first tries to
+prove f irreducible mod a few small primes; only where none does is f
+factored by sympy (dup_sqf_list, dup_zz_factor), imported at that point.
 """
 
 from math import lcm
@@ -136,33 +139,127 @@ class UniPoly:
         return "UniPoly(%s)" % self.to_str()
 
 
+# the primes factor_rational_poly tries, in turn, for a proof that f is
+# irreducible before it factors f by sympy
+CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
 def factor_rational_poly(f):
     """Factor a nonzero rational polynomial into monic irreducibles.
 
     Returns a list of (UniPoly, multiplicity), by degree and then by
     coefficients; the product of the factors to their multiplicities equals
-    f up to a rational scalar.  f is cleared to an integer polynomial and
-    split into primitive, coprime square-free parts by Yun's algorithm
-    (sympy's dup_sqf_list); each part is factored by Zassenhaus
-    (dup_zz_factor), and its factors take the part's multiplicity.  Factoring
-    the parts apart is exact because they are coprime (Yun, "On square-free
-    decomposition algorithms", SYMSAC 1976), and much faster on a charpoly
-    with repeated factors than factoring it whole.
+    f up to a rational scalar.  f is cleared to an integer polynomial g.
+    Where g is irreducible mod one of CERTIFICATE_PRIMES not dividing its
+    leading coefficient (_irreducible_mod), f is irreducible: a factorization
+    over Q gives one over Z (Gauss), and that one, of the same degrees, one
+    mod p.  Otherwise g is split into primitive, coprime square-free parts
+    by Yun's algorithm (sympy's dup_sqf_list); each part is factored by
+    Zassenhaus (dup_zz_factor), and its factors take the part's
+    multiplicity.  Factoring the parts apart is exact because they are
+    coprime (Yun, "On square-free decomposition algorithms", SYMSAC 1976),
+    and much faster on a charpoly with repeated factors than factoring it
+    whole.
     """
-    from sympy import ZZ
-    from sympy.polys.factortools import dup_zz_factor
-    from sympy.polys.sqfreetools import dup_sqf_list
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
     d = lcm(*(c.denominator for c in f.coeffs))
     g = [c.numerator * (d // c.denominator) for c in reversed(f.coeffs)]
+    if f.degree == 1 or any(g[0] % p and _irreducible_mod(g, p)
+                            for p in CERTIFICATE_PRIMES):
+        return [(UniPoly([c / f.coeffs[-1] for c in f.coeffs]), 1)]
+    from sympy import ZZ
+    from sympy.polys.factortools import dup_zz_factor
+    from sympy.polys.sqfreetools import dup_sqf_list
     out = []
     for part, m in dup_sqf_list(g, ZZ)[1]:
         for h, k in dup_zz_factor(part, ZZ)[1]:
             out.append((UniPoly([rat(c, h[0]) for c in reversed(h)]), m * k))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
+def _irreducible_mod(g, p):
+    """Whether the integer polynomial g of degree n (gf_ form), its leading
+    coefficient prime to p, is irreducible mod the prime p, by
+    distinct-degree factorization: x^(p^k) - x is the product of the monic
+    irreducibles over F_p of degree dividing k, and a polynomial of degree n
+    that is reducible or has a repeated factor has an irreducible factor of
+    degree at most n/2.  So g is irreducible mod p exactly when
+    gcd(x^(p^k) - x, g) = 1 mod p for k = 1, ..., n // 2; the test stops at
+    the first k where it is not."""
+    f = [c % p for c in g]
+    h = [1, 0]                      # x^(p^k) mod f, from k = 0
+    for _ in range((len(f) - 1) // 2):
+        h = _gf_powmod(h, p, f, p)
+        hx = [0] * (2 - len(h)) + h     # x^(p^k) - x
+        hx[-2] = (hx[-2] - 1) % p
+        if len(gf_gcd(f, _gf_strip(hx), p)) > 1:
+            return False
+    return True
+
+
+def _gf_strip(f):
+    """f without its leading zeros."""
+    i = next((i for i, c in enumerate(f) if c), len(f))
+    return f[i:]
+
+
+def gf_mul(f, g, q):
+    """f g over Z/q for a prime q, in gf_ form: residues highest degree
+    first, leading one nonzero, [] for zero."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return [c % q for c in out]
+
+
+def gf_pow(f, e, q):
+    """f^e over Z/q, for a small exponent e >= 0."""
+    out = [1]
+    for _ in range(e):
+        out = gf_mul(out, f, q)
+    return out
+
+
+def gf_rem(f, g, q):
+    """The remainder of f by a nonzero g over Z/q."""
+    f = list(f)
+    n = len(g) - 1
+    t = pow(g[0], -1, q)
+    for i in range(len(f) - n):
+        c = f[i] * t % q
+        if c:
+            for j in range(1, n + 1):
+                f[i + j] = (f[i + j] - c * g[j]) % q
+    return _gf_strip(f[max(len(f) - n, 0):])
+
+
+def gf_gcd(f, g, q):
+    """The monic greatest common divisor of f and g over Z/q ([] for
+    f = g = 0)."""
+    while g:
+        f, g = g, gf_rem(f, g, q)
+    if not f:
+        return []
+    t = pow(f[0], -1, q)
+    return [c * t % q for c in f]
+
+
+def _gf_powmod(f, e, g, q):
+    """f^e mod g over Z/q, by repeated squaring."""
+    out, base = [1], gf_rem(f, g, q)
+    while e:
+        if e & 1:
+            out = gf_rem(gf_mul(out, base, q), g, q)
+        base = gf_rem(gf_mul(base, base, q), g, q)
+        e >>= 1
     return out
 
 

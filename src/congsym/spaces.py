@@ -374,7 +374,7 @@ def cuspidal_subspace(S):
     bmat = boundary_map(S)
     if not bmat or not bmat[0]:
         return la.identity_matrix(S.dim)
-    return la.kernel(la.transpose(bmat), sparse=True)
+    return la.kernel(la.transpose(bmat))
 
 
 def star_involution(S):
@@ -440,7 +440,7 @@ def plus_subspace(S, iota):
     nonzero entry of some vector of the space, so this is the same list as
     the +1 kernel of iota restricted to a cuspidal basis, times that basis."""
     bt = la.transpose(boundary_map(S))
-    return la.kernel(bt + la.shift_diagonal(iota, -S.one), sparse=True)
+    return la.kernel(bt + la.shift_diagonal(iota, -S.one))
 
 
 def cusp_count(Gamma):

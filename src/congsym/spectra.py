@@ -75,7 +75,7 @@ class SpectralContext:
         if self._dual is None:
             if self.kind == "plus":
                 self._dual = la.kernel(la.shift_diagonal(
-                    la.transpose(self.iota), -self.S.one), sparse=True)
+                    la.transpose(self.iota), -self.S.one))
             else:
                 self._dual = la.identity_matrix(self.S.dim)
         return self._dual
@@ -217,31 +217,26 @@ def decompose(ctx, seed=0):
 
 
 def dual_vector_space(ctx, piece):
-    """The piece's part of the dual of the full symbol space, as rational
-    row vectors in full coordinates: the functionals v with v iota = v (plus
-    kind) and v g_p(T_p) = 0, for g_p the characteristic polynomial of T_p
-    on the piece, at successive good primes until the dimension is the
-    piece's.  The primes run up to the Sturm bound and on to the first p
-    with p^(k-1) >= 6, whose T_p separates the Eisenstein part: there its
-    eigenvalues have absolute value at least p^(k-1) - 1 > 2 p^((k-1)/2)."""
+    """The piece's part of the dual of the full symbol space, as the reduced
+    echelon basis of rational row vectors in full coordinates: the
+    functionals v with v iota = v (plus kind; v in the span of
+    ctx.dual_space()) and v g_p(T_p) = 0, for g_p the characteristic
+    polynomial of T_p on the piece, at successive good primes until the
+    dimension is the piece's (la.cut_space: one kernel mod a large prime,
+    lifted and checked exactly).  The primes run up to the Sturm bound and
+    on to the first p with p^(k-1) >= 6, whose T_p separates the Eisenstein
+    part: there its eigenvalues have absolute value at least
+    p^(k-1) - 1 > 2 p^((k-1)/2)."""
     S = ctx.S
     d = piece.dimension
     if d == 0:
         return []
-    V = ctx.dual_space()
     bound = sturm_bound(S.k, S.table)
     separating = next(p for p in iter_good_primes(S.G)
                       if p ** (S.k - 1) >= 6)
-    for p in ctx.good_primes(upto=max(bound, separating)):
-        if len(V) <= d:
-            break
-        R = la.restrict_to_invariant_subspace(
-            la.transpose(ctx.full_op(p)), V)
-        g_p = la.charpoly(piece.op(p))
-        V = la.mat_mul(la.kernel(la.mat_poly_eval(g_p, R)), V)
-    if len(V) != d:
-        raise RuntimeError("dual space did not converge")
-    return V
+    ops = ((ctx.full_op(p), la.charpoly(piece.op(p)))
+           for p in ctx.good_primes(upto=max(bound, separating)))
+    return la.cut_space(ctx.dual_space(), ops, d)
 
 
 class EigenSystem:
@@ -272,7 +267,10 @@ class EigenSystem:
 def _generator(piece, seed):
     """The first element T of _generator_candidates over T_p, for the first
     CANDIDATE_PRIMES good primes p, whose characteristic polynomial on the
-    piece is a power of an irreducible g with g(T) = 0.  Returns those
+    piece is an irreducible g, or, on a piece flagged isotypic, a power of
+    an irreducible g with g(T) = 0.  On a piece proven irreducible a T with
+    a repeated factor does not generate the Hecke algebra, and the
+    eigenvectors of T are not all eigenvectors of every T_n.  Returns those
     primes, the position of T in the stream and g."""
     primes = piece.ctx.good_primes(count=CANDIDATE_PRIMES)
     ops = [piece.op(p) for p in primes]
@@ -281,7 +279,8 @@ def _generator(piece, seed):
         if len(fac) != 1:
             continue
         g, e = fac[0]
-        if e == 1 or la.is_zero_matrix(la.mat_poly_eval(g, T)):
+        if e == 1 or (piece.isotypic
+                      and la.is_zero_matrix(la.mat_poly_eval(g, T))):
             return primes, t, g
     raise RuntimeError("no generator with power-of-irreducible charpoly")
 

@@ -2,7 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -10,6 +10,7 @@ from congsym.groups import (close_group, coset_table, lift_to_sl2,
                             gamma_generators, is_real_type, find_det_element,
                             mat_det, mat_inv_mod, mat_mod, mat_mul,
                             GroupTooLarge, ETA_MAT, S_MAT, T_MAT)
+from congsym.backend import factor_int, is_prime
 from congsym.families import build_family
 from conftest import closure_elements, ns_elements
 
@@ -19,6 +20,19 @@ def test_close_group_orders():
     assert build_family("gamma0", 11).order() == 1100       # Borel of GL2(F11)
     assert close_group(8, [(7, 0, 0, 7), (2, 3, 3, 5), (0, 7, 7, 7),
                            (3, 0, 0, 3), (4, 7, 7, 3)]).order() == 48
+
+
+@pytest.mark.parametrize("tag", ["ns", "ns_plus"])
+def test_ns_orders(tag):
+    """|G0| |det image| is |C| = p^2 - 1 for the non-split Cartan C mod a
+    prime p (ns), the cyclic group one element of order p^2 - 1 generates,
+    and 2 (p^2 - 1) for its normalizer (ns_plus); at a squarefree N the
+    product of these over the primes of N."""
+    per_prime = 2 if tag == "ns_plus" else 1
+    for N in [p for p in range(3, 50) if is_prime(p)] + [15, 21]:
+        G = build_family(tag, N)
+        assert G.order0 * len(G.det_image) == prod(
+            per_prime * (p * p - 1) for p in factor_int(N)), N
 
 
 def assert_same_group(G, H):

@@ -227,7 +227,7 @@ def test_certificate_rejects_an_invariant_lift_with_the_wrong_charpoly():
     e_3 is m-invariant and has the dimension of ker (m - 1)^2, but m has
     charpoly (x - 1)(x - 2) there: the modular charpoly rejects it.  A lift
     of the wrong dimension or not invariant is rejected before that."""
-    da = la._dm_zz(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    da = la._int_rows(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
     g, h = X - 1, X - 2
     assert la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
     assert not la._is_component(*da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
@@ -239,19 +239,19 @@ def test_certificate_rejects_an_invariant_lift_with_the_wrong_charpoly():
     fac = factor_rational_poly(la.charpoly(m))
     assert fac == [(X - 2, 1), (X - 1, 2)]
     good = kernel_of_factor_power(m, X - 1, 2)
-    assert la._is_component(*la._dm_zz(m), good, X - 1, 2, [X - 2])
+    assert la._is_component(*la._int_rows(m), good, X - 1, 2, [X - 2])
     wrong = la.row_space_basis(la.kernel(la.mat_poly_eval(X - 1, m))
                                + la.kernel(la.mat_poly_eval(X - 2, m)))
     assert len(wrong) == 2
     la.restrict_to_invariant_subspace(m, wrong)     # invariant: no raise
-    assert not la._is_component(*la._dm_zz(m), wrong, X - 1, 2, [X - 2])
+    assert not la._is_component(*la._int_rows(m), wrong, X - 1, 2, [X - 2])
 
 
 def test_certificate_skips_a_prime_where_the_factors_meet(monkeypatch):
     """x - 1 and x - 1 - 11 meet mod 11, where a charpoly (x - 1)^a (x - 12)^b
     of the restriction would read as (x - 1)^2 and prove nothing; the
     certificate then goes on to the next prime."""
-    da = la._dm_zz(M([[1, 0, 0], [0, 1, 0], [0, 0, 12]]))
+    da = la._int_rows(M([[1, 0, 0], [0, 1, 0], [0, 0, 12]]))
     g, h = X - 1, X - 12
     monkeypatch.setattr(la, "_PRIMES", (11,))
     assert not la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])

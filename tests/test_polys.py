@@ -1,8 +1,10 @@
+from math import prod
+
 import sympy
 
 from congsym.backend import rat, XorShift64
 from congsym.polys import (UniPoly, factor_rational_poly, is_irreducible_poly,
-                           NumberField)
+                           NumberField, CERTIFICATE_PRIMES, _irreducible_mod)
 
 
 def P(*coeffs):
@@ -60,6 +62,63 @@ def test_factorization_matches_sympy():
             expect.append((UniPoly([c / cs[-1] for c in cs]), m))
         expect.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
         assert factor_rational_poly(f) == expect
+
+
+def _sympy_factors(f):
+    """sympy's factor_list of f, made monic and sorted as factor_rational_poly
+    sorts."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(f.coeffs))
+    out = []
+    for g, m in sympy.Poly(expr, x).factor_list()[1]:
+        cs = [rat(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+        out.append((UniPoly([c / cs[-1] for c in cs]), m))
+    return sorted(out, key=lambda gm: (gm[0].degree, gm[0].coeffs))
+
+
+def _certified(f):
+    """The certificate primes that prove the integral f irreducible."""
+    g = [int(c) for c in reversed(f.coeffs)]
+    return [p for p in CERTIFICATE_PRIMES
+            if g[0] % p and _irreducible_mod(g, p)]
+
+
+def test_irreducible_but_reducible_mod_every_prime():
+    """x^4 + 1 and x^4 - 10 x^2 + 1 (the minimal polynomial of
+    sqrt 2 + sqrt 3) split mod every prime, so no prime proves them
+    irreducible; sympy's factoring still returns each as one factor."""
+    for f in (P(1, 0, 0, 0, 1), P(1, 0, -10, 0, 1)):
+        assert _certified(f) == []
+        assert factor_rational_poly(f) == [(f, 1)]
+        assert is_irreducible_poly(f)
+
+
+def test_product_of_cubics_irreducible_mod_small_primes():
+    """x^3 + x^2 - 2x - 1 and x^3 + 2x^2 - x - 1 are each irreducible mod 2,
+    3 and 5; their product is not, and the gcd with x^(p^3) - x at the
+    last step, k = 6 / 2, shows it."""
+    f, g = P(-1, -2, 1, 1), P(-1, -1, 2, 1)
+    for h in (f, g):
+        assert {2, 3, 5} <= set(_certified(h))
+        assert factor_rational_poly(h) == [(h, 1)]
+    assert _certified(f * g) == []
+    assert factor_rational_poly(f * g) == [(f, 1), (g, 1)]
+    assert not is_irreducible_poly(f * g)
+    assert not is_irreducible_poly(f * f)
+
+
+def test_leading_coefficient_divisible_by_certificate_primes():
+    """A prime dividing the leading coefficient proves nothing and is
+    skipped: with 2 * 3 * ... * 13 it, the cubic is proven irreducible mod
+    a later prime; with every certificate prime it, sympy factors it."""
+    c = prod(p for p in CERTIFICATE_PRIMES if p <= 13)
+    for lead in (c, prod(CERTIFICATE_PRIMES)):
+        for f in (P(-1, -1, 2, lead), P(-1, -1, 2, lead) * P(1, lead)):
+            assert all(p > 13 for p in _certified(f))
+            assert factor_rational_poly(f) == _sympy_factors(f)
+    assert _certified(P(-1, -1, 2, c)) != []
+    assert _certified(P(-1, -1, 2, prod(CERTIFICATE_PRIMES))) == []
 
 
 def test_number_field():

@@ -118,9 +118,9 @@ def sparse_matrix(draw):
 @given(sparse_matrix())
 @settings(max_examples=200, deadline=None)
 def test_echelon_matches_sympy_gauss_jordan(rows):
-    """la.echelon, and rref, mat_rank and both kernels built on it or on
-    the fraction-free path, against sympy's DomainMatrix.rref(method="GJ")
-    over QQ and the kernel read off that form."""
+    """la.echelon, and rref, mat_rank and kernel built on it, against
+    sympy's DomainMatrix.rref(method="GJ") over QQ and the kernel read off
+    that form."""
     ncols = len(rows[0]) if rows else 0
     dm = DomainMatrix([[QQ(x.numerator, x.denominator) for x in row]
                        for row in rows], (len(rows), ncols), QQ)
@@ -136,5 +136,4 @@ def test_echelon_matches_sympy_gauss_jordan(rows):
     assert la.mat_rank(rows) == len(pivots)
     null = red.nullspace_from_rref(pivots).to_Matrix().tolist() if rows else []
     kernel = [[rat(int(x.p), int(x.q)) for x in v] for v in null]
-    assert la.kernel(rows, sparse=True) == kernel
     assert la.kernel(rows) == kernel

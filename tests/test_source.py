@@ -3,12 +3,13 @@
 Every failure in congsym is a documented exception: never an `assert`,
 which `python -O` strips, and never an AssertionError or NotImplementedError
 from deep in the stack.  The library imports neither numpy nor scipy, whose
-import every process would pay for, and the set-up, the plus space and
-`congsym dims` load no sympy, whose import costs more than all of their
-work.  Every library name the benchmark's
-tracer wraps exists, so a rename fails here and not only in a traced run.
-And every top-level library function or class has a caller outside the
-unit tests.
+import every process would pay for; the set-up, the plus space,
+`congsym dims` and the eigensystems of small groups load no sympy, whose
+import costs more than all of their work: sympy comes in only to factor a
+polynomial that no small prime proves irreducible.  Every library name the
+benchmark's tracer wraps exists, so a rename fails here and not only in a
+traced run.  And every top-level library function or class has a caller
+outside the unit tests.
 """
 
 import ast
@@ -76,12 +77,18 @@ def test_cli_imports_neither_numpy_nor_scipy():
     "assert ctx.kind == 'plus' and ctx.dim == 3",
     "from congsym.cli import main\n"
     "assert main(['dims', 'ns_plus', '13']) == 0",
-], ids=["plus-space", "cli-dims"])
+    "from congsym.cli import main\n"
+    "assert main(['eigensystem', 'ns_plus', '13']) == 0",
+    "from congsym.cli import main\n"
+    "assert main(['eigensystem', 'gamma0', '11']) == 0",
+], ids=["plus-space", "cli-dims", "eigensystem-ns_plus-13",
+        "eigensystem-gamma0-11"])
 def test_set_up_and_plus_space_never_import_sympy(code):
-    """The set-up, the plus space and `congsym dims` run on Fractions and
-    the in-house elimination; sympy comes in only where a polynomial is
-    factored over Z or a DomainMatrix product or fraction-free elimination
-    is needed."""
+    """The set-up, the plus space, `congsym dims` and these eigensystems
+    run on Fractions, the in-house sparse integer rows and eliminations
+    mod primes; sympy comes in only to factor a polynomial that no small
+    prime proves irreducible (the cubic field of ns_plus 13 is proven
+    irreducible mod 2)."""
     assert _packages_loaded_after(code) == "[]"
 
 

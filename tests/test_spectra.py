@@ -92,6 +92,45 @@ def test_dual_vector_space(ctx_ns_plus_13):
     assert all(la.mat_vec(iota, v) == v for v in dual)
 
 
+def test_dual_vector_space_skips_a_bad_prime(monkeypatch):
+    """A bad prime planted first: the dual of piece 0 of ns_plus 17 has
+    entries from -3 to 2, which mod 3 reconstruct (|r|, s <= 1) to a wrong
+    basis; the exact check rejects it, and the next prime, by CRT with 3,
+    gives the same dual."""
+    ctx = spec.SpectralContext(space_for("ns_plus", 17))
+    piece = spec.decompose(ctx)[0]
+    ref = spec.dual_vector_space(ctx, piece)
+    lifts = []
+    rational_lift = la._rational_lift
+
+    def recorded(rows, mod):
+        lifts.append((mod, rational_lift(rows, mod)))
+        return lifts[-1][1]
+
+    monkeypatch.setattr(la, "_rational_lift", recorded)
+    monkeypatch.setattr(la, "_PRIMES", (3,) + la._PRIMES)
+    assert spec.dual_vector_space(ctx, piece) == ref
+    assert [mod for mod, _ in lifts] == [3, 3 * la._PRIMES[1]]
+    assert lifts[0][1] is not None and lifts[0][1] != ref
+
+
+def test_generator_of_an_irreducible_piece_has_an_irreducible_charpoly():
+    """Piece 1 of ns_plus 23 is irreducible of dimension 4, and T_2 is -1
+    on it, so an eigenvector of T_2 need not be one of T_3.  The generator
+    is then an operator with an irreducible charpoly, and each a_p, as
+    multiplication in the coefficient field, has the charpoly of T_p on
+    the piece, which the rational a_p of T_2 taken as generator did not."""
+    ctx = spec.SpectralContext(space_for("ns_plus", 23))
+    piece = spec.decompose(ctx)[1]
+    assert piece.dimension == 4 and not piece.isotypic
+    assert la.charpoly(piece.op(2)) == UniPoly([1, 1]) ** 4
+    es = spec.eigen_system(piece, L=12)
+    assert es.field.degree == 4
+    for p in (2, 3, 5, 7, 11):
+        x = [es.a(p) * es.field.gen() ** i for i in range(4)]
+        assert la.charpoly([y.coeffs for y in x]) == la.charpoly(piece.op(p))
+
+
 def test_star_involution_built_once(monkeypatch):
     """The context builds iota once, and the dual's iota^t = 1 cut once, for
     all pieces and repeated eigensystems (the plus space takes the other

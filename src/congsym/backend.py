@@ -15,7 +15,6 @@ from fractions import Fraction
 
 rat = Fraction
 RAT_IMPL = "Fraction"
-ONE = rat(1)
 
 # Miller-Rabin to these 12 bases is proven for n < PSI_12 (Sorenson and
 # Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)

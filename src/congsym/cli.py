@@ -129,7 +129,11 @@ def _alpha_prime(alpha):
 # --------------------------------------------------------------- output
 
 def _matrix_strs(m):
-    return [[rat_str(x) for x in row] for row in m]
+    """The entries of the square matrix m = (den, rows) of linalg as
+    strings, row by row."""
+    den, rows = m
+    return [[rat_str(rat(row.get(j, 0), den)) for j in range(len(rows))]
+            for row in rows]
 
 
 def _matrix_hash(m):
@@ -140,7 +144,7 @@ def _matrix_hash(m):
 def _print_matrix(m):
     for row in _matrix_strs(m):
         print(" ".join(row) if row else "")
-    if not m:
+    if not m[1]:
         print("[]")
 
 
@@ -200,16 +204,23 @@ def cmd_dims(args):
     return EXIT_OK
 
 
+def _alpha_operator(S, alphas, p):
+    """The sum of the double-coset operators on S of the --alpha matrices
+    for p, one coset_operator over all their right cosets; None when there
+    are none."""
+    mine = [a for a in alphas if _alpha_prime(a) == p]
+    if not mine:
+        return None
+    return hk.coset_operator(S, S, [b for a in mine
+                                    for b in hk.double_coset_reps(S.table, a)])
+
+
 def _hecke_matrix(G, S, p, path, alphas):
     N = G.N
     if N > 1 and N % p == 0:
-        mine = [a for a in alphas if _alpha_prime(a) == p]
-        if not mine:
+        full = _alpha_operator(S, alphas, p)
+        if full is None:
             raise _BadPrime(p)
-        full = None
-        for a in mine:
-            m = hk.hecke_double_coset(S, a)
-            full = m if full is None else la.mat_add(full, m)
         return full
     return hk.hecke_tp(S, p, path=path)
 
@@ -223,10 +234,7 @@ def cmd_hecke(args):
     G, Gamma, S = _context(args)
     ctx = spec.SpectralContext(S)
     full = _hecke_matrix(G, S, args.p, args.path, args.alpha or [])
-    if ctx.dim == 0:
-        mat = []
-    else:
-        mat = la.restrict_to_invariant_subspace(full, ctx.basis)
+    mat = la.restrict_to_invariant_subspace(full, ctx.basis)
     if args.json:
         _emit_json({"space": ctx.kind, "p": args.p,
                     "matrix": _matrix_strs(mat)})
@@ -264,12 +272,9 @@ def cmd_eigensystem(args):
     if not (0 <= args.piece < len(pieces)):
         raise CliInputError("piece index %d out of range (0..%d)"
                             % (args.piece, len(pieces) - 1))
-    bad_ops = {}
-    for a in (args.alpha or []):
-        p = _alpha_prime(a)
-        m = hk.hecke_double_coset(S, a)
-        r = la.restrict_to_invariant_subspace(m, ctx.basis)
-        bad_ops[p] = r if p not in bad_ops else la.mat_add(bad_ops[p], r)
+    bad_ops = {p: la.restrict_to_invariant_subspace(
+        _alpha_operator(S, args.alpha, p), ctx.basis)
+        for p in {_alpha_prime(a) for a in args.alpha or []}}
     try:
         es = spec.eigen_system(pieces[args.piece], L=args.L, seed=args.seed,
                                bad_ops=bad_ops or None)

@@ -4,18 +4,18 @@ and degeneracy maps between the symbol spaces of two induced congruence
 subgroups.
 
 All operators act on the presentation built in spaces.py and are returned as
-rational matrices, columns being the images of the basis symbols.  Each
-column is built as integer counts on the free Manin symbols and reduced once
-(ModSymSpace.reduce).  The double-coset operator and both degeneracy maps
-are sums of integer matrices applied to the basis symbols, one routine
-(coset_operator) for all three.  A Heilbronn family is a list of integer
-matrices, each of multiplicity one.
+matrices in the integer form of linalg, (den, sparse integer rows), columns
+being the images of the basis symbols.  Each column is built as integer
+counts on the free Manin symbols and reduced once (ModSymSpace.reduce).  The
+double-coset operator and both degeneracy maps are sums of integer matrices
+applied to the basis symbols, one routine (coset_operator) for all three.
+A Heilbronn family is a list of integer matrices, each of multiplicity one.
 """
 
 from collections import Counter
 from math import gcd
 
-from .backend import divisors, is_prime, rat
+from .backend import divisors, is_prime
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, lift_to_sl2,
                      gamma_generators, find_det_element, IDENT)
@@ -123,7 +123,7 @@ def coset_operator(S_src, S_dst, mats):
             S_dst.add_symbol(counts, sym_action(B, poly), (B[1], B[3]),
                              (B[0], B[2]))
         cols.append(S_dst.reduce(counts))
-    return la.transpose(cols)
+    return la.from_columns(S_dst.den, cols, S_dst.dim)
 
 
 def hecke_double_coset(S, alpha):
@@ -152,7 +152,7 @@ def hecke_tp(S, p, path="merel"):
     if path != "naive":
         raise ValueError("unknown Hecke path %r (merel | naive)" % (path,))
     if _det_free(S, p):
-        return la.zero_matrix(S.dim, S.dim)
+        return (1, [{} for _ in range(S.dim)])
     alpha = element_of_det(S.G, p)
     return hecke_double_coset(S, alpha)
 
@@ -351,13 +351,15 @@ def hecke_tn_fast(S, n, H=None):
     """Matrix of T_n: the counts of every basis symbol from one sweep of the
     family (hecke_counts), reduced through the Manin relations."""
     counts = hecke_counts(S, n, H)
-    return la.transpose([S.reduce(counts(t)) for t in range(S.dim)])
+    return la.from_columns(S.den, [S.reduce(counts(t)) for t in range(S.dim)],
+                           S.dim)
 
 
 # ---------------------------------------------------------- diamond, sigma
 
 def diamond_column(S, s_mod, t):
-    """Coordinates of [v, gamma_s g] for the basis symbol t = [v, g]."""
+    """Coordinates of [v, gamma_s g] for the basis symbol t = [v, g], as
+    ModSymSpace.reduce gives them."""
     w, i = S.basis_tags[t]
     g = mat_mul(lift_to_sl2(s_mod, S.table.N), S.table.reps[i])
     return S.manin_coords(monomial(S.m, w), g)
@@ -366,7 +368,8 @@ def diamond_column(S, s_mod, t):
 def diamond_operator(S, s_mod):
     """Operator [v, g] -> [v, gamma_s g] for s in SL2(Z/N) normalizing the
     determinant-one part of G."""
-    return la.transpose([diamond_column(S, s_mod, t) for t in range(S.dim)])
+    return la.from_columns(
+        S.den, [diamond_column(S, s_mod, t) for t in range(S.dim)], S.dim)
 
 
 def sigma_class(S, p):
@@ -419,9 +422,8 @@ def degeneracy_alpha_dual(S_high, S_low, data):
     level) to those of the larger one, columns indexed by the S_high basis:
     adj(t) = det(t) t^-1 acts on polynomials of degree k - 2 with the extra
     factor det(t)^(k-2), which is divided out."""
-    scale = rat(1, mat_det(data.t) ** S_high.m)
-    return la.mat_scale(
-        coset_operator(S_high, S_low, [imat_adjugate(data.t)]), scale)
+    den, rows = coset_operator(S_high, S_low, [imat_adjugate(data.t)])
+    return la.normalize(den * mat_det(data.t) ** S_high.m, rows)
 
 
 def degeneracy_beta_dual(S_low, S_high, data):

@@ -1,11 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists acting on column vectors; vectors are lists.
-Entries are Fractions (backend.rat).  One sparse Gauss-Jordan (echelon)
-serves rref, rank, kernels and spaces.build_space.  Products, restriction
-and Horner evaluation clear denominators and run on sparse integer rows,
-one dict column -> nonzero int per row (_int_rows), with one product
-routine (_mul_rows).  charpoly works modulo primes near 2^60;
+A matrix is a pair (den, rows): den a positive int and rows a list of
+dicts, one per row, mapping a column to a nonzero int, for the matrix
+rows / den.  Matrices act on column vectors; a basis is the matrix whose
+rows are its vectors.  Every routine returns the pair in normal form, den
+the least (normalize), so equal matrices are equal pairs.  The number of
+columns is not stored: a routine that needs it for a matrix that need not
+be square takes it as an argument.  Fractions appear only where rationals
+leave the integers: in echelon's pivots, in _rational_lift and in the
+polynomials charpoly returns.
+
+One sparse Gauss-Jordan (echelon) serves kernels and spaces.build_space.
+Products, restriction and Horner evaluation run on the integer rows, with
+one product routine (_mul_rows).  charpoly works modulo primes near 2^60;
 primary_components and cut_space work modulo primes near 2^61 (_PRIMES),
 lift by rational reconstruction and check the lift exactly.  All of it runs
 on plain Python integers: one Hessenberg reduction mod a prime
@@ -18,16 +25,32 @@ from functools import cache
 from itertools import count
 from math import gcd, isqrt, lcm
 
-from .backend import ONE, rat, prev_prime, XorShift64
+from .backend import rat, prev_prime, XorShift64
 from .polys import UniPoly, gf_gcd, gf_mul, gf_pow
 
 
+def normalize(den, rows):
+    """The matrix rows / den, for sparse integer rows and den > 0, as the
+    pair (den, rows) with den the least: the common factor of den and every
+    entry divided out."""
+    g = gcd(den, *(x for row in rows for x in row.values())) if den > 1 else 1
+    if g == 1:
+        return den, rows
+    return den // g, [{j: x // g for j, x in row.items()} for row in rows]
+
+
+def from_columns(den, cols, nrows):
+    """The matrix with nrows rows whose columns are the sparse integer
+    columns cols over den."""
+    return normalize(den, _transpose_rows(cols, nrows))
+
+
 def _int_rows(rows):
-    """(d, the sparse rows of d rows over the integers) for d the lcm of
-    the denominators."""
-    d = lcm(*(x.denominator for row in rows for x in row))
+    """The matrix of sparse rows of ints and Fractions: d the lcm of the
+    denominators, which is the least, and the rows times d."""
+    d = lcm(*(x.denominator for row in rows for x in row.values()))
     return d, [{j: x.numerator * (d // x.denominator)
-                for j, x in enumerate(row) if x} for row in rows]
+                for j, x in row.items()} for row in rows]
 
 
 def _mul_rows(a, b):
@@ -50,69 +73,9 @@ def _transpose_rows(rows, ncols):
     return out
 
 
-def from_dicts(rows, ncols, den=1):
-    """Dense rows of the sparse rows[i] / den, one Fraction per value."""
-    zero = rat(0)
-    out = [[zero] * ncols for _ in rows]
-    made = {}
-    for row, nz in zip(out, rows):
-        for j, y in nz.items():
-            if (x := made.get(y)) is None:
-                x = made[y] = rat(y, den)
-            row[j] = x
-    return out
-
-
-def _dicts(rows):
-    """Sparse rows of rational rows, integral entries as ints."""
-    return [{j: x.numerator if x.denominator == 1 else x
-             for j, x in enumerate(row) if x} for row in rows]
-
-
-def identity_matrix(n):
-    z = ONE * 0
-    return [[ONE if i == j else z for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(n, m):
-    z = ONE * 0
-    return [[z] * m for _ in range(n)]
-
-
 def mat_mul(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    (da, A), (db, B) = _int_rows(a), _int_rows(b)
-    return from_dicts(_mul_rows(A, B), len(b[0]), da * db)
-
-
-def mat_vec(a, v):
-    return [row[0] for row in mat_mul(a, [[x] for x in v])]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def shift_diagonal(a, c):
-    """Rows of a + c I for a square a, with c added on the diagonal only."""
-    return [row[:i] + [row[i] + c] + row[i + 1:] for i, row in enumerate(a)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
-def is_zero_matrix(a):
-    return all(all(x == 0 for x in row) for row in a)
+    (da, ra), (db, rb) = a, b
+    return normalize(da * db, _mul_rows(ra, rb))
 
 
 def echelon(rows):
@@ -155,37 +118,16 @@ def _subtract(b, y, a):
             del b[k]
 
 
-def rref(rows):
-    """Reduced row echelon form (zero rows last) and the pivot columns."""
-    red, pivots = echelon(_dicts(rows))
-    return (from_dicts(red + [{}] * (len(rows) - len(red)),
-                       len(rows[0]) if rows else 0), pivots)
-
-
-def kernel(rows):
-    """Basis of {v : rows v = 0}: for each free column j in turn, v[j] = 1 and
-    v[c] = -red[r][j] at the pivot column c of row r of the reduced form
-    (echelon, Gauss-Jordan over Q)."""
-    ncols = len(rows[0]) if rows else 0
-    red, pivots = echelon(_dicts(rows))
+def kernel(m, ncols):
+    """Basis of {v : m v = 0} for a matrix m with ncols columns: for each
+    free column j in turn, v[j] = 1 and v[c] = -red[r][j] at the pivot
+    column c of row r of the reduced form (echelon, Gauss-Jordan over Q)."""
+    red, pivots = echelon(m[1])
     vectors = {j: {j: 1} for j in sorted(set(range(ncols)) - set(pivots))}
     for p, row in zip(pivots, red):
         for j in row.keys() - {p}:
             vectors[j][p] = -row[j]
-    return from_dicts(list(vectors.values()), ncols)
-
-
-def row_space_basis(rows):
-    red, pivots = rref(rows)
-    return red[: len(pivots)]
-
-
-def mat_rank(rows):
-    return len(echelon(_dicts(rows))[1])
-
-
-def in_row_space(rows, v):
-    return mat_rank(list(rows) + [v]) == mat_rank(rows)
+    return _int_rows(list(vectors.values()))
 
 
 def _unit_columns(basis):
@@ -194,50 +136,41 @@ def _unit_columns(basis):
     are its entries at these columns.  Kernels carry one at each free column
     and a product W * basis keeps them, so every basis the pipeline builds
     has them."""
+    den, rows = basis
     only = {}   # column -> the row of its single nonzero entry 1, else None
-    for i, row in enumerate(basis):
-        for j, x in enumerate(row):
-            if x:
-                only[j] = i if j not in only and x == 1 else None
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            only[j] = i if j not in only and x == den else None
     cols = {}
     for j in sorted(only):
         if only[j] is not None:
             cols.setdefault(only[j], j)
-    if len(cols) != len(basis):
+    if len(cols) != len(rows):
         raise ValueError("some basis vector has no unit column")
-    return [cols[i] for i in range(len(basis))]
+    return [cols[i] for i in range(len(rows))]
 
 
 def restrict_to_invariant_subspace(m, basis):
-    """Matrix R of m in the coordinates of an m-invariant basis B (column j
-    holds those of m * basis[j])."""
-    if not basis:
-        return []
-    r, s = _restrict_zz(*_int_rows(m), basis)
-    return from_dicts(r, len(basis), s)
-
-
-def _restrict_zz(d, a, basis):
-    """(r, s) with r sparse integer rows and r / s the matrix R of m = a / d
-    in the coordinates of the m-invariant basis B: the rows of m B^t at B's
-    unit columns, checked against B^t R = m B^t, ValueError where that
-    fails.  The products run over the integers: with b = c B integral,
+    """Matrix R of the square m in the coordinates of an m-invariant basis
+    B (column j holds those of m * basis[j]): the rows of m B^t at B's unit
+    columns, checked against B^t R = m B^t, ValueError where that fails.
+    The products run over the integers: with m = a / d and B = b / c,
     a b^t is d c m B^t, its rows at the unit columns are d c R, and the
     check reads b^t (d c R) = c a b^t."""
-    c, b = _int_rows(basis)
-    bt = _transpose_rows(b, len(basis[0]))
+    (d, a), (c, b) = m, basis
+    bt = _transpose_rows(b, len(a))
     abt = _mul_rows(a, bt)
     r = [abt[j] for j in _unit_columns(basis)]
     if _mul_rows(bt, r) != [{j: c * x for j, x in row.items()}
                             for row in abt]:
         raise ValueError("basis is not invariant under the matrix")
-    return r, d * c
+    return normalize(d * c, r)
 
 
 def charpoly(m):
-    """Characteristic polynomial det(xI - m).
+    """Characteristic polynomial det(xI - m) of a square matrix m.
 
-    With a = d m integral, the coefficient of x^(n-i) is c_i / d^i, for
+    With m = a / d, the coefficient of x^(n-i) is c_i / d^i, for
     c_i that of the charpoly of a.  Up to sign, c_i is the sum of the
     i x i principal minors of a, and by Hadamard's inequality each minor is
     at most the product of the norms of its rows; so |c_i| <= B, the
@@ -254,15 +187,14 @@ def charpoly(m):
     A prime below 2^60 is two 30-bit digits of a Python integer; per bit of
     modulus, _charpoly_mod on T_2 at ns_plus 53 and 97 (CPython 3.11,
     x86-64) was cheaper there than at 30, 128 or 256 bits."""
-    d = lcm(*(x.denominator for row in m for x in row))
-    rows = [[x.numerator * (d // x.denominator) for x in row] for row in m]
-    bound = 2 * _coefficient_bound(rows)
-    res, mod = [0] * (len(m) + 1), 1
+    d, a = m
+    bound = 2 * _coefficient_bound(a)
+    res, mod = [0] * (len(a) + 1), 1
     for i in count():
         q = _charpoly_prime(i)
         t = pow(mod, -1, q)
         res = [x + mod * ((y - x) * t % q)
-               for x, y in zip(res, _charpoly_mod(rows, q))]
+               for x, y in zip(res, _charpoly_mod(a, q))]
         mod *= q
         if mod > bound:
             break
@@ -272,17 +204,17 @@ def charpoly(m):
 
 def _coefficient_bound(a):
     """max_i e_i(|r_1|, ..., |r_n|), the elementary symmetric functions of
-    the Euclidean norms of the rows of the integer matrix a, rounded up,
-    or of its columns, whichever is less."""
+    the Euclidean norms of the rows of the square sparse integer matrix a,
+    rounded up, or of its columns, whichever is less."""
     def largest_e(vectors):
         e = [1]     # e_0, e_1, ... of the norms so far
         for v in vectors:
-            s = sum(x * x for x in v)
+            s = sum(x * x for x in v.values())
             if s:
                 r = isqrt(s - 1) + 1
                 e = [x + r * y for x, y in zip(e + [0], [0] + e)]
         return max(e)
-    return min(largest_e(a), largest_e(zip(*a)))
+    return min(largest_e(a), largest_e(_transpose_rows(a, len(a))))
 
 
 @cache
@@ -292,11 +224,10 @@ def _charpoly_prime(i):
 
 
 def mat_poly_eval(f, m):
-    """f(m) for a UniPoly f and a rational matrix m."""
-    d, a = _int_rows(m)
+    """f(m) for a UniPoly f and a square matrix m."""
+    d, a = m
     e, h = _scaled_coeffs(f, d)
-    return from_dicts(_horner([{i: 1} for i in range(len(m))], a, h),
-                      len(m), e)
+    return normalize(e, _horner([{i: 1} for i in range(len(a))], a, h))
 
 
 def _scaled_coeffs(f, d):
@@ -335,8 +266,8 @@ _PRIMES = tuple(2 ** 61 - d for d in (
 def primary_components(m, factors, seed=0):
     """For the factorization [(g, e), ...] of charpoly(m) into powers of
     distinct monic irreducibles, the bases of the components ker g(m)^e, each
-    the list kernel(g(m)^e) returns: the reduced echelon basis whose vectors
-    end in a 1 at distinct columns, where every other vector is 0.
+    the matrix kernel(g(m)^e) returns: the reduced echelon basis whose
+    vectors end in a 1 at distinct columns, where every other vector is 0.
 
     Mod a prime p near 2^61, the component is spanned by v, m v, m^2 v, ...
     for v = h(m) u, h the product of the other factors to their exponents
@@ -347,7 +278,7 @@ def primary_components(m, factors, seed=0):
     lies in ker g(m)^e, has its dimension e deg g, and is that space; and a
     subspace has one reduced echelon basis, so the result depends on neither
     the primes nor the seed.  RuntimeError when the primes run out."""
-    den, a = _int_rows(m)
+    den, a = m
     rows = [list(row.items()) for row in a]
     # a prime dividing a denominator of m or of a factor is skipped
     bad = lcm(den, *(x.denominator for g, _ in factors for x in g.coeffs))
@@ -367,7 +298,7 @@ def primary_components(m, factors, seed=0):
                             p)
             W = _rational_lift(*lifts[i][1:])
             others = [f for j, (f, _) in enumerate(factors) if j != i]
-            if W is not None and _is_component(den, a, W, g, e, others):
+            if W is not None and _is_component(m, W, g, e, others):
                 out[i] = W
         if all(W is not None for W in out):
             return out
@@ -445,10 +376,11 @@ def cut_space(V, ops, d):
     their first nonzero entries, where every other row is 0) of
     D = {v in the row span of V : v g(T) = 0 for the first k pairs (T, g)},
     for the least k at which D has dimension d, the pairs (T, g) of a
-    square rational T and a UniPoly g drawn in turn from the iterable ops.
+    square matrix T and a UniPoly g drawn in turn from the iterable ops.
     V's span must be invariant under right multiplication by each T
-    (_restrict_zz checks it exactly, ValueError otherwise), and contain a
-    subspace of dimension d that every g(T) kills.
+    (restrict_to_invariant_subspace checks it exactly, ValueError
+    otherwise), and contain a subspace of dimension d that every g(T)
+    kills.
 
     In the coordinates x of v = x V, v g(T) = 0 reads g(R) x^t = 0 for R
     the matrix of T^t on V.  Mod a prime q of _PRIMES, with the rows of K a
@@ -460,9 +392,10 @@ def cut_space(V, ops, d):
     k pairs used, by sparse vector-matrix products.  That suffices: a rank
     can only drop mod q, so D has dimension at most d, and d independent
     vectors of D span it.  RuntimeError when the primes run out."""
-    m = len(V)
+    dv, v_rows = V
+    m = len(v_rows)
     units = _unit_columns(V)
-    dv, v_rows = _int_rows(V)
+    ncols = max(map(max, v_rows)) + 1   # the columns of D's nonzeros
     ops = iter(ops)
     conds = []      # per pair taken: R = r / s and T = t / dt, with g's h
 
@@ -471,9 +404,9 @@ def cut_space(V, ops, d):
         sum_j hr_j r^(n-j), and v g(T) = 0 exactly when _horner([v], t, ht)
         is 0."""
         if i == len(conds):
-            T, g = next(ops)
-            dt, t = _int_rows(T)
-            r, s = _restrict_zz(dt, _transpose_rows(t, len(T)), V)
+            (dt, t), g = next(ops)
+            s, r = restrict_to_invariant_subspace(
+                (dt, _transpose_rows(t, len(t))), V)
             conds.append((r, _scaled_coeffs(g, s)[1],
                           t, _scaled_coeffs(g, dt)[1]))
         return conds[i]
@@ -495,13 +428,13 @@ def cut_space(V, ops, d):
         if len(K) != d:
             continue
         rows = _mul_rows([dict(enumerate(row)) for row in K], v_rows)
-        pivots, res = _rref_mod([[row.get(j, 0) % q for j in range(len(V[0]))]
+        pivots, res = _rref_mod([[row.get(j, 0) % q for j in range(ncols)]
                                  for row in rows], q)
         lift = _crt(lift, pivots, res, q)
         W = _rational_lift(*lift[1:])
         if W is None:
             continue
-        _, w = _int_rows(W)
+        w = W[1]
         # v's coordinates in V are its entries at V's unit columns
         x = [{k: row[j] for k, j in enumerate(units) if j in row} for row in w]
         if _mul_rows(x, v_rows) == [{j: dv * y for j, y in row.items()}
@@ -600,31 +533,31 @@ def _crt(lift, pivots, rows, p):
 
 
 def _rational_lift(rows, mod):
-    """The rationals r/s with |r|, s <= sqrt(mod/2) congruent to the entries
-    mod mod, or None where one has none."""
+    """The matrix of the rationals r/s with |r|, s <= sqrt(mod/2) congruent
+    to the entries mod mod, or None where one has none."""
     bound = isqrt(mod // 2)
     out = []
     for row in rows:
-        lifted = []
-        for x in row:
+        lifted = {}
+        for j, x in enumerate(row):
             r0, r1, s0, s1 = mod, x, 0, 1
             while r1 > bound:
                 q = r0 // r1
                 r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
             if abs(s1) > bound or gcd(r1, s1) != 1:
                 return None
-            lifted.append(rat(r1, s1))
+            if r1:
+                lifted[j] = rat(r1, s1)
         out.append(lifted)
-    return out
+    return _int_rows(out)
 
 
-def _is_component(d, a, W, g, e, others):
-    """Whether the span of W is ker g(m)^e, for m = a / d with a sparse
-    integer rows and charpoly(m) the product of g^e and powers of the
-    irreducible factors others.
+def _is_component(m, W, g, e, others):
+    """Whether the span of the basis W is ker g(m)^e, for charpoly(m) the
+    product of g^e and powers of the irreducible factors others.
 
-    m must leave W invariant (checked exactly) with len(W) = e deg g; then
-    the charpoly c of the restriction R = r / s (_restrict_zz) divides
+    m must leave W invariant (checked exactly) with e deg g vectors in W;
+    then the charpoly c of the restriction R = r / s divides
     charpoly(m), so c = g^a h for h a product of factors in others, and
     c = g^e exactly when h = 1.  That is read mod a prime q of _PRIMES
     dividing neither s nor a denominator of g or others: c mod q, the
@@ -633,21 +566,20 @@ def _is_component(d, a, W, g, e, others):
     factor h mod q of g^e mod q is a constant, so the monic h is 1.  A q
     where g meets another factor mod q proves nothing, and the next one is
     tried."""
-    if len(W) != e * g.degree:
+    if len(W[1]) != e * g.degree:
         return False
     try:
-        r, s = _restrict_zz(d, a, W)
+        s, r = restrict_to_invariant_subspace(m, W)
     except ValueError:
         return False
-    rows = [[row.get(j, 0) for j in range(len(W))] for row in r]
     bad = lcm(s, *(x.denominator for f in [g] + others for x in f.coeffs))
     for q in _PRIMES:
         if bad % q == 0:
             continue
         gq = _poly_mod(g, q)
         t = pow(s, -1, q)
-        if _charpoly_mod([[x * t for x in row] for row in rows], q) != \
-                gf_pow(gq, e, q):
+        rt = [{j: x * t for j, x in row.items()} for row in r]
+        if _charpoly_mod(rt, q) != gf_pow(gq, e, q):
             return False
         if all(gf_gcd(gq, _poly_mod(f, q), q) == [1] for f in others):
             return True
@@ -661,9 +593,9 @@ def _poly_mod(f, q):
 
 
 def _charpoly_mod(rows, q):
-    """Characteristic polynomial mod a prime q of a square integer matrix,
-    highest degree first: a reduction to upper Hessenberg form H by
-    elimination, then the recurrence
+    """Characteristic polynomial mod a prime q of a square matrix of sparse
+    integer rows, highest degree first: a reduction to upper Hessenberg
+    form H by elimination, then the recurrence
     p_k = (x - H[k][k]) p_(k-1) - sum_i H[i][k] H[i+1][i] ... H[k][k-1] p_i
     over the leading blocks (Cohen, A Course in Computational Algebraic
     Number Theory, 1993, section 2.2.4).  Each reduction step is a
@@ -685,7 +617,7 @@ def _charpoly_mod(rows, q):
     w = (3 * q.bit_length() + 2 * n.bit_length() + 8) // 8
     W = 8 * w
     mask = (1 << W) - 1
-    cols = [_pack([int(row[j]) % q for row in reversed(rows)], w)
+    cols = [_pack([row.get(j, 0) % q for row in reversed(rows)], w)
             for j in range(n)]
     for k in range(1, n - 1):
         # clear column k - 1 below row k by rows from row k, then undo each
@@ -751,11 +683,17 @@ def _unpack(x, n, w):
 
 
 def seeded_random_combination(ops, seed=0):
-    """Deterministic small-integer combination of matrices (xorshift64*)."""
+    """Deterministic small-integer combination of matrices of one shape
+    (xorshift64*)."""
     if not ops:
         raise ValueError("empty operator list")
     rng = XorShift64(seed)
-    out = mat_scale(ops[0], rat(rng.randint(1, 9)))
-    for op in ops[1:]:
-        out = mat_add(out, mat_scale(op, rat(rng.randint(1, 9))))
-    return out
+    den = lcm(*(d for d, _ in ops))
+    out = [{} for _ in ops[0][1]]
+    for d, rows in ops:
+        c = rng.randint(1, 9) * (den // d)
+        for acc, row in zip(out, rows):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + c * x
+    return normalize(den, [{j: x for j, x in acc.items() if x}
+                           for acc in out])

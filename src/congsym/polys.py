@@ -304,9 +304,6 @@ class NumberField:
         cs = list(cs) + [rat(0)] * (self.degree - len(cs))
         return NumberFieldElem(self, cs)
 
-    def zero(self):
-        return self.elem([])
-
     def one(self):
         return self.elem([1])
 

@@ -12,8 +12,8 @@ class of g(P (x) {0, oo}); the right action is [P, g] h = [h^-1 P, g h].
 from collections import Counter
 from math import gcd, lcm
 
-from .backend import ONE, rat
 from . import linalg as la
+from .polys import UniPoly
 from .groups import (mat_mul, mat_det, imat_adjugate, S_MAT, TAU_MAT,
                      is_real_type)
 
@@ -92,15 +92,14 @@ class ModSymSpace:
     reduction table sends each key to its coordinates on the basis, as
     integer pairs (pos, c) over one common denominator den.  Every operator
     builds integer counts on the keys, a dict key -> count, and reduce
-    turns them into coordinates; pull_back pairs row vectors with the
-    table."""
+    turns them into coordinates over den; pull_back pairs row vectors with
+    the table."""
 
     def __init__(self, table, k, den, cols, basis_tags):
         self.table = table
         self.k = k
         self.m = k - 2
-        self.one = ONE
-        self._den = den
+        self.den = den
         self._cols = cols
         self.basis_tags = basis_tags
         self.dim = len(basis_tags)
@@ -115,24 +114,24 @@ class ModSymSpace:
 
     def reduce(self, counts):
         """Coordinates of an integer combination of free Manin symbols (a
-        dict key -> count), summed on integers over den."""
+        dict key -> count), summed on integers: the sparse column
+        {position: nonzero int} of the coordinates times den."""
         acc = [0] * self.dim
         cols = self._cols
         for key, cnt in counts.items():
             for pos, c in cols[key]:
                 acc[pos] += cnt * c
-        made = {a: rat(a, self._den) for a in set(acc)}   # one per value
-        return [made[a] for a in acc]
+        return {pos: x for pos, x in enumerate(acc) if x}
 
-    def pull_back(self, rows):
-        """(D, table) for rational row vectors on the basis: table[key][i] is
-        the integer D <rows[i], reduce({key: 1})>, so the pairing of rows[i]
-        with reduce(counts) is sum counts[key] table[key][i] / D."""
-        dw = lcm(*(x.denominator for row in rows for x in row))
-        ints = [[x.numerator * (dw // x.denominator) for x in row]
-                for row in rows]
-        return dw * self._den, [[sum(row[pos] * c for pos, c in col)
-                                 for row in ints] for col in self._cols]
+    def pull_back(self, w):
+        """(D, table) for the matrix w of row vectors on the basis:
+        table[key][i] is the integer D <w_i, reduce({key: 1}) / den>, so the
+        pairing of w_i with the coordinates of counts is
+        sum counts[key] table[key][i] / D."""
+        dw, rows = w
+        ints = [[row.get(j, 0) for j in range(self.dim)] for row in rows]
+        return dw * self.den, [[sum(row[pos] * c for pos, c in col)
+                                for row in ints] for col in self._cols]
 
     def add_manin(self, counts, poly, g, coeff=1):
         """Add coeff times the Manin symbol [poly, g], g an integer SL2
@@ -302,7 +301,7 @@ def build_space(Gamma, k):
     basis = sorted(roots[t] for t in set(range(len(roots))) - set(pivots))
     basis_tags = [(r % stride, r // stride) for r in basis]
     pos = {col[r]: i for i, r in enumerate(basis)}   # column -> basis index
-    expr = {t: {i: ONE} for t, i in pos.items()}
+    expr = {t: {i: 1} for t, i in pos.items()}
     for p, prow in zip(pivots, red):
         expr[p] = {pos[t]: -x for t, x in prow.items() if t != p}
 
@@ -334,47 +333,43 @@ def cusp_classes(Gamma):
 
 
 def boundary_map(S):
-    """Matrix of the boundary map, a row per basis symbol and a column per
-    cusp class, cached on S.  A basis symbol [x^w y^(m-w), r_i] maps to the
-    class of r_i e1 = r_i oo (when w = m) minus the class of r_i S e1 = r_i 0
-    (when w = 0), read off cusp_classes at cosets i and perm_S[i].  The
-    class of -v is (-1)^m times that of v, so a class with v ~ -v vanishes
-    when m is odd.  Columns are numbered in the order classes are first
-    met."""
+    """Matrix of the boundary map, a row per cusp class and a column per
+    basis symbol (its image), cached on S.  A basis symbol
+    [x^w y^(m-w), r_i] maps to the class of r_i e1 = r_i oo (when w = m)
+    minus the class of r_i S e1 = r_i 0 (when w = 0), read off
+    cusp_classes at cosets i and perm_S[i].  The class of -v is (-1)^m
+    times that of v, so a class with v ~ -v vanishes when m is odd.  Rows
+    are numbered in the order classes are first met."""
     if S._boundary is not None:
         return S._boundary
     table = S.table
     classes = cusp_classes(table)
     m = S.m
-    column = {}       # T-orbit -> (column, sign of its vectors), or None
-    ncols = 0
-    rows = [{} for _ in range(S.dim)]
+    row_of = {}       # T-orbit -> (row, sign of its vectors), or None
+    rows = []
     for t, (w, i) in enumerate(S.basis_tags):
         ends = [(i, 1)] if w == m else []
         if w == 0:
             ends.append((table.perm_S[i], -1))
         for j, sign in ends:
             a, b = classes[j]
-            if a not in column:
+            if a not in row_of:
                 if a == b and m % 2:
-                    column[a] = None
+                    row_of[a] = None
                 else:
-                    column[b] = (ncols, (-1) ** m)
-                    column[a] = (ncols, 1)
-                    ncols += 1
-            if column[a] is not None:
-                c, s = column[a]
-                rows[t][c] = rows[t].get(c, 0) + sign * s
-    S._boundary = la.from_dicts(rows, ncols)
+                    row_of[b] = (len(rows), (-1) ** m)
+                    row_of[a] = (len(rows), 1)
+                    rows.append({})
+            if row_of[a] is not None:
+                c, s = row_of[a]
+                rows[c][t] = rows[c].get(t, 0) + sign * s
+    S._boundary = (1, [{t: x for t, x in row.items() if x} for row in rows])
     return S._boundary
 
 
 def cuspidal_subspace(S):
     """Basis of the kernel of the boundary map, as coordinate vectors."""
-    bmat = boundary_map(S)
-    if not bmat or not bmat[0]:
-        return la.identity_matrix(S.dim)
-    return la.kernel(la.transpose(bmat))
+    return la.kernel(boundary_map(S), S.dim)
 
 
 def star_involution(S):
@@ -392,8 +387,9 @@ def star_involution(S):
         j = S.table.coset_index(_eta_conj(S.table.reps[i]))
         sign = (-1) ** (m - w + 1)
         cols.append({pos: sign * c for pos, c in S._cols[S.gen_index(w, j)]})
-    _check_permutes_cusps(boundary_map(S), cols, S._den)
-    return la.transpose(la.from_dicts(cols, S.dim, S._den))
+    iota = la.from_columns(S.den, cols, S.dim)
+    _check_permutes_cusps(boundary_map(S), iota)
+    return iota
 
 
 def _eta_conj(g):
@@ -410,37 +406,26 @@ def _up_to_sign(vec):
     return tuple(items)
 
 
-def _check_permutes_cusps(bmat, iota_cols, den=1):
-    """B^t iota must be B^t with its rows permuted and signed, because iota
-    permutes the cusp classes; then iota keeps ker B^t, the cuspidal
-    subspace.  bmat is B (a row per basis symbol), iota_cols the sparse
-    columns of den iota, and B^t (den iota) is compared with den B^t."""
-    b_rows = [{c: x.numerator for c, x in enumerate(row) if x}
-              for row in bmat]
-    ncols = len(bmat[0]) if bmat else 0
-    bt = [{} for _ in range(ncols)]
-    bt_iota = [{} for _ in range(ncols)]
-    for s, row in enumerate(b_rows):
-        for c, x in row.items():
-            bt[c][s] = den * x
-    for t, col in enumerate(iota_cols):
-        for s, x in col.items():
-            for c, b in b_rows[s].items():
-                bt_iota[c][t] = bt_iota[c].get(t, 0) + b * x
-    if Counter(map(_up_to_sign, bt)) != Counter(map(_up_to_sign, bt_iota)):
+def _check_permutes_cusps(bmat, iota):
+    """B iota must be B with its rows permuted and signed, because iota
+    permutes the cusp classes; then iota keeps ker B, the cuspidal
+    subspace.  bmat is the integer boundary matrix B (boundary_map)."""
+    den, rows = la.mat_mul(bmat, iota)
+    if den != 1 or Counter(map(_up_to_sign, rows)) != \
+            Counter(map(_up_to_sign, bmat[1])):
         raise RuntimeError("the star involution does not permute the cusp "
                            "classes")
 
 
 def plus_subspace(S, iota):
     """Basis of the +1 eigenspace of iota on the cuspidal subspace, in full
-    coordinates: one kernel of the stacked rows [B^t ; iota - 1] for the
+    coordinates: one kernel of the stacked rows [B ; iota - 1] for the
     boundary matrix B.  A kernel basis in reduced echelon form is the one
     basis of its space with a unit vector at each position that is the last
-    nonzero entry of some vector of the space, so this is the same list as
+    nonzero entry of some vector of the space, so this is the same basis as
     the +1 kernel of iota restricted to a cuspidal basis, times that basis."""
-    bt = la.transpose(boundary_map(S))
-    return la.kernel(bt + la.shift_diagonal(iota, -S.one))
+    shifted = la.mat_poly_eval(UniPoly([-1, 1]), iota)[1]
+    return la.kernel((1, boundary_map(S)[1] + shifted), S.dim)
 
 
 def cusp_count(Gamma):

@@ -49,20 +49,23 @@ def good_primes(G, count=None, upto=None):
 class SpectralContext:
     """The working Hecke module: the plus subspace for real-type groups,
     otherwise the full cuspidal subspace, with cached restricted operators.
-    The star involution iota (None for other groups) is built once here."""
+    basis, the operators and the star involution iota (None for other
+    groups, built once here) are matrices in the integer form of linalg;
+    cuspidal is the list of the integer rows of the cuspidal basis."""
 
     def __init__(self, S):
         self.S = S
-        self.cuspidal = cuspidal_subspace(S)
+        cuspidal = cuspidal_subspace(S)
+        self.cuspidal = cuspidal[1]
         self.iota = None
         if is_real_type(S.G):
             self.kind = "plus"
             self.iota = star_involution(S)
-            self.basis = plus_subspace(S, self.iota) if self.cuspidal else []
+            self.basis = plus_subspace(S, self.iota)
         else:
             self.kind = "cuspidal"
-            self.basis = self.cuspidal
-        self.dim = len(self.basis)
+            self.basis = cuspidal
+        self.dim = len(self.basis[1])
         self._full_ops = {}
         self._ops = {}
         self._diamonds = {}
@@ -73,11 +76,12 @@ class SpectralContext:
         that every piece's dual lies in: those with v iota = v (plus kind),
         else all of them.  Computed on first use, once for all pieces."""
         if self._dual is None:
+            n = self.S.dim
             if self.kind == "plus":
-                self._dual = la.kernel(la.shift_diagonal(
-                    la.transpose(self.iota), -self.S.one))
+                self._dual = la.kernel(la.mat_poly_eval(
+                    UniPoly([-1, 1]), la.from_columns(*self.iota, n)), n)
             else:
-                self._dual = la.identity_matrix(self.S.dim)
+                self._dual = (1, [{i: 1} for i in range(n)])
         return self._dual
 
     def full_op(self, n):
@@ -87,21 +91,14 @@ class SpectralContext:
 
     def op(self, n):
         if n not in self._ops:
-            if self.dim == 0:
-                self._ops[n] = []
-            else:
-                self._ops[n] = la.restrict_to_invariant_subspace(
-                    self.full_op(n), self.basis)
+            self._ops[n] = la.restrict_to_invariant_subspace(
+                self.full_op(n), self.basis)
         return self._ops[n]
 
     def diamond(self, p):
         if p not in self._diamonds:
-            mat = diamond_operator(self.S, sigma_class(self.S, p))
-            if self.dim == 0:
-                self._diamonds[p] = []
-            else:
-                self._diamonds[p] = la.restrict_to_invariant_subspace(
-                    mat, self.basis)
+            self._diamonds[p] = la.restrict_to_invariant_subspace(
+                diamond_operator(self.S, sigma_class(self.S, p)), self.basis)
         return self._diamonds[p]
 
     def good_primes(self, count=None, upto=None):
@@ -114,8 +111,8 @@ class HeckePiece:
     def __init__(self, ctx, space, label=None, label_prime=None,
                  isotypic=False):
         self.ctx = ctx
-        self.space = space          # basis vectors in ctx coordinates
-        self.dimension = len(space)
+        self.space = space          # basis in ctx coordinates
+        self.dimension = len(space[1])
         self.label = label          # charpoly at the smallest good prime
         self.label_prime = label_prime
         self.isotypic = isotypic
@@ -178,7 +175,7 @@ def decompose(ctx, seed=0):
     # (basis, index of the next prime, factor at p0, known irreducible);
     # on the whole module, whose basis is the identity, T_p and the
     # components are used as they are
-    whole = la.identity_matrix(ctx.dim)
+    whole = (1, [{i: 1} for i in range(ctx.dim)])
     stack = [(whole, 0, None, False)]
     while stack:
         basis, idx, g0, final = stack.pop()
@@ -209,7 +206,7 @@ def decompose(ctx, seed=0):
             # a piece still without a final verdict has exhausted the primes
             # up to the Sturm bound: accept it as isotypic and flag it
             pieces.append(HeckePiece(
-                ctx, basis, label=g0 ** (len(basis) // g0.degree),
+                ctx, basis, label=g0 ** (len(basis[1]) // g0.degree),
                 label_prime=p0, isotypic=not final))
 
     pieces.sort(key=lambda pc: (pc.dimension, pc.label.coeffs[::-1]))
@@ -218,7 +215,7 @@ def decompose(ctx, seed=0):
 
 def dual_vector_space(ctx, piece):
     """The piece's part of the dual of the full symbol space, as the reduced
-    echelon basis of rational row vectors in full coordinates: the
+    echelon basis of row vectors in full coordinates: the
     functionals v with v iota = v (plus kind; v in the span of
     ctx.dual_space()) and v g_p(T_p) = 0, for g_p the characteristic
     polynomial of T_p on the piece, at successive good primes until the
@@ -230,7 +227,7 @@ def dual_vector_space(ctx, piece):
     S = ctx.S
     d = piece.dimension
     if d == 0:
-        return []
+        return (1, [])
     bound = sturm_bound(S.k, S.table)
     separating = next(p for p in iter_good_primes(S.G)
                       if p ** (S.k - 1) >= 6)
@@ -280,7 +277,7 @@ def _generator(piece, seed):
             continue
         g, e = fac[0]
         if e == 1 or (piece.isotypic
-                      and la.is_zero_matrix(la.mat_poly_eval(g, T))):
+                      and not any(la.mat_poly_eval(g, T)[1])):
             return primes, t, g
     raise RuntimeError("no generator with power-of-irreducible charpoly")
 
@@ -289,11 +286,11 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None):
     """Eigenvalue system of an irreducible (or simple-isotypic) piece.
 
     T is the generator (see _generator) and g its minimal polynomial on the
-    piece.  For a root a of g, h = g/(x - a) and a rational vector v of the
-    piece's dual (dual_vector_space), e = h(T^t) v is an eigenfunctional on
+    piece.  For a root a of g, h = g/(x - a) and a row vector v of the
+    piece's dual (dual_vector_space), e = v h(T) is an eigenfunctional on
     the full symbol space: e T_n = a_n e.  So a_n = <e, T_n s>/<e, s> for
     one basis symbol s with <e, s> != 0, and each T_n is needed on s alone.
-    The vectors w_i = v (T^t)^i are pulled back once to the free module of
+    The vectors w_i = v T^i are pulled back once to the free module of
     Manin symbols (ModSymSpace.pull_back), as an integer table over one
     denominator; a sweep of T_n over s (hecke_counts) gives integer counts
     on that module, and their pairing with the table gives the <w_i, T_n s>,
@@ -320,7 +317,7 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None):
     primes, t, g = _generator(piece, seed)
     if g.degree == 1:
         field = None
-        fone = S.one
+        fone = rat(1)
         h = [fone]
     else:
         field = NumberField(g, var="a")
@@ -330,28 +327,32 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None):
         for c in reversed(g.coeffs[1:-1]):
             h.append(field.gen() * h[-1] + c)
         h.reverse()
-    # rational row vectors v (T^t)^i in full coordinates; e = sum h_i w_i
+    # the row vectors w_i = v T^i in full coordinates, rows[i] / D;
+    # e = sum h_i w_i
     T = next(islice(_generator_candidates(
         [ctx.full_op(p) for p in primes], seed), t, None))
-    Tt = la.transpose(T)
-    w = [dual_vector_space(ctx, piece)[0]]
+    dv, dual = dual_vector_space(ctx, piece)
+    w = [(dv, dual[:1])]
     for _ in range(g.degree - 1):
-        w.append(la.mat_vec(Tt, w[-1]))
+        w.append(la.mat_mul(w[-1], T))
+    D = math.lcm(*(d for d, _ in w))
+    rows = [{j: x * (D // d) for j, x in r[0].items()} for d, r in w]
 
-    def pair(x):
-        """<e, x> for a rational vector x in full coordinates."""
+    def pair(x, dx):
+        """<e, x / dx> for a sparse integer vector x in full coordinates."""
         total = fone * 0
-        for hi, wi in zip(h, w):
-            total = total + hi * sum(a * b for a, b in zip(wi, x) if a and b)
+        for hi, wi in zip(h, rows):
+            total = total + hi * rat(sum(y * wi[j] for j, y in x.items()
+                                         if j in wi), D * dx)
         return total
 
-    s = next(j for j in range(S.dim) if any(wi[j] for wi in w))
-    e_s_inv = fone / pair([S.one if j == s else 0 for j in range(S.dim)])
+    s = next(j for j in range(S.dim) if any(j in wi for wi in rows))
+    e_s_inv = fone / pair({s: 1}, 1)
 
     # <w_i, T_n s> is the sum over keys of counts[key] table[key][i] / D,
     # for the integer counts of hecke_counts, so a_n = sum_i c_i h_i
     # <e, s>^-1 / D; the products run on integers
-    den, table = S.pull_back(w)
+    den, table = S.pull_back((D, rows))
     scaled = [hi * e_s_inv * rat(1, den) for hi in h]
 
     def sweep_value(n):
@@ -371,9 +372,11 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None):
     def bad_value(p, R):
         """The eigenvalue of psi R = lambda psi, for psi the restriction of
         e to the working module."""
-        psi = [pair(b) for b in ctx.basis]
-        psi_r = [sum((x * R[i][j] for i, x in enumerate(psi) if x != 0),
-                     fone * 0) for j in range(len(psi))]
+        psi = [pair(b, ctx.basis[0]) for b in ctx.basis[1]]
+        dr, r = R
+        psi_r = [sum((x * r[i][j] for i, x in enumerate(psi)
+                      if x != 0 and j in r[i]), fone * 0) * rat(1, dr)
+                 for j in range(len(psi))]
         j = next(i for i, x in enumerate(psi) if x != 0)
         lam = psi_r[j] / psi[j]
         if any(y != lam * x for x, y in zip(psi, psi_r)):
@@ -398,7 +401,8 @@ def eigen_system(piece, L=100, seed=0, bad_ops=None):
                              for r in range(1, rmax + 1)]
         vals = [fone, sweep_value(p)]
         if rmax > 1:
-            eps = pair(diamond_column(S, sigma_class(S, p), s)) * e_s_inv
+            eps = pair(diamond_column(S, sigma_class(S, p), s),
+                       S.den) * e_s_inv
             pk = p ** (S.k - 1)
             for r in range(2, rmax + 1):
                 vals.append(vals[1] * vals[r - 1] - eps * pk * vals[r - 2])
@@ -437,10 +441,12 @@ def local_euler_factor(piece, p):
     if N > 1 and (N % p == 0 or (p % N) not in S.G.det_image):
         raise ValueError("Euler factor requires a good prime with residue "
                          "in det(G)")
-    R = piece.op(p)
-    D = piece.restricted(ctx.diamond(p))
+    (dr, R), (dd, D) = piece.op(p), piece.restricted(ctx.diamond(p))
     d = piece.dimension
     pk = p ** (S.k - 1)
-    A = [R[i] + [-pk * x for x in D[i]] for i in range(d)]
-    A += [[int(i == j) for j in range(2 * d)] for i in range(d)]
-    return UniPoly(la.charpoly(A).coeffs[::-1])
+    den = math.lcm(dr, dd)
+    A = [{j: x * (den // dr) for j, x in row.items()} for row in R]
+    for row, drow in zip(A, D):
+        row.update({d + j: -pk * x * (den // dd) for j, x in drow.items()})
+    A += [{i: den} for i in range(d)]
+    return UniPoly(la.charpoly((den, A)).coeffs[::-1])

@@ -1,6 +1,9 @@
+from math import lcm
+
 import pytest
 from sympy import factorint
 
+from congsym.backend import rat
 from congsym.groups import (close_group, coset_table, crt_matrix, mat_det,
                             mat_mod, mat_mul, IDENT)
 from congsym.families import build_family
@@ -11,6 +14,50 @@ from congsym import spectra as spec
 
 def space_for(tag, param, k=2):
     return sp.build_space(coset_table(build_family(tag, param)), k)
+
+
+def Z(rows):
+    """The matrix of rows of ints and Fractions, lists or dicts column ->
+    value, in the integer form of linalg: (den, sparse integer rows), den
+    the least."""
+    rows = [r if isinstance(r, dict) else dict(enumerate(r)) for r in rows]
+    d = lcm(*(x.denominator for r in rows for x in r.values()))
+    return d, [{j: x.numerator * (d // x.denominator) for j, x in r.items()
+                if x} for r in rows]
+
+
+def dense(m, ncols=None):
+    """The rows of the matrix m = (den, rows) as lists of Fractions, ncols
+    long (by default as many as there are rows)."""
+    den, rows = m
+    n = len(rows) if ncols is None else ncols
+    return [[rat(r.get(j, 0), den) for j in range(n)] for r in rows]
+
+
+def coords(S, col):
+    """The coordinates S.reduce gives as a sparse column over S.den, as a
+    list of Fractions."""
+    return [rat(col.get(i, 0), S.den) for i in range(S.dim)]
+
+
+def identity(n):
+    return 1, [{i: 1} for i in range(n)]
+
+
+def combine(*terms):
+    """The matrix sum of c m over the pairs (c, m) of a rational c and a
+    matrix m of one shape, in the integer form of linalg."""
+    rows = [{} for _ in terms[0][1][1]]
+    for c, (den, m) in terms:
+        for acc, row in zip(rows, m):
+            for j, x in row.items():
+                acc[j] = acc.get(j, 0) + rat(c) * x / den
+    return Z(rows)
+
+
+def rank(rows):
+    """The rank of sparse rows, by linalg.echelon."""
+    return len(la.echelon(rows)[1])
 
 
 def closure_elements(N, gens):
@@ -56,7 +103,7 @@ def kernel_of_factor_power(m, g, e):
     ke = k
     for _ in range(e - 1):
         ke = la.mat_mul(ke, k)
-    return la.kernel(ke)
+    return la.kernel(ke, len(m[1]))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,3 @@
-from math import lcm
-
 import pytest
 import sympy
 from sympy import QQ, factorint
@@ -10,39 +8,46 @@ from congsym import linalg as la
 from congsym import spectra as spec
 from congsym.polys import UniPoly, factor_rational_poly
 
-from conftest import kernel_of_factor_power, space_for
+from conftest import (Z, dense, identity, kernel_of_factor_power, rank,
+                      space_for)
 
-
-def M(rows):
-    return [[rat(x) for x in row] for row in rows]
+M = Z
 
 
 def test_mat_basics():
     a = M([[1, 2], [3, 4]])
     b = M([[0, 1], [1, 0]])
     assert la.mat_mul(a, b) == M([[2, 1], [4, 3]])
-    assert la.mat_add(a, b) == M([[1, 3], [4, 4]])
-    assert la.transpose(a) == M([[1, 3], [2, 4]])
-    assert la.mat_vec(a, [rat(1), rat(0)]) == [rat(1), rat(3)]
+    rng = XorShift64(3)
+    c, d = rng.randint(1, 9), rng.randint(1, 9)
+    assert la.seeded_random_combination([a, b], 3) == \
+        M([[c, 2 * c + d], [3 * c + d, 4 * c]])
+    assert la.from_columns(*a, 2) == M([[1, 3], [2, 4]])
+    assert la.mat_mul(a, M([[1], [0]])) == M([[1], [3]])
+    # one normal form: the least denominator, so equal matrices are equal
+    assert la.mat_mul(M([[rat(1, 2), rat(1, 6)]]), M([[3], [3]])) == \
+        (1, [{0: 2}])
+    assert la.normalize(6, [{0: 4, 2: -2}, {}]) == (3, [{0: 2, 2: -1}, {}])
 
 
 def test_kernel_conventions():
     # right kernel: m v = 0
     m = M([[1, 1, 0], [0, 0, 1]])
-    ker = la.kernel(m)
+    ker = la.kernel(m, 3)
     # v[free] = 1 and v[pivot] = -(reduced entry): the basis callers print
     assert ker == M([[-1, 1, 0]])
-    for v in ker:
-        assert all(sum(r[j] * v[j] for j in range(3)) == 0 for r in m)
+    for v in dense(ker, 3):
+        assert all(sum(r[j] * v[j] for j in range(3)) == 0
+                   for r in dense(m, 3))
 
 
 def test_rank_and_row_space():
-    rows = M([[1, 2, 3], [2, 4, 6], [0, 1, 0]])
-    assert la.mat_rank(rows) == 2
-    basis = la.row_space_basis(rows)
+    rows = M([[1, 2, 3], [2, 4, 6], [0, 1, 0]])[1]
+    assert rank(rows) == 2
+    basis = la.echelon(rows)[0]
     assert len(basis) == 2
-    assert la.in_row_space(basis, [rat(3), rat(7), rat(9)])
-    assert not la.in_row_space(basis, [rat(0), rat(0), rat(1)])
+    assert rank(basis + [{0: 3, 1: 7, 2: 9}]) == rank(basis)
+    assert rank(basis + [{2: 1}]) != rank(basis)
 
 
 def test_charpoly():
@@ -51,12 +56,12 @@ def test_charpoly():
     n = M([[0, 1], [-1, 0]])
     f = la.charpoly(n)
     assert f == UniPoly([1, 0, 1])
-    assert la.is_zero_matrix(la.mat_poly_eval(f, n))
+    assert not any(la.mat_poly_eval(f, n)[1])
 
 
 def test_restrict_to_invariant_subspace():
     m = M([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    basis = [[rat(1), rat(0), rat(0)], [rat(0), rat(0), rat(1)]]
+    basis = M([[1, 0, 0], [0, 0, 1]])
     r = la.restrict_to_invariant_subspace(m, basis)
     assert la.charpoly(r) == UniPoly([3, -4, 1])
 
@@ -64,11 +69,26 @@ def test_restrict_to_invariant_subspace():
 def _restrict_by_rref(m, basis):
     """Coordinates of m * basis[j] read off the reduced form of
     [B^t | m B^t]."""
-    d = len(basis)
-    bt = la.transpose(basis)
-    red, pivots = la.rref([r + s for r, s in zip(bt, la.mat_mul(m, bt))])
+    n, d = len(m[1]), len(basis[1])
+    bt = dense(la.from_columns(*basis, n), d)
+    mbt = dense(la.mat_mul(m, la.from_columns(*basis, n)), d)
+    red, pivots = la.echelon(Z([r + s for r, s in zip(bt, mbt)])[1])
     assert pivots == list(range(d))
-    return [row[d:] for row in red[:d]]
+    return Z([{j - d: x for j, x in row.items() if j >= d} for row in red])
+
+
+def _row_space_basis(rows):
+    """The reduced echelon basis of the span of rational rows."""
+    return Z(la.echelon(Z(rows)[1])[0])
+
+
+def _inverse(Q):
+    """Q^-1 for an invertible square matrix of rational rows, read off the
+    reduced form of [Q | 1]."""
+    n = len(Q)
+    red, _ = la.echelon(Z([row + e for row, e in
+                           zip(Q, dense(identity(n)))])[1])
+    return Z([{j - n: x for j, x in row.items() if j >= n} for row in red])
 
 
 def _random_matrix(rng, n, k):
@@ -82,22 +102,21 @@ def test_restrict_matches_rref_on_random_invariant_subspaces():
     for n, k in [(3, 1), (4, 2), (6, 3), (8, 5), (9, 8)]:
         while True:
             Q = _random_matrix(rng, n, n)
-            if la.mat_rank(Q) == n:
+            if rank(Z(Q)[1]) == n:
                 break
         blk = _random_matrix(rng, n, n)
         for i in range(k, n):
             blk[i][:k] = [rat(0)] * k
-        red, _ = la.rref([row + e for row, e in
-                          zip(Q, la.identity_matrix(n))])
-        m = la.mat_mul(la.mat_mul(Q, blk), [row[n:] for row in red])
-        v = la.transpose(Q)[:k]
+        m = la.mat_mul(la.mat_mul(Z(Q), Z(blk)), _inverse(Q))
+        v = [list(col) for col in zip(*Q)][:k]
         # V with unit columns at its pivots, and at the free columns of
         # its annihilator
-        for basis in (la.row_space_basis(v), la.kernel(la.kernel(v))):
-            assert len(basis) == k
+        for basis in (_row_space_basis(v), la.kernel(la.kernel(Z(v), n), n)):
+            assert len(basis[1]) == k
             r = la.restrict_to_invariant_subspace(m, basis)
             assert r == _restrict_by_rref(m, basis)
-            assert la.charpoly(r) == la.charpoly([row[:k] for row in blk[:k]])
+            assert la.charpoly(r) == la.charpoly(
+                Z([row[:k] for row in blk[:k]]))
 
 
 @pytest.mark.parametrize("param", [13, 17])
@@ -119,7 +138,7 @@ def test_restrict_rejects_bad_bases():
                   [[1, 0], [1, 0]]):
         with pytest.raises(ValueError, match="no unit column"):
             la.restrict_to_invariant_subspace(
-                la.identity_matrix(len(basis[0])), M(basis))
+                identity(len(basis[0])), M(basis))
 
 
 def test_seeded_combination_deterministic():
@@ -138,7 +157,7 @@ def _companion(f):
 def _planted(blocks, seed):
     """Q diag(blocks) Q^-1 for a random invertible integer Q."""
     n = sum(len(b) for b in blocks)
-    m = la.zero_matrix(n, n)
+    m = [[rat(0)] * n for _ in range(n)]
     i = 0
     for b in blocks:
         for r, row in enumerate(b):
@@ -147,10 +166,9 @@ def _planted(blocks, seed):
     rng = XorShift64(seed)
     while True:
         Q = _random_matrix(rng, n, n)
-        if la.mat_rank(Q) == n:
+        if rank(Z(Q)[1]) == n:
             break
-    red, _ = la.rref([row + e for row, e in zip(Q, la.identity_matrix(n))])
-    return la.mat_mul(la.mat_mul(Q, m), [row[n:] for row in red])
+    return la.mat_mul(la.mat_mul(Z(Q), Z(m)), _inverse(Q))
 
 
 X = UniPoly([0, 1])
@@ -192,7 +210,7 @@ def test_primary_components_match_horner_kernel(name):
 
 
 def _denominator_prime(m):
-    return min(factorint(lcm(*(x.denominator for row in m for x in row))))
+    return min(factorint(m[0]))
 
 
 def test_primary_components_skip_a_denominator_prime(monkeypatch):
@@ -214,12 +232,11 @@ def test_primary_components_over_small_primes(monkeypatch):
     for name in sorted(PLANTED):
         m, fac, ref = _components_and_reference(name, seed=7)
         assert la.primary_components(m, fac) == ref
-    m = M([[1, 0], [0, 2]])
-    m[0][1] = rat(-123457, 99)
+    m = M([[1, rat(-123457, 99)], [0, 2]])
     fac = factor_rational_poly(la.charpoly(m))
     assert [g for g, _ in fac] == [X - 2, X - 1]
     assert la.primary_components(m, fac) == \
-        [[[rat(-123457, 99), rat(1)]], M([[1, 0]])]
+        [M([[rat(-123457, 99), 1]]), M([[1, 0]])]
 
 
 def test_certificate_rejects_an_invariant_lift_with_the_wrong_charpoly():
@@ -227,37 +244,38 @@ def test_certificate_rejects_an_invariant_lift_with_the_wrong_charpoly():
     e_3 is m-invariant and has the dimension of ker (m - 1)^2, but m has
     charpoly (x - 1)(x - 2) there: the modular charpoly rejects it.  A lift
     of the wrong dimension or not invariant is rejected before that."""
-    da = la._int_rows(M([[1, 0, 0], [0, 1, 0], [0, 0, 2]]))
+    da = M([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
     g, h = X - 1, X - 2
-    assert la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
-    assert not la._is_component(*da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
-    assert not la._is_component(*da, M([[1, 0, 0]]), g, 2, [h])
-    assert not la._is_component(*da, M([[1, 0, 1], [0, 1, 0]]), g, 2, [h])
+    assert la._is_component(da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+    assert not la._is_component(da, M([[1, 0, 0]]), g, 2, [h])
+    assert not la._is_component(da, M([[1, 0, 1], [0, 1, 0]]), g, 2, [h])
     # planted in a random basis, with a cyclic block of (x - 1)^2 that one
     # eigenvector of it with the x - 2 block does not span
     m = _planted([_companion(G1 ** 2), _companion(X - 2)], 3)
     fac = factor_rational_poly(la.charpoly(m))
     assert fac == [(X - 2, 1), (X - 1, 2)]
     good = kernel_of_factor_power(m, X - 1, 2)
-    assert la._is_component(*la._int_rows(m), good, X - 1, 2, [X - 2])
-    wrong = la.row_space_basis(la.kernel(la.mat_poly_eval(X - 1, m))
-                               + la.kernel(la.mat_poly_eval(X - 2, m)))
-    assert len(wrong) == 2
+    assert la._is_component(m, good, X - 1, 2, [X - 2])
+    wrong = _row_space_basis(
+        dense(la.kernel(la.mat_poly_eval(X - 1, m), 3), 3)
+        + dense(la.kernel(la.mat_poly_eval(X - 2, m), 3), 3))
+    assert len(wrong[1]) == 2
     la.restrict_to_invariant_subspace(m, wrong)     # invariant: no raise
-    assert not la._is_component(*la._int_rows(m), wrong, X - 1, 2, [X - 2])
+    assert not la._is_component(m, wrong, X - 1, 2, [X - 2])
 
 
 def test_certificate_skips_a_prime_where_the_factors_meet(monkeypatch):
     """x - 1 and x - 1 - 11 meet mod 11, where a charpoly (x - 1)^a (x - 12)^b
     of the restriction would read as (x - 1)^2 and prove nothing; the
     certificate then goes on to the next prime."""
-    da = la._int_rows(M([[1, 0, 0], [0, 1, 0], [0, 0, 12]]))
+    da = M([[1, 0, 0], [0, 1, 0], [0, 0, 12]])
     g, h = X - 1, X - 12
     monkeypatch.setattr(la, "_PRIMES", (11,))
-    assert not la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
     monkeypatch.setattr(la, "_PRIMES", (11, 13))
-    assert la._is_component(*da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
-    assert not la._is_component(*da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
+    assert la._is_component(da, M([[1, 0, 0], [0, 1, 0]]), g, 2, [h])
+    assert not la._is_component(da, M([[1, 0, 0], [0, 0, 1]]), g, 2, [h])
 
 
 def _berkowitz(m):
@@ -289,8 +307,8 @@ def test_charpoly_mod_matches_charpoly():
                 m = _random_rational(rng, n, 3, 1 if q < 10 else 4, zeros=2)
                 expect = [x.numerator * pow(x.denominator, -1, q) % q
                           for x in _berkowitz(m)]
-                rows = [[x.numerator * pow(x.denominator, -1, q) for x in row]
-                        for row in m]
+                rows = [dict(enumerate(x.numerator * pow(x.denominator, -1, q)
+                                       for x in row)) for row in m]
                 assert la._charpoly_mod(rows, q) == expect
 
 
@@ -298,17 +316,17 @@ def test_charpoly_mod_raises_on_a_failed_inverse():
     """Mod 15 the pivot 3 has no inverse: the reduction raises rather than
     skip it."""
     with pytest.raises(ValueError):
-        la._charpoly_mod([[0, 1, 1], [3, 0, 1], [5, 1, 0]], 15)
+        la._charpoly_mod(M([[0, 1, 1], [3, 0, 1], [5, 1, 0]])[1], 15)
 
 
 def test_charpoly_matches_berkowitz():
     """charpoly against sympy's Berkowitz charpoly on n = 0 and 1, the
     planted matrices, random rational matrices, dense and sparse, and
     matrices whose coefficient bound needs several primes."""
-    assert la.charpoly([]) == UniPoly([1])
+    assert la.charpoly((1, [])) == UniPoly([1])
     assert la.charpoly(M([[0]])) == X
-    assert la.charpoly([[rat(-3, 7)]]) == X + UniPoly([rat(3, 7)])
-    cases = [_planted(blocks, seed) for blocks, _ in PLANTED.values()
+    assert la.charpoly(M([[rat(-3, 7)]])) == X + UniPoly([rat(3, 7)])
+    cases = [dense(_planted(blocks, seed)) for blocks, _ in PLANTED.values()
              for seed in (1, 5)]
     rng = XorShift64(23)
     for n in range(2, 12):
@@ -318,13 +336,12 @@ def test_charpoly_matches_berkowitz():
         m = [[rat(rng.randint(-2 ** bits, 2 ** bits)) for _ in range(n)]
              for _ in range(n)]
         # more than the first prime is needed to exceed twice the bound
-        assert la._charpoly_prime(0) <= 2 * la._coefficient_bound(
-            [[int(x) for x in row] for row in m])
+        assert la._charpoly_prime(0) <= 2 * la._coefficient_bound(M(m)[1])
         cases.append(m)
         cases.append([[x / 3 ** (i + j) for j, x in enumerate(row)]
                       for i, row in enumerate(m)])
     for m in cases:
-        assert la.charpoly(m) == UniPoly(_berkowitz(m)[::-1])
+        assert la.charpoly(M(m)) == UniPoly(_berkowitz(m)[::-1])
 
 
 def test_charpoly_ignores_the_certificate_primes(monkeypatch):

@@ -8,7 +8,7 @@ import every process would pay for; the set-up, the plus space,
 import costs more than all of their work: sympy comes in only to factor a
 polynomial that no small prime proves irreducible.  Every library name the
 benchmark's tracer wraps exists, so a rename fails here and not only in a
-traced run.  And every top-level library function or class has a caller
+traced run.  And every library function, class and method has a caller
 outside the unit tests.
 """
 
@@ -26,7 +26,7 @@ import congsym
 FORBIDDEN_RAISES = {"AssertionError", "NotImplementedError"}
 
 # library functions kept for the unit tests alone
-TEST_ONLY_HELPERS = {"mat_sub", "row_space_basis", "in_row_space"}
+TEST_ONLY_HELPERS = set()
 
 
 def _raised_name(node):
@@ -138,21 +138,40 @@ def _names_used(tree):
     return out
 
 
+def _defs_and_uses(node, where, defined):
+    """The names node uses, less each def's or class's own name inside its
+    own body (naming itself there does not call it); every def and class
+    in node, and every method of a class but the dunder ones, is added to
+    defined as where:name."""
+    if isinstance(node, ast.ClassDef):
+        defined["%s:%s" % (where, node.name)] = node.name
+        used = set()
+        for item in node.body:
+            used |= _defs_and_uses(item, "%s:%s" % (where, node.name),
+                                   defined)
+        used |= set().union(*map(_names_used, node.bases + node.keywords
+                                 + node.decorator_list))
+        used.discard(node.name)
+        return used
+    used = _names_used(node)
+    if isinstance(node, ast.FunctionDef):
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            defined["%s:%s" % (where, node.name)] = node.name
+        used.discard(node.name)
+    return used
+
+
 def test_every_library_function_has_a_caller():
-    """Each top-level def or class of congsym is named outside its own body:
-    in a library module, in perfbench/attempt.py or in the acceptance
-    tests.  A name only the unit tests reach is dead code."""
+    """Each top-level def or class of congsym, and each method of its
+    classes but the dunder ones, is named outside its own body: in a
+    library module, in perfbench/attempt.py or in the acceptance tests.  A
+    name only the unit tests reach is dead code."""
     root = pathlib.Path(__file__).resolve().parents[1]
     defined = {}
     used = set()
     for path in sorted(pathlib.Path(congsym.__file__).parent.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            names = _names_used(node)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined["%s:%s" % (path.name, node.name)] = node.name
-                # a def naming itself inside its own body does not call it
-                names.discard(node.name)
-            used |= names
+            used |= _defs_and_uses(node, path.name, defined)
     for path in (root / "perfbench" / "attempt.py",
                  root / "tests" / "test_acceptance.py"):
         used |= _names_used(ast.parse(path.read_text(), str(path)))

@@ -9,7 +9,7 @@ from congsym.spaces import (build_space, monomial, sym_action, cusp_count,
                             cuspidal_subspace, star_involution, plus_subspace,
                             boundary_map, cusp_normalize, NotRealType)
 
-from conftest import space_for
+from conftest import Z, combine, coords, dense, identity, space_for
 
 SIGMA = (0, -1, 1, 0)
 TAU = (0, -1, 1, -1)
@@ -18,7 +18,7 @@ J = (-1, 0, 0, -1)
 
 def symbol_coords(S, P, a, b):
     """Coordinates of the modular symbol P (x) {a, b}."""
-    return S.reduce(S.add_symbol({}, P, a, b))
+    return coords(S, S.reduce(S.add_symbol({}, P, a, b)))
 
 
 def manin_relation_defects(S):
@@ -31,10 +31,10 @@ def manin_relation_defects(S):
         r = S.table.reps[i]
 
         def act(h):
-            return S.manin_coords(sym_action(imat_adjugate(h), P),
-                                  mat_mul(r, h))
+            return coords(S, S.manin_coords(sym_action(imat_adjugate(h), P),
+                                            mat_mul(r, h)))
 
-        x = S.manin_coords(P, r)
+        x = coords(S, S.manin_coords(P, r))
         two = [a + b for a, b in zip(x, act(SIGMA))]
         three = [a + b + c for a, b, c in zip(x, act(TAU), act(tau2))]
         jrel = [a - b for a, b in zip(x, act(J))]
@@ -87,7 +87,7 @@ def test_dimensions_table():
     for tag, param, k, dim_full, dim_cusp in cases:
         S = space_for(tag, param, k)
         assert S.dim == dim_full, (tag, param, k)
-        assert len(cuspidal_subspace(S)) == dim_cusp, (tag, param, k)
+        assert len(cuspidal_subspace(S)[1]) == dim_cusp, (tag, param, k)
 
 
 def test_cusp_counts():
@@ -129,21 +129,21 @@ def test_three_term_path_relation(s_gamma0_11):
 
 def test_boundary_of_path_sum_vanishes(s_gamma0_11):
     S = s_gamma0_11
-    rows = boundary_map(S)
+    rows = boundary_map(S)[1]
     P = monomial(S.m, 0)
     vec = [x + y + z
            for x, y, z in zip(symbol_coords(S, P, (1, 0), (0, 1)),
                               symbol_coords(S, P, (0, 1), (1, 3)),
                               symbol_coords(S, P, (1, 3), (1, 0)))]
-    assert rows[0]
-    for j in range(len(rows[0])):
-        assert sum(vec[i] * rows[i][j] for i in range(S.dim)) == 0
+    assert rows
+    for row in rows:
+        assert sum(vec[i] * x for i, x in row.items()) == 0
 
 
 def test_star_involution_square(s_gamma0_11):
     S = s_gamma0_11
     iota = star_involution(S)
-    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim)
+    assert la.mat_mul(iota, iota) == identity(S.dim)
 
 
 def test_plus_minus_dimensions(s_ns_plus_13):
@@ -152,11 +152,10 @@ def test_plus_minus_dimensions(s_ns_plus_13):
     iota = star_involution(S)
     plus = plus_subspace(S, iota)
     restr = la.restrict_to_invariant_subspace(iota, cusp)
-    minus_dim = sum(1 for v in la.kernel(
-        la.mat_add(restr, la.identity_matrix(len(cusp))))
-        for _ in [0])
-    assert len(plus) + minus_dim == len(cusp)
-    assert len(plus) == 3
+    n = len(cusp[1])
+    minus_dim = len(la.kernel(combine((1, restr), (1, identity(n))), n)[1])
+    assert len(plus[1]) + minus_dim == n
+    assert len(plus[1]) == 3
 
 
 PLUS_GROUPS = [("ns_plus", 13, 2), ("ns_plus", 17, 2), ("ns_plus", 37, 2),
@@ -166,11 +165,12 @@ PLUS_GROUPS = [("ns_plus", 13, 2), ("ns_plus", 17, 2), ("ns_plus", 37, 2),
 def _reference_plus(S, iota):
     """The +1 kernel of iota restricted to the cuspidal basis C, times C."""
     cusp = cuspidal_subspace(S)
-    if not cusp:
-        return []
+    n = len(cusp[1])
+    if not n:
+        return 1, []
     restr = la.restrict_to_invariant_subspace(iota, cusp)
-    shifted = la.mat_sub(restr, la.identity_matrix(len(cusp)))
-    return la.mat_mul(la.kernel(shifted), cusp)
+    shifted = combine((1, restr), (-1, identity(n)))
+    return la.mat_mul(la.kernel(shifted, n), cusp)
 
 
 def _up_to_sign_sorted(rows):
@@ -193,27 +193,30 @@ def test_plus_basis_is_restricted_kernel(tag, param, k):
         (a0, a1), (b0, b1) = [(rng.randint(-9, 9), rng.randint(1, 9))
                               for _ in range(2)]
         P = monomial(S.m, w)
-        image = la.mat_vec(iota, symbol_coords(S, P, (a0, a1), (b0, b1)))
+        image = la.mat_mul(iota, Z([[x] for x in symbol_coords(
+            S, P, (a0, a1), (b0, b1))]))
         flipped = symbol_coords(S, sym_action((-1, 0, 0, 1), P),
                                 (-a0, a1), (-b0, b1))
-        assert image == [-x for x in flipped]
-    assert la.mat_mul(iota, iota) == la.identity_matrix(S.dim)
-    bt = la.transpose(boundary_map(S))
-    assert _up_to_sign_sorted(la.mat_mul(bt, iota)) == _up_to_sign_sorted(bt)
+        assert image == Z([[-x] for x in flipped])
+    assert la.mat_mul(iota, iota) == identity(S.dim)
+    bt = boundary_map(S)
+    assert _up_to_sign_sorted(dense(la.mat_mul(bt, iota), S.dim)) == \
+        _up_to_sign_sorted(dense(bt, S.dim))
     plus = plus_subspace(S, iota)
     assert plus == _reference_plus(S, iota)
-    assert plus
+    assert plus[1]
 
 
 def test_star_check_rejects_a_non_permutation(s_ns_plus_13):
     S = s_ns_plus_13
     bmat = boundary_map(S)
-    cols = [{s: x for s, x in enumerate(col) if x}
-            for col in la.transpose(star_involution(S))]
-    sp._check_permutes_cusps(bmat, cols)
-    cols[0] = {s: 2 * x for s, x in cols[0].items()}
+    den, rows = star_involution(S)
+    sp._check_permutes_cusps(bmat, (den, rows))
+    # column 0 doubled
+    rows = [{j: 2 * x if j == 0 else x for j, x in row.items()}
+            for row in rows]
     with pytest.raises(RuntimeError, match="permute the cusp classes"):
-        sp._check_permutes_cusps(bmat, cols)
+        sp._check_permutes_cusps(bmat, (den, rows))
 
 
 # The reference boundary map: each cusp vector is lifted to SL2(Z), and every
@@ -313,7 +316,8 @@ def test_boundary_map_matches_scan(group, request):
     else:
         S = space_for(*group)
     _, matrix, vanished = _reference_boundary(S)
-    assert boundary_map(S) == matrix
+    # a row per cusp class
+    assert boundary_map(S) == Z([list(col) for col in zip(*matrix)])
     assert bool(vanished) == (group == ("gamma1", 4, 7))
 
 
@@ -341,10 +345,10 @@ def test_pull_back_pairs_rows_with_reduced_keys(tag, param, k):
     rng = XorShift64(11)
     rows = [[rat(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(S.dim)]
             for _ in range(3)]
-    den, table = S.pull_back(rows)
+    den, table = S.pull_back(Z(rows))
     assert len(table) == S.table.index * (S.m + 1)
     for key, pulled in enumerate(table):
-        col = S.reduce({key: 1})
+        col = coords(S, S.reduce({key: 1}))
         assert pulled == [den * sum(a * b for a, b in zip(row, col))
                           for row in rows]
         assert all(isinstance(x, int) for x in pulled)

@@ -1,5 +1,6 @@
 import math
 from itertools import islice
+from math import gcd
 
 import pytest
 import sympy
@@ -13,7 +14,8 @@ from congsym import spaces as sp
 from congsym import spectra as spec
 from congsym.polys import NumberField, UniPoly, factor_rational_poly
 
-from conftest import kernel_of_factor_power, space_for
+from congsym.backend import rat
+from conftest import Z, dense, kernel_of_factor_power, rank, space_for
 
 
 def test_sturm_bound_spot_checks():
@@ -56,10 +58,9 @@ def test_pieces_are_invariant(ctx_ns_plus_13):
     ctx = ctx_ns_plus_13
     for piece in spec.decompose(ctx):
         for p in (2, 3, 5):
-            imgs = [la.mat_vec(la.transpose(ctx.op(p)), v)
-                    for v in piece.space]
+            imgs = la.mat_mul(piece.space, ctx.op(p))[1]
             for img in imgs:
-                assert la.in_row_space(piece.space, img)
+                assert rank(piece.space[1] + [img]) == rank(piece.space[1])
 
 
 def test_eigen_multiplicativity(ctx_ns_plus_13):
@@ -83,13 +84,29 @@ def test_dual_vector_space(ctx_ns_plus_13):
     ctx = ctx_ns_plus_13
     piece = spec.decompose(ctx)[0]
     dual = spec.dual_vector_space(ctx, piece)
-    assert len(dual) == piece.dimension
+    assert len(dual[1]) == piece.dimension
     # full-space functionals that pair perfectly with the piece
     full = la.mat_mul(piece.space, ctx.basis)
-    assert la.mat_rank(la.mat_mul(dual, la.transpose(full))) == \
+    assert rank(la.mat_mul(dual, la.from_columns(*full, ctx.S.dim))[1]) == \
         piece.dimension
-    iota = la.transpose(sp.star_involution(ctx.S))
-    assert all(la.mat_vec(iota, v) == v for v in dual)
+    # v iota = v for every row v
+    assert la.mat_mul(dual, sp.star_involution(ctx.S)) == dual
+
+
+def test_operators_and_bases_are_integer_rows_over_one_denominator(
+        ctx_ns_plus_13):
+    """T_n, its restriction, the working basis, a piece's basis and its
+    dual are pairs (den, rows) of a positive int den and rows of nonzero
+    ints, with den the least: no Fraction matrix passes between them."""
+    ctx = ctx_ns_plus_13
+    piece = spec.decompose(ctx)[0]
+    for m in (hk.hecke_tn_fast(ctx.S, 2), ctx.op(2), ctx.basis, piece.space,
+              spec.dual_vector_space(ctx, piece)):
+        den, rows = m
+        assert type(den) is int and den > 0
+        entries = [x for row in rows for x in row.values()]
+        assert entries and all(type(x) is int and x for x in entries)
+        assert gcd(den, *entries) == 1
 
 
 def test_dual_vector_space_skips_a_bad_prime(monkeypatch):
@@ -128,13 +145,14 @@ def test_generator_of_an_irreducible_piece_has_an_irreducible_charpoly():
     assert es.field.degree == 4
     for p in (2, 3, 5, 7, 11):
         x = [es.a(p) * es.field.gen() ** i for i in range(4)]
-        assert la.charpoly([y.coeffs for y in x]) == la.charpoly(piece.op(p))
+        assert la.charpoly(Z([y.coeffs for y in x])) == \
+            la.charpoly(piece.op(p))
 
 
 def test_star_involution_built_once(monkeypatch):
     """The context builds iota once, and the dual's iota^t = 1 cut once, for
     all pieces and repeated eigensystems (the plus space takes the other
-    shifted matrix)."""
+    shifted matrix, iota - 1 by mat_poly_eval)."""
     calls = {"iota": 0, "shift": 0}
 
     def counted(name, fn):
@@ -145,8 +163,8 @@ def test_star_involution_built_once(monkeypatch):
 
     monkeypatch.setattr(spec, "star_involution",
                         counted("iota", sp.star_involution))
-    monkeypatch.setattr(la, "shift_diagonal",
-                        counted("shift", la.shift_diagonal))
+    monkeypatch.setattr(la, "mat_poly_eval",
+                        counted("shift", la.mat_poly_eval))
     ctx = spec.SpectralContext(space_for("gamma0", 37))
     pieces = spec.decompose(ctx)
     assert len(pieces) == 2
@@ -252,10 +270,10 @@ def _reference_values(pieces, L, seed=0):
     out = []
     for piece in pieces:
         primes, t, g = spec._generator(piece, seed)
-        T = next(islice(spec._generator_candidates(
-            [piece.op(p) for p in primes], seed), t, None))
+        T = dense(next(islice(spec._generator_candidates(
+            [piece.op(p) for p in primes], seed), t, None)))
         if g.degree == 1:
-            one, root = S.one, -g.coeffs[0]
+            one, root = rat(1), -g.coeffs[0]
             lift = lambda x: x
         else:
             F = NumberField(g)
@@ -267,7 +285,7 @@ def _reference_values(pieces, L, seed=0):
         j0 = next(i for i, x in enumerate(c) if x != 0)
 
         def value(q):
-            R = piece.restricted(op(q))
+            R = dense(piece.restricted(op(q)))
             return sum((c[j] * lift(R[j][j0]) for j in range(d)),
                        0 * one) / c[j0]
 
@@ -400,7 +418,7 @@ def test_bad_prime_operator_on_two_pieces():
     signs = []
     for piece in pieces:
         es = spec.eigen_system(piece, L=38, bad_ops={37: U})
-        assert es.a(37) == piece.restricted(U)[0][0]
+        assert es.a(37) == dense(piece.restricted(U))[0][0]
         signs.append(es.a_str(37))
     assert sorted(signs) == ["-1", "1"]
 

@@ -1,12 +1,14 @@
 """Exact rational arithmetic and small integer utilities.
 
-The program's one rational type is the standard library's Fraction.
-Factoring (by trial division), primality, divisors and prev_prime need no
-sympy, whose import costs more than the set-up and the plus space.
-Inverses mod n are pow(a, -1, n).
+The program's one rational type is the standard library's Fraction
+(RAT_IMPL names it for the benchmark's record), and the library needs
+nothing outside the standard library.  Factoring integers (by trial
+division), primality, divisors and prev_prime are here; inverses mod n are
+pow(a, -1, n).
 
-The PRNG used for seeded random Hecke combinations is xorshift64*.  Seed s
-is scrambled by splitmix64 into the 64-bit state (a bijection, so distinct
+The PRNG used for seeded random Hecke combinations and for the
+equal-degree splitting of polynomials mod p is xorshift64*.  Seed s is
+scrambled by splitmix64 into the 64-bit state (a bijection, so distinct
 seeds give distinct states; a zero result is replaced by the golden-ratio
 constant 0x9E3779B97F4A7C15).  Default seed is 0 everywhere.
 """

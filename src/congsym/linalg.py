@@ -26,7 +26,7 @@ from itertools import count
 from math import gcd, isqrt, lcm
 
 from .backend import rat, prev_prime, XorShift64
-from .polys import UniPoly, gf_gcd, gf_mul, gf_pow
+from .polys import UniPoly, _pack, _unpack, gf_gcd, gf_mul, gf_pow
 
 
 def normalize(den, rows):
@@ -667,19 +667,6 @@ def _charpoly_mod(rows, q):
                 c += (q - u) * polys[i]
         polys.append(_pack([x % q for x in _unpack(c, k + 2, w)], w))
     return _unpack(polys[n], n + 1, w)[::-1]
-
-
-def _pack(values, w):
-    """The nonnegative integers values, each below 2^(8 w), as one integer
-    with values[i] in bytes i w to (i + 1) w."""
-    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values),
-                          "little")
-
-
-def _unpack(x, n, w):
-    """The n values of _pack(values, w) == x."""
-    b = x.to_bytes(n * w, "little")
-    return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
 
 
 def seeded_random_combination(ops, seed=0):

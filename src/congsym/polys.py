@@ -2,11 +2,12 @@
 
 Polynomials are coefficient lists, lowest degree first, trailing coefficient
 nonzero ([] is the zero polynomial).  Number field elements are coordinate
-vectors modulo a monic irreducible polynomial.  Polynomials over Z/q, for a
-prime q, are lists of residues highest degree first (sympy's gf_ form):
-gf_mul, gf_pow, gf_rem and gf_gcd.  factor_rational_poly first tries to
-prove f irreducible mod a few small primes; only where none does is f
-factored by sympy (dup_sqf_list, dup_zz_factor), imported at that point.
+vectors modulo a monic irreducible polynomial.  Polynomials over Z/q are
+lists of residues highest degree first (the gf_ form): gf_mul, gf_pow,
+gf_div and gf_gcd, and gf_ddf, the distinct-degree factorization mod a
+prime.  factor_rational_poly first tries to prove f irreducible mod a few
+small primes by gf_ddf; only where none does is f factored over Z by the
+zassenhaus module, imported at that point.
 """
 
 from math import lcm
@@ -140,7 +141,7 @@ class UniPoly:
 
 
 # the primes factor_rational_poly tries, in turn, for a proof that f is
-# irreducible before it factors f by sympy
+# irreducible before it factors f over Z
 CERTIFICATE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
@@ -153,13 +154,8 @@ def factor_rational_poly(f):
     Where g is irreducible mod one of CERTIFICATE_PRIMES not dividing its
     leading coefficient (_irreducible_mod), f is irreducible: a factorization
     over Q gives one over Z (Gauss), and that one, of the same degrees, one
-    mod p.  Otherwise g is split into primitive, coprime square-free parts
-    by Yun's algorithm (sympy's dup_sqf_list); each part is factored by
-    Zassenhaus (dup_zz_factor), and its factors take the part's
-    multiplicity.  Factoring the parts apart is exact because they are
-    coprime (Yun, "On square-free decomposition algorithms", SYMSAC 1976),
-    and much faster on a charpoly with repeated factors than factoring it
-    whole.
+    mod p.  Otherwise g is factored over Z by zassenhaus.factor_zz, imported
+    at that point.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -170,35 +166,46 @@ def factor_rational_poly(f):
     if f.degree == 1 or any(g[0] % p and _irreducible_mod(g, p)
                             for p in CERTIFICATE_PRIMES):
         return [(UniPoly([c / f.coeffs[-1] for c in f.coeffs]), 1)]
-    from sympy import ZZ
-    from sympy.polys.factortools import dup_zz_factor
-    from sympy.polys.sqfreetools import dup_sqf_list
-    out = []
-    for part, m in dup_sqf_list(g, ZZ)[1]:
-        for h, k in dup_zz_factor(part, ZZ)[1]:
-            out.append((UniPoly([rat(c, h[0]) for c in reversed(h)]), m * k))
+    from .zassenhaus import factor_zz
+    out = [(UniPoly([rat(c, h[0]) for c in reversed(h)]), m)
+           for h, m in factor_zz(g)]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 
 
 def _irreducible_mod(g, p):
-    """Whether the integer polynomial g of degree n (gf_ form), its leading
-    coefficient prime to p, is irreducible mod the prime p, by
-    distinct-degree factorization: x^(p^k) - x is the product of the monic
-    irreducibles over F_p of degree dividing k, and a polynomial of degree n
-    that is reducible or has a repeated factor has an irreducible factor of
-    degree at most n/2.  So g is irreducible mod p exactly when
-    gcd(x^(p^k) - x, g) = 1 mod p for k = 1, ..., n // 2; the test stops at
-    the first k where it is not."""
-    f = [c % p for c in g]
-    h = [1, 0]                      # x^(p^k) mod f, from k = 0
-    for _ in range((len(f) - 1) // 2):
-        h = _gf_powmod(h, p, f, p)
-        hx = [0] * (2 - len(h)) + h     # x^(p^k) - x
+    """Whether the integer polynomial g (gf_ form), its leading coefficient
+    prime to p, is irreducible mod the prime p: whether the first factor
+    gf_ddf yields is g itself."""
+    t = pow(g[0], -1, p)
+    return next(gf_ddf([c * t % p for c in g], p))[0] == len(g) - 1
+
+
+def gf_ddf(f, p):
+    """The distinct-degree factorization of a monic f of degree n >= 1 over
+    Z/p, p prime, in gf_ form: yields (k, g_k) for the k = 1, 2, ... where
+    g_k = gcd(x^(p^k) - x, f / (g_1 ... g_(k-1))) is not 1, and lastly what
+    is left of f, of its own degree.  x^(p^k) - x is the product of the
+    monic irreducibles over Z/p of degree dividing k, so for a square-free
+    f each g_k is the product of its irreducible factors of degree k.  A
+    polynomial of degree m that is reducible or has a repeated factor has
+    an irreducible factor of degree at most m/2; so what is left once 2 k
+    exceeds its degree is irreducible, and f is irreducible exactly when the
+    first yield is (n, f).  The powers x^(p^k) are taken mod f itself
+    (_gf_mulmod), and no step is taken before the caller asks for it."""
+    mulmod = _gf_mulmod(f, p)
+    h, k = [1, 0], 1
+    while 2 * k < len(f):
+        h = _gf_powmod(h, p, mulmod)        # x^(p^k) mod the first f
+        hx = [0] * (2 - len(h)) + h         # x^(p^k) - x
         hx[-2] = (hx[-2] - 1) % p
-        if len(gf_gcd(f, _gf_strip(hx), p)) > 1:
-            return False
-    return True
+        g = gf_gcd(f, _gf_strip(hx), p)
+        if len(g) > 1:
+            yield k, g
+            f = gf_div(f, g, p)[0]
+        k += 1
+    if len(f) > 1:
+        yield len(f) - 1, f
 
 
 def _gf_strip(f):
@@ -207,17 +214,28 @@ def _gf_strip(f):
     return f[i:]
 
 
+def _pack(values, w):
+    """The nonnegative integers values, each below 2^(8 w), as one integer
+    with values[i] in bytes i w to (i + 1) w."""
+    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in values),
+                          "little")
+
+
+def _unpack(x, n, w):
+    """The n values of _pack(values, w) == x."""
+    b = x.to_bytes(n * w, "little")
+    return [int.from_bytes(b[i:i + w], "little") for i in range(0, n * w, w)]
+
+
 def gf_mul(f, g, q):
-    """f g over Z/q for a prime q, in gf_ form: residues highest degree
-    first, leading one nonzero, [] for zero."""
+    """f g over Z/q in gf_ form: residues highest degree first, leading one
+    nonzero, [] for zero.  Both are packed as in _pack, so the product is
+    one big-integer product, its slots below min(len f, len g) q^2."""
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return [c % q for c in out]
+    w = (2 * q.bit_length() + min(len(f), len(g)).bit_length() + 7) // 8
+    return _gf_strip([c % q for c in _unpack(
+        _pack(f, w) * _pack(g, w), len(f) + len(g) - 1, w)])
 
 
 def gf_pow(f, e, q):
@@ -228,38 +246,68 @@ def gf_pow(f, e, q):
     return out
 
 
-def gf_rem(f, g, q):
-    """The remainder of f by a nonzero g over Z/q."""
+def gf_div(f, g, q):
+    """The quotient and remainder of f by g over Z/q, for a g whose leading
+    coefficient is a unit mod q (q need not be prime)."""
     f = list(f)
     n = len(g) - 1
     t = pow(g[0], -1, q)
     for i in range(len(f) - n):
-        c = f[i] * t % q
+        c = f[i] = f[i] * t % q
         if c:
             for j in range(1, n + 1):
                 f[i + j] = (f[i + j] - c * g[j]) % q
-    return _gf_strip(f[max(len(f) - n, 0):])
+    k = max(len(f) - n, 0)
+    return f[:k], _gf_strip(f[k:])
 
 
 def gf_gcd(f, g, q):
     """The monic greatest common divisor of f and g over Z/q ([] for
     f = g = 0)."""
     while g:
-        f, g = g, gf_rem(f, g, q)
+        f, g = g, gf_div(f, g, q)[1]
     if not f:
         return []
     t = pow(f[0], -1, q)
     return [c * t % q for c in f]
 
 
-def _gf_powmod(f, e, g, q):
-    """f^e mod g over Z/q, by repeated squaring."""
-    out, base = [1], gf_rem(f, g, q)
+def _gf_mulmod(f, p):
+    """The product mod a monic f of degree n >= 1 over Z/p, as a function
+    of two residue lists of degree below n.  The rows x^n, ..., x^(2n-2)
+    mod f are packed lowest degree first and built by x r = (r shifted)
+    + (its coefficient of x^(n-1)) x^n, with slots reduced only where read,
+    so each row is below n p^2 a slot.  A product is then one big-integer
+    product and a sum of its n - 1 top coefficients times the rows: slots
+    below n^2 p^3 + n p^2 < 2^(8 w)."""
+    n = len(f) - 1
+    w = (3 * p.bit_length() + 2 * n.bit_length() + 9) // 8
+    W, top = 8 * w, 8 * w * (n - 1)
+    rows = [_pack([-c % p for c in f[:0:-1]], w)]
+    low = (1 << W * n) - 1
+    for _ in range(n - 2):
+        r = rows[-1]
+        rows.append((r << W & low) + (r >> top) % p * rows[0])
+
+    def mulmod(a, b):
+        if not a or not b:
+            return []
+        c = _unpack(_pack(a[::-1], w) * _pack(b[::-1], w),
+                    len(a) + len(b) - 1, w)
+        c = _pack(c[:n], w) + sum(x % p * r for x, r in zip(c[n:], rows))
+        return _gf_strip([x % p for x in _unpack(c, n, w)][::-1])
+    return mulmod
+
+
+def _gf_powmod(f, e, mulmod):
+    """f^e by repeated squaring with mulmod (_gf_mulmod)."""
+    out = [1]
     while e:
         if e & 1:
-            out = gf_rem(gf_mul(out, base, q), g, q)
-        base = gf_rem(gf_mul(base, base, q), g, q)
+            out = mulmod(out, f)
         e >>= 1
+        if e:
+            f = mulmod(f, f)
     return out
 
 

@@ -1,10 +1,15 @@
 from math import prod
 
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from conftest import space_for
+from congsym import linalg as la
 from congsym.backend import rat, XorShift64
 from congsym.polys import (UniPoly, factor_rational_poly, is_irreducible_poly,
-                           NumberField, CERTIFICATE_PRIMES, _irreducible_mod)
+                           NumberField, CERTIFICATE_PRIMES, _irreducible_mod,
+                           gf_ddf)
+from congsym.spectra import SpectralContext
 
 
 def P(*coeffs):
@@ -87,7 +92,7 @@ def _certified(f):
 def test_irreducible_but_reducible_mod_every_prime():
     """x^4 + 1 and x^4 - 10 x^2 + 1 (the minimal polynomial of
     sqrt 2 + sqrt 3) split mod every prime, so no prime proves them
-    irreducible; sympy's factoring still returns each as one factor."""
+    irreducible; the factoring over Z still returns each as one factor."""
     for f in (P(1, 0, 0, 0, 1), P(1, 0, -10, 0, 1)):
         assert _certified(f) == []
         assert factor_rational_poly(f) == [(f, 1)]
@@ -111,7 +116,7 @@ def test_product_of_cubics_irreducible_mod_small_primes():
 def test_leading_coefficient_divisible_by_certificate_primes():
     """A prime dividing the leading coefficient proves nothing and is
     skipped: with 2 * 3 * ... * 13 it, the cubic is proven irreducible mod
-    a later prime; with every certificate prime it, sympy factors it."""
+    a later prime; with every certificate prime it, it is factored over Z."""
     c = prod(p for p in CERTIFICATE_PRIMES if p <= 13)
     for lead in (c, prod(CERTIFICATE_PRIMES)):
         for f in (P(-1, -1, 2, lead), P(-1, -1, 2, lead) * P(1, lead)):
@@ -119,6 +124,69 @@ def test_leading_coefficient_divisible_by_certificate_primes():
             assert factor_rational_poly(f) == _sympy_factors(f)
     assert _certified(P(-1, -1, 2, c)) != []
     assert _certified(P(-1, -1, 2, prod(CERTIFICATE_PRIMES))) == []
+
+
+# small integer polynomials, highest degree first: a leading coefficient
+# from a list with multiples of 3, 5 and 7 and negatives, then one to four
+# more coefficients in [-9, 9]
+_small_poly = st.tuples(
+    st.sampled_from([1, 1, -1, 2, 3, -5, 6, 7, 15, -21, 35, 105]),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+
+
+@given(st.lists(st.tuples(_small_poly, st.integers(1, 3)), min_size=1,
+                max_size=4),
+       st.integers(0, 2), st.fractions(min_value=-50, max_value=50,
+                                        max_denominator=12))
+@settings(max_examples=120, deadline=None)
+def test_factoring_matches_sympy_on_random_products(factors, k, content):
+    """factor_rational_poly equals sympy's factor_list, made monic, on
+    products of small integer polynomials to powers up to 3, times x^k
+    (a zero constant term) and a rational content."""
+    f = P(*([0] * k), content or 1)
+    for (lead, rest), m in factors:
+        f = f * P(*reversed([lead] + rest)) ** m
+    assert factor_rational_poly(f) == _sympy_factors(f)
+
+
+def test_swinnerton_dyer_needs_recombination():
+    """x^8 - 40 x^6 + 352 x^4 - 960 x^2 + 576, the minimal polynomial of
+    sqrt 2 + sqrt 3 + sqrt 5, is irreducible, but splits mod every prime
+    into factors of degree at most 2: eight quadratics mod each odd prime
+    from 7 on.  So neither the certificate nor the factor degrees allowed
+    mod a few primes prove it irreducible; the recombination of the lifted
+    factors does."""
+    f = P(576, 0, -960, 0, 352, 0, -40, 0, 1)
+    g = [int(c) for c in reversed(f.coeffs)]
+    for p in (7, 11, 13, 17, 19, 23, 29, 31):
+        assert [(k, len(h) - 1) for k, h in gf_ddf([c % p for c in g], p)] \
+            == [(2, 8)]
+    assert _certified(f) == []
+    assert factor_rational_poly(f) == [(f, 1)]
+    assert factor_rational_poly(f * f) == [(f, 2)]
+
+
+def test_product_of_two_quartics_of_one_field():
+    """(x^4 - 10 x^2 + 1)(x^4 - 16 x^2 + 16): both quartics define
+    Q(sqrt 2, sqrt 3) and split into factors of degree at most 2 mod every
+    prime, so recombination must find which of the lifted factors make up
+    each."""
+    f, g = P(1, 0, -10, 0, 1), P(16, 0, -16, 0, 1)
+    assert factor_rational_poly(f * g) == [(f, 1), (g, 1)]
+    assert factor_rational_poly(f * g * 7) == _sympy_factors(f * g)
+    assert factor_rational_poly(f * g * g) == [(f, 1), (g, 2)]
+
+
+def test_ns_plus_37_charpoly_has_nine_factors():
+    """The degree-43 charpoly of T_2 on the plus space of ns_plus 37
+    factors into 9 irreducibles (degrees 1, 1, 1, 1, 3, 3, 3, 3, 27), as
+    sympy factors it."""
+    f = la.charpoly(SpectralContext(space_for("ns_plus", 37)).op(2))
+    assert f.degree == 43
+    got = factor_rational_poly(f)
+    assert [(g.degree, m) for g, m in got] == \
+        [(1, 1)] * 4 + [(3, 1)] * 4 + [(27, 1)]
+    assert got == _sympy_factors(f)
 
 
 def test_number_field():

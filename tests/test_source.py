@@ -2,14 +2,13 @@
 
 Every failure in congsym is a documented exception: never an `assert`,
 which `python -O` strips, and never an AssertionError or NotImplementedError
-from deep in the stack.  The library imports neither numpy nor scipy, whose
-import every process would pay for; the set-up, the plus space,
-`congsym dims` and the eigensystems of small groups load no sympy, whose
-import costs more than all of their work: sympy comes in only to factor a
-polynomial that no small prime proves irreducible.  Every library name the
-benchmark's tracer wraps exists, so a rename fails here and not only in a
-traced run.  And every library function, class and method has a caller
-outside the unit tests.
+from deep in the stack.  The library imports none of numpy, scipy and
+sympy, at any depth of its modules: it runs on the standard library alone,
+and sympy is only the tests' reference.  The set-up, the plus space, the
+commands and the eigensystems checked here load none of the three in a
+fresh interpreter.  Every library name the benchmark's tracer wraps
+exists, so a rename fails here and not only in a traced run.  And every
+library function, class and method has a caller outside the unit tests.
 """
 
 import ast
@@ -50,6 +49,24 @@ def test_no_assert_or_forbidden_raise():
     assert found == []
 
 
+def test_no_module_imports_sympy():
+    """No import statement of congsym, at the top of a module or inside a
+    function, names sympy or a submodule of it."""
+    src = pathlib.Path(congsym.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name)
+                      for name in names if name.split(".")[0] == "sympy"]
+    assert found == []
+
+
 def _packages_loaded_after(code):
     """The top-level packages among numpy, scipy and sympy that a fresh
     interpreter has loaded after running code."""
@@ -81,14 +98,17 @@ def test_cli_imports_neither_numpy_nor_scipy():
     "assert main(['eigensystem', 'ns_plus', '13']) == 0",
     "from congsym.cli import main\n"
     "assert main(['eigensystem', 'gamma0', '11']) == 0",
+    "from congsym.cli import main\n"
+    "assert main(['decompose', 'ns_plus', '37']) == 0",
 ], ids=["plus-space", "cli-dims", "eigensystem-ns_plus-13",
-        "eigensystem-gamma0-11"])
+        "eigensystem-gamma0-11", "decompose-ns_plus-37"])
 def test_set_up_and_plus_space_never_import_sympy(code):
-    """The set-up, the plus space, `congsym dims` and these eigensystems
-    run on Fractions, the in-house sparse integer rows and eliminations
-    mod primes; sympy comes in only to factor a polynomial that no small
-    prime proves irreducible (the cubic field of ns_plus 13 is proven
-    irreducible mod 2)."""
+    """The set-up, the plus space, `congsym dims`, these eigensystems and
+    `decompose ns_plus 37`, whose T_2 charpoly of degree 43 is factored
+    over Z into 9 factors, run on Fractions, the in-house sparse integer
+    rows, eliminations mod primes and factorization over Z (the cubic
+    field of ns_plus 13 is proven irreducible mod 2 before any
+    factoring)."""
     assert _packages_loaded_after(code) == "[]"
 
 

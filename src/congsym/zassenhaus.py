@@ -194,8 +194,8 @@ def _edf(g, k, p, rng):
         a = _gf_strip([rng.randint(0, p - 1) for _ in range(len(g) - 1)])
         if len(a) < 2:
             continue
-        d = gf_gcd(g, _add(_gf_powmod(a, (p ** k - 1) // 2, mulmod), [1], p, -1),
-                   p)
+        b = _gf_powmod(a, (p ** k - 1) // 2, mulmod)
+        d = gf_gcd(g, _add(b, [1], p, -1), p)
         if 1 < len(d) < len(g):
             return (_edf(d, k, p, rng)
                     + _edf(gf_div(g, d, p)[0], k, p, rng))

@@ -19,6 +19,7 @@ Matrices mod N and over Z are row-major 4-tuples (a, b, c, d) for
 [[a, b], [c, d]].
 """
 
+from functools import cached_property
 from math import gcd
 
 from .backend import egcd, sl2_order
@@ -206,14 +207,9 @@ def lift_to_sl2(g, N):
     # top rows are (x0 + s*c0, y0 + s*d0); the congruence fixes s mod N
     s = ((a - x0) * (-y0) + (b - y0) * x0) % N
     s0 = s - N if s > N // 2 else s
-    best = None
-    for k in (-1, 0, 1):
-        sk = s0 + k * N
-        cand = (x0 + sk * c0, y0 + sk * d0, c0, d0)
-        score = max(map(abs, cand))
-        if best is None or score < best[0]:
-            best = (score, cand)
-    lift = best[1]
+    lift = min(((x0 + sk * c0, y0 + sk * d0, c0, d0)
+                for sk in (s0 - N, s0, s0 + N)),
+               key=lambda g: max(map(abs, g)))
     if mat_det(lift) != 1 or mat_mod(lift, N) != (a, b, c, d):
         raise RuntimeError("lift %r is not a det-1 lift of %r"
                            % (lift, (a, b, c, d)))
@@ -245,20 +241,17 @@ class CongruenceSubgroup:
     element of SL2(Z/N), and cap bounds both the N^2 frame slots and the
     index.  The cosets are numbered by breadth-first search over right
     multiplication by S and T from the identity, and perm_S, perm_T are
-    the actions of S and T on them."""
+    the actions of S and T on them.  The representatives reps_mod are in
+    SL2(Z/N); their lifts reps to SL2(Z) are built on first read."""
 
     def __init__(self, G, cap=GROUP_CAP):
         self.G = G
         N = self.N = G.N
         total = sl2_order(N)
-        self._t_cycles = None
         if max(N * N, total // G.order0) > cap:
             raise GroupTooLarge("the coset table mod %d has %d frame slots "
                                 "and %d cosets, beyond the cap"
                                 % (N, N * N, total // G.order0))
-        sm = mat_mod(S_MAT, N)
-        tm = mat_mod(T_MAT, N)
-        ident = mat_mod(IDENT, N)
         frame = self._frame = [None] * (N * N)
         reps_mod = []
         perm_s = []
@@ -284,12 +277,12 @@ class CongruenceSubgroup:
                 perm_t.append(-1)
             return cosets[t]
 
-        coset_of(ident)
+        coset_of(mat_mod(IDENT, N))
         i = 0
         while i < len(reps_mod):
-            m = reps_mod[i]
-            perm_s[i] = coset_of(mat_mul(m, sm, N))
-            perm_t[i] = coset_of(mat_mul(m, tm, N))
+            a, b, c, d = reps_mod[i]
+            perm_s[i] = coset_of((b, -a % N, d, -c % N))             # m S
+            perm_t[i] = coset_of((a, (a + b) % N, c, (c + d) % N))   # m T
             i += 1
         self.index = len(reps_mod)
         if self.index * G.order0 != total:
@@ -298,7 +291,13 @@ class CongruenceSubgroup:
         self.reps_mod = reps_mod
         self.perm_S = perm_s
         self.perm_T = perm_t
-        self.reps = [IDENT] + [lift_to_sl2(m, N) for m in reps_mod[1:]]
+
+    @cached_property
+    def reps(self):
+        """The lifts of reps_mod to SL2(Z), reps[0] the identity.  Only
+        gamma_generators and hecke's integer routes read them: double
+        cosets, coset_operator, degeneracy maps and diamond_column."""
+        return [IDENT] + [lift_to_sl2(m, self.N) for m in self.reps_mod[1:]]
 
     def coset_index(self, x):
         """Index i with x in Gamma * reps[i]; x is an integer SL2 matrix."""
@@ -330,29 +329,26 @@ class CongruenceSubgroup:
         dt = h0 * m[0] + h1 * m[2]
         return [cosets[(t0 + s * dt) % len(cosets)] for s in shifts]
 
+    @cached_property
     def t_cycles(self):
         """Per coset j, the pair (c, e) with c the cycle of perm_T through j,
         listed from its least coset, and e the place of j in c: the coset
-        of reps_mod[j] T^q is c[(e + q) % len(c)].  Built on first use."""
-        if self._t_cycles is None:
-            out = [None] * self.index
-            for s in range(self.index):
-                if out[s] is None:
-                    cycle = [s]
-                    j = self.perm_T[s]
-                    while j != s:
-                        cycle.append(j)
-                        j = self.perm_T[j]
-                    for e, j in enumerate(cycle):
-                        out[j] = (cycle, e)
-            self._t_cycles = out
-        return self._t_cycles
+        of reps_mod[j] T^q is c[(e + q) % len(c)].  Built on first read."""
+        out = [None] * self.index
+        for s in range(self.index):
+            if out[s] is None:
+                cycle = [s]
+                j = self.perm_T[s]
+                while j != s:
+                    cycle.append(j)
+                    j = self.perm_T[j]
+                for e, j in enumerate(cycle):
+                    out[j] = (cycle, e)
+        return out
 
     def contains(self, x):
         """Is the integer matrix x in Gamma_G (det 1 and reduction in G0)?"""
-        if mat_det(x) != 1:
-            return False
-        return self.G.in_g0(mat_mod(x, self.N))
+        return mat_det(x) == 1 and self.G.in_g0(mat_mod(x, self.N))
 
     def __repr__(self):
         return "CongruenceSubgroup(N=%d, index=%d)" % (self.N, self.index)

@@ -269,7 +269,7 @@ def cremona_cosets(table, p):
     quotients = cremona_quotients(p)
     pinv = pow(p, -1, N)
     shifts = [-r * pinv % N for r, _ in quotients]
-    cycles = table.t_cycles()
+    cycles = table.t_cycles
     after_s = [cycles[j] for j in table.perm_S]
     index = table.coset_index_mod
     diag = (1, 0, 0, p)

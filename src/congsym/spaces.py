@@ -14,8 +14,7 @@ from math import gcd, lcm
 
 from . import linalg as la
 from .polys import UniPoly
-from .groups import (mat_mul, mat_det, imat_adjugate, S_MAT, TAU_MAT,
-                     is_real_type)
+from .groups import mat_det, imat_adjugate, TAU_MAT, is_real_type
 
 INFINITY = (1, 0)
 
@@ -64,9 +63,7 @@ def sym_action(g, coeffs):
 
 
 def monomial(m, w):
-    p = [0] * (m + 1)
-    p[w] = 1
-    return p
+    return [0] * w + [1] + [0] * (m - w)
 
 
 # -------------------------------------------------------------------- cusps
@@ -227,14 +224,26 @@ class _UnionFind:
         self.scalar[r1] = c * c2 * c1
 
 
+def relation_cosets(Gamma):
+    """The cosets of r_i h, listed by i, for h = sigma = S, J = S^2 = -I,
+    tau = S T^-1 and tau^2: perm_S, then the inverse of perm_T."""
+    s, t_inv = Gamma.perm_S, [0] * Gamma.index
+    for i, j in enumerate(Gamma.perm_T):
+        t_inv[j] = i
+    tau = [t_inv[j] for j in s]
+    return s, [s[j] for j in s], tau, [tau[j] for j in tau]
+
+
 def build_space(Gamma, k):
     """Presentation of M_k(Gamma_G) by Manin symbols.
 
-    The two-term relations (x = -x sigma, x = x J) identify generators up to
-    sign and are folded by a union-find; a class is dead when they force it
-    to equal its negative.  The three-term relations x + x tau + x tau^2 = 0
-    are then the rows of one sparse matrix over Q whose columns are the
-    live class roots, reduced once to reduced echelon form (la.echelon).
+    The relations are read off perm_S and perm_T, with J = S^2 and
+    tau = S T^-1 (relation_cosets).  The two-term relations (x = -x sigma,
+    x = x J) identify generators up to sign and are folded by a union-find,
+    read once after them; a class is dead when they force it to equal its
+    negative.  The three-term relations x + x tau + x tau^2 = 0 are then
+    the rows of one sparse matrix over Q whose columns are the live class
+    roots, reduced once to reduced echelon form (la.echelon).
     The columns are in pivot-preference order: roots of non-extreme weight
     (0 < w < k - 2) first, and within each kind the higher generator index
     first.  The pivots are eliminated, each as minus the rest of its row;
@@ -251,20 +260,11 @@ def build_space(Gamma, k):
     stride = m + 1
     n_gens = n_cosets * stride
     uf = _UnionFind(n_gens)
-
-    tau_inv = imat_adjugate(TAU_MAT)
-    tau2 = mat_mul(TAU_MAT, TAU_MAT)
-    neg_ident = (-1, 0, 0, -1)
-
-    def coset(i, h_int):
-        """Coset of reps[i] * h."""
-        return Gamma.coset_index(mat_mul(Gamma.reps[i], h_int))
+    c_s, c_j, c_tau, c_tau2 = relation_cosets(Gamma)
 
     # two-term relations: x = -x sigma and x = x J
     sgn_m = 1 if m % 2 == 0 else -1
-    for i in range(n_cosets):
-        j_s = coset(i, S_MAT)
-        j_j = coset(i, neg_ident)
+    for i, (j_s, j_j) in enumerate(zip(c_s, c_j)):
         for w in range(stride):
             # x sigma = [sigma^-1 x^w y^(m-w), r_i sigma]
             #         = (-1)^w [x^(m-w) y^w, r_i sigma]
@@ -273,17 +273,20 @@ def build_space(Gamma, k):
             # x J = (-1)^m [x^w y^(m-w), r_i J]
             uf.union(i * stride + w, j_j * stride + w, sgn_m)
 
-    roots = sorted({r for r, _ in map(uf.find, range(n_gens))} - uf.dead,
+    found = list(map(uf.find, range(n_gens)))
+    roots = sorted({r for r, _ in found} - uf.dead,
                    key=lambda r: (not 0 < r % stride < m, -r))
     col = {r: t for t, r in enumerate(roots)}
+    # per generator, the column of its root (None when dead) and its sign
+    where = [(col.get(r), c) for r, c in found]
+    del found
 
     # three-term tau relations on the class roots, one row per symbol
-    tau_polys = [sym_action(tau_inv, monomial(m, w)) for w in range(stride)]
+    tau_polys = [sym_action(imat_adjugate(TAU_MAT), monomial(m, w))
+                 for w in range(stride)]
     tau2_polys = [sym_action(TAU_MAT, monomial(m, w)) for w in range(stride)]
     rows = []
-    for i in range(n_cosets):
-        j1 = coset(i, TAU_MAT)
-        j2 = coset(i, tau2)
+    for i, (j1, j2) in enumerate(zip(c_tau, c_tau2)):
         for w in range(stride):
             terms = [(i * stride + w, 1)]
             terms += [(j1 * stride + w2, c)
@@ -292,9 +295,9 @@ def build_space(Gamma, k):
                       for w2, c in enumerate(tau2_polys[w]) if c]
             row = {}
             for gen, coeff in terms:
-                r, c = uf.find(gen)
-                if r in col:
-                    row[col[r]] = row.get(col[r], 0) + coeff * c
+                t, c = where[gen]
+                if t is not None:
+                    row[t] = row.get(t, 0) + coeff * c
             rows.append({t: x for t, x in row.items() if x})
     red, pivots = la.echelon(rows)
 
@@ -311,9 +314,8 @@ def build_space(Gamma, k):
     root_cols = {t: [(i, x.numerator * (den // x.denominator))
                      for i, x in e.items()] for t, e in expr.items()}
     cols = []
-    for j in range(n_gens):
-        r, c = uf.find(j)
-        col_r = root_cols[col[r]] if r in col else []
+    for t, c in where:
+        col_r = root_cols[t] if t is not None else []
         cols.append(col_r if c == 1 else [(i, -x) for i, x in col_r])
 
     return ModSymSpace(Gamma, k, den, cols, basis_tags)
@@ -326,7 +328,7 @@ def cusp_classes(Gamma):
     T-orbit named by its least coset.  The stabilizer of e1 in SL2(Z) is
     {T^j}, so the Gamma-class of the vector r_i e1 is the T-orbit of coset
     i, and that of -r_i e1 = r_i S^2 e1 the T-orbit of perm_S^2 i."""
-    cycles = Gamma.t_cycles()
+    cycles = Gamma.t_cycles
     s = Gamma.perm_S
     return [(cycles[i][0][0], cycles[s[s[i]]][0][0])
             for i in range(Gamma.index)]
@@ -375,26 +377,23 @@ def cuspidal_subspace(S):
 def star_involution(S):
     """Matrix of the star involution (columns are images of basis symbols).
     The basis symbol [x^w y^(m-w), r] maps to (-1)^(m-w+1) [x^w y^(m-w),
-    eta r eta^-1] for eta = diag(-1, 1).  A monomial Manin symbol is one
-    generator, so each column is one signed key's entry of the reduction
-    table, integers over its denominator, checked against the boundary map
-    (_check_permutes_cusps)."""
+    eta r eta^-1] for eta = diag(-1, 1), conjugated mod N.  A monomial
+    Manin symbol is one generator, so each column is one signed key's entry
+    of the reduction table, integers over its denominator, checked against
+    the boundary map (_check_permutes_cusps)."""
     if not is_real_type(S.G):
         raise NotRealType("group is not of real type; no star involution")
     m = S.m
+    N = S.table.N
     cols = []
     for (w, i) in S.basis_tags:
-        j = S.table.coset_index(_eta_conj(S.table.reps[i]))
+        a, b, c, d = S.table.reps_mod[i]
+        j = S.table.coset_index_mod((a, -b % N, -c % N, d))
         sign = (-1) ** (m - w + 1)
-        cols.append({pos: sign * c for pos, c in S._cols[S.gen_index(w, j)]})
+        cols.append({pos: sign * x for pos, x in S._cols[S.gen_index(w, j)]})
     iota = la.from_columns(S.den, cols, S.dim)
     _check_permutes_cusps(boundary_map(S), iota)
     return iota
-
-
-def _eta_conj(g):
-    """eta g eta^-1 for eta = diag(-1, 1)."""
-    return (g[0], -g[1], -g[2], g[3])
 
 
 def _up_to_sign(vec):

@@ -6,12 +6,15 @@ from math import gcd, prod
 
 import pytest
 
+from congsym import groups
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
                             gamma_generators, is_real_type, find_det_element,
                             mat_det, mat_inv_mod, mat_mod, mat_mul,
-                            GroupTooLarge, ETA_MAT, S_MAT, T_MAT)
+                            GroupTooLarge, ETA_MAT, IDENT, S_MAT, T_MAT)
 from congsym.backend import factor_int, is_prime
 from congsym.families import build_family
+from congsym.spaces import build_space
+from congsym.spectra import SpectralContext
 from conftest import closure_elements, ns_elements
 
 
@@ -243,6 +246,36 @@ def test_coset_table_memory(param, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2 ** 20
+
+
+@pytest.mark.parametrize("tag, param", [
+    ("ns_plus", 13), ("gamma0", 33), ("gamma1", 13), ("gamma", 8),
+    ("s4", 13), ("gamma_full", 1)])
+def test_reps_are_lifted_on_first_read(tag, param):
+    """reps is built on its first read, as the lifts of reps_mod, once."""
+    T = coset_table(build_family(tag, param))
+    assert "reps" not in vars(T)
+    lifts = [IDENT] + [lift_to_sl2(m, T.N) for m in T.reps_mod[1:]]
+    assert T.reps == lifts
+    assert T.reps is T.reps
+
+
+def test_set_up_lifts_no_representative(monkeypatch):
+    """The coset table, the weight-2 space and the plus space of ns_plus 53
+    read cosets off the table mod N and lift nothing to SL2(Z); a read of
+    reps afterwards lifts every coset but the identity's."""
+    calls = []
+
+    def counted(g, N):
+        calls.append(g)
+        return lift_to_sl2(g, N)
+
+    monkeypatch.setattr(groups, "lift_to_sl2", counted)
+    T = coset_table(build_family("ns_plus", 53))
+    ctx = SpectralContext(build_space(T, 2))
+    assert (ctx.kind, ctx.dim, len(calls)) == ("plus", 96, 0)
+    assert len(T.reps) == T.index == 1378
+    assert len(calls) == T.index - 1
 
 
 def test_lift_to_sl2():

@@ -239,7 +239,7 @@ def orbit_table(Gamma):
     in the order of their least cosets and exponents counted from those."""
     ids = {}
     return [(ids.setdefault(cycle[0], len(ids)), e)
-            for cycle, e in Gamma.t_cycles()]
+            for cycle, e in Gamma.t_cycles]
 
 
 def vector_equiv(Gamma, tab, w1, w2):
@@ -319,6 +319,36 @@ def test_boundary_map_matches_scan(group, request):
     # a row per cusp class
     assert boundary_map(S) == Z([list(col) for col in zip(*matrix)])
     assert bool(vanished) == (group == ("gamma1", 4, 7))
+
+
+@pytest.mark.parametrize("tag, param", [
+    ("ns_plus", 13), ("gamma0", 11), ("gamma1", 13), ("gamma", 5),
+    ("ns", 13), ("s4", 13), ("gamma_full", 1)])
+def test_relation_cosets_are_the_integer_cosets(tag, param):
+    """The cosets of r_i h for h = sigma, J, tau and tau^2, read off perm_S
+    and perm_T, are those of the integer products r_i h.  gamma1 13 has no
+    -I; ns_plus 13 and gamma0 11 are of real type."""
+    Gamma = coset_table(build_family(tag, param))
+    for h, cosets in zip((SIGMA, J, TAU, mat_mul(TAU, TAU)),
+                         sp.relation_cosets(Gamma)):
+        assert cosets == [Gamma.coset_index(mat_mul(r, h))
+                          for r in Gamma.reps]
+
+
+@pytest.mark.parametrize("tag, param, k", [
+    ("ns_plus", 13, 2), ("ns_plus", 11, 4), ("gamma0", 11, 4),
+    ("ns", 13, 2), ("gamma", 5, 3)])
+def test_star_involution_matches_integer_conjugation(tag, param, k):
+    """The star involution, which conjugates reps_mod[i] by eta mod N, is
+    the one built from eta reps[i] eta^-1 over Z."""
+    S = space_for(tag, param, k)
+    cols = []
+    for (w, i) in S.basis_tags:
+        a, b, c, d = S.table.reps[i]
+        j = S.table.coset_index((a, -b, -c, d))
+        cols.append({pos: (-1) ** (S.m - w + 1) * x
+                     for pos, x in S._cols[S.gen_index(w, j)]})
+    assert star_involution(S) == la.from_columns(S.den, cols, S.dim)
 
 
 def test_star_requires_real_type(g_8e1):

@@ -296,7 +296,7 @@ class CongruenceSubgroup:
     def reps(self):
         """The lifts of reps_mod to SL2(Z), reps[0] the identity.  Only
         gamma_generators and hecke's integer routes read them: double
-        cosets, coset_operator, degeneracy maps and diamond_column."""
+        cosets, coset_operator and degeneracy maps."""
         return [IDENT] + [lift_to_sl2(m, self.N) for m in self.reps_mod[1:]]
 
     def coset_index(self, x):

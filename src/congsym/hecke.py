@@ -359,10 +359,12 @@ def hecke_tn_fast(S, n, H=None):
 
 def diamond_column(S, s_mod, t):
     """Coordinates of [v, gamma_s g] for the basis symbol t = [v, g], as
-    ModSymSpace.reduce gives them."""
+    ModSymSpace.reduce gives them: the reduction table's column of that
+    generator, whose coset is that of s_mod g mod N."""
     w, i = S.basis_tags[t]
-    g = mat_mul(lift_to_sl2(s_mod, S.table.N), S.table.reps[i])
-    return S.manin_coords(monomial(S.m, w), g)
+    T = S.table
+    j = T.coset_index_mod(mat_mul(s_mod, T.reps_mod[i], T.N))
+    return dict(S._cols[S.gen_index(w, j)])
 
 
 def diamond_operator(S, s_mod):

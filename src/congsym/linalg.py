@@ -17,7 +17,8 @@ primary_components and cut_space work modulo primes near 2^61 (_PRIMES),
 lift by rational reconstruction and check the lift exactly.  All of it runs
 on plain Python integers: one Hessenberg reduction mod a prime
 (_charpoly_mod) serves charpoly and the certificate of primary_components,
-and one packed elimination mod a prime (_rref_mod) serves cut_space.
+and one packed elimination mod a prime (_rref_mod) serves the spans of
+primary_components and cut_space.
 """
 
 from collections import defaultdict
@@ -279,7 +280,6 @@ def primary_components(m, factors, seed=0):
     subspace has one reduced echelon basis, so the result depends on neither
     the primes nor the seed.  RuntimeError when the primes run out."""
     den, a = m
-    rows = [list(row.items()) for row in a]
     # a prime dividing a denominator of m or of a factor is skipped
     bad = lcm(den, *(x.denominator for g, _ in factors for x in g.coeffs))
     rng = XorShift64(seed)
@@ -289,13 +289,12 @@ def primary_components(m, factors, seed=0):
         if bad % p == 0:
             continue
         todo = [i for i, W in enumerate(out) if W is None]
-        for i, span in _spans_mod(rows, den, factors, todo, p, rng).items():
+        for i, (pivots, rows) in _spans_mod(a, den, factors, todo, p,
+                                            rng).items():
             g, e = factors[i]
-            if len(span) < e * g.degree:
+            if len(pivots) < e * g.degree:
                 continue
-            pivots = sorted(span)
-            lifts[i] = _crt(lifts.get(i), pivots, [span[j] for j in pivots],
-                            p)
+            lifts[i] = _crt(lifts.get(i), pivots, rows, p)
             W = _rational_lift(*lifts[i][1:])
             others = [f for j, (f, _) in enumerate(factors) if j != i]
             if W is not None and _is_component(m, W, g, e, others):
@@ -306,69 +305,66 @@ def primary_components(m, factors, seed=0):
                        % len(_PRIMES))
 
 
-def _spans_mod(rows, den, factors, todo, p, rng):
-    """For each index i in todo, with factors[i] = (g, e), a span mod p of
-    vectors m^j h(m) u, for m = rows / den, h the product of the other
-    factors to their exponents and random u, reduced by _insert.  Each span
-    stops at dimension e deg g; all stop when a new u adds nothing."""
-    c = pow(den, -1, p)
-    rows = [[(j, x * c % p) for j, x in row] for row in rows]
-    n = len(rows)
+def _spans_mod(a, den, factors, todo, p, rng):
+    """For each index i in todo, with factors[i] = (g, e), the pivots and
+    rows mod p, in _crt's form (rows ending in a 1 at their pivots, where
+    every other row is 0), of a span of vectors m^j h(m) u, for m = a / den,
+    h the product of the other factors to their exponents and random u.
+
+    A vector is packed as in _charpoly_mod, coordinate i in slot n - 1 - i,
+    so m v is a sum of v_j times packed columns, and _rref_mod's first
+    nonzero pivots are the vectors' last nonzero entries.  Each round draws
+    one u; a span of dimension r < d = e deg g is reduced with the chain
+    v, m v, ..., m^(d-r-1) v, v = h(m) u, by _rref_mod.  The span is
+    m-invariant, so that adds what inserting the chain up to its first
+    dependent vector would.  Rounds stop when every span has dimension d
+    or none grows."""
+    n = len(a)
+    t = pow(den, -1, p)
+    # slots below (n + 1) p^2: sums of at most n + 1 products of residues
+    w = (2 * p.bit_length() + (n + 1).bit_length() + 8) // 8
+    # cols[s] is the column of coordinate n - 1 - s, packed
+    cols = [_pack([row.get(j, 0) * t % p for row in reversed(a)], w)
+            for j in reversed(range(n))]
+
+    def unpack(x):
+        return [y % p for y in _unpack(x, n, w)]
 
     def apply(v):
-        return [sum(x * v[j] for j, x in row) % p for row in rows]
+        return unpack(sum(x * col for x, col in zip(v, cols) if x))
 
     powers = [gf_pow(_poly_mod(g, p), e, p) for g, e in factors]
     dims = {i: len(powers[i]) - 1 for i in todo}      # e deg g
-    hs = {}
+    hs = {}     # h, lowest degree first
     for i in todo:
         h = [1]
         for j, f in enumerate(powers):
             if j != i:
                 h = gf_mul(h, f, p)
         hs[i] = h[::-1]
-    spans = {i: {} for i in todo}
+    spans = {i: ([], []) for i in todo}
     while True:
-        pending = [i for i in todo if len(spans[i]) < dims[i]]
+        pending = [i for i in todo if len(spans[i][0]) < dims[i]]
         if not pending:
-            return spans
-        krylov = [[rng.next_u64() % p for _ in range(n)]]
+            break
+        v = [rng.next_u64() % p for _ in range(n)][::-1]
+        krylov = [_pack(v, w)]      # u, m u, m^2 u, ..., packed
         while len(krylov) < max(len(hs[i]) for i in pending):
-            krylov.append(apply(krylov[-1]))
+            v = apply(v)
+            krylov.append(_pack(v, w))
         grew = False
         for i in pending:
-            v = [0] * n
-            for x, w in zip(hs[i], krylov):
-                if x:
-                    v = [a + x * b for a, b in zip(v, w)]
-            v = [a % p for a in v]
-            # the first m^j v the span already holds leaves it m-invariant
-            while len(spans[i]) < dims[i] and _insert(spans[i], v, p):
-                grew = True
-                v = apply(v)
+            pivots, rows = spans[i]
+            chain = [unpack(sum(x * y for x, y in zip(hs[i], krylov) if x))]
+            while len(rows) + len(chain) < dims[i]:
+                chain.append(apply(chain[-1]))
+            spans[i] = _rref_mod(rows + chain, p)
+            grew |= len(spans[i][0]) > len(pivots)
         if not grew:
-            return spans
-
-
-def _insert(span, v, p):
-    """Reduce v mod p by span, a dict pivot -> row whose last nonzero entry
-    is a 1 at its pivot, where every other row is 0, and add what is left,
-    keeping that form.  True when v was added."""
-    for j, row in span.items():
-        x = v[j]
-        if x:
-            v = [(a - x * b) % p for a, b in zip(v, row)]
-    j = max((j for j, x in enumerate(v) if x), default=None)
-    if j is None:
-        return False
-    t = pow(v[j], -1, p)
-    v = [x * t % p for x in v]
-    for i, row in span.items():
-        x = row[j]
-        if x:
-            span[i] = [(a - x * b) % p for a, b in zip(row, v)]
-    span[j] = v
-    return True
+            break
+    return {i: ([n - 1 - c for c in reversed(pivots)],
+                [row[::-1] for row in reversed(rows)])
+            for i, (pivots, rows) in spans.items()}
 
 
 def cut_space(V, ops, d):

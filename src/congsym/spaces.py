@@ -140,10 +140,6 @@ class ModSymSpace:
                 counts[key] = counts.get(key, 0) + coeff * c
         return counts
 
-    def manin_coords(self, poly, g):
-        """Coordinates of the Manin symbol [poly, g]."""
-        return self.reduce(self.add_manin({}, poly, g))
-
     def chain_from_infinity(self, counts, poly, cusp, coeff):
         """Add coeff times poly (x) {oo, cusp} to counts."""
         u, v = cusp

@@ -126,10 +126,12 @@ def test_criterion_07_s4_13():
 
 @pytest.mark.slow
 def test_criterion_08_ns_plus_97():
+    done = _timed(100.0)
     ctx = spec.SpectralContext(space_for("ns_plus", 97))
     pieces = spec.decompose(ctx)
     assert sorted(p.dimension for p in pieces) == \
         [3, 4, 4, 6, 7, 7, 12, 14, 24, 24, 24, 56, 168]
+    done()
 
 
 def test_criterion_09_property_suites():

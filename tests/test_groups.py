@@ -6,7 +6,7 @@ from math import gcd, prod
 
 import pytest
 
-from congsym import groups
+from congsym import groups, hecke
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
                             gamma_generators, is_real_type, find_det_element,
                             mat_det, mat_inv_mod, mat_mod, mat_mul,
@@ -14,7 +14,7 @@ from congsym.groups import (close_group, coset_table, lift_to_sl2,
 from congsym.backend import factor_int, is_prime
 from congsym.families import build_family
 from congsym.spaces import build_space
-from congsym.spectra import SpectralContext
+from congsym.spectra import SpectralContext, decompose, eigen_system
 from conftest import closure_elements, ns_elements
 
 
@@ -260,10 +260,9 @@ def test_reps_are_lifted_on_first_read(tag, param):
     assert T.reps is T.reps
 
 
-def test_set_up_lifts_no_representative(monkeypatch):
-    """The coset table, the weight-2 space and the plus space of ns_plus 53
-    read cosets off the table mod N and lift nothing to SL2(Z); a read of
-    reps afterwards lifts every coset but the identity's."""
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """The arguments of every lift_to_sl2 call, in groups and in hecke."""
     calls = []
 
     def counted(g, N):
@@ -271,11 +270,31 @@ def test_set_up_lifts_no_representative(monkeypatch):
         return lift_to_sl2(g, N)
 
     monkeypatch.setattr(groups, "lift_to_sl2", counted)
+    monkeypatch.setattr(hecke, "lift_to_sl2", counted)
+    return calls
+
+
+def test_set_up_lifts_no_representative(lift_calls):
+    """The coset table, the weight-2 space and the plus space of ns_plus 53
+    read cosets off the table mod N and lift nothing to SL2(Z); a read of
+    reps afterwards lifts every coset but the identity's."""
     T = coset_table(build_family("ns_plus", 53))
     ctx = SpectralContext(build_space(T, 2))
-    assert (ctx.kind, ctx.dim, len(calls)) == ("plus", 96, 0)
+    assert (ctx.kind, ctx.dim, len(lift_calls)) == ("plus", 96, 0)
     assert len(T.reps) == T.index == 1378
-    assert len(calls) == T.index - 1
+    assert len(lift_calls) == T.index - 1
+
+
+def test_pieces_and_eigensystem_lift_nothing(lift_calls):
+    """After the set-up, decompose and eigen_system to L = 500 at ns_plus
+    13 lift nothing to SL2(Z): the diamond columns of the Hecke recursion
+    and the epsilon_p pairings read their cosets mod N."""
+    ctx = SpectralContext(build_space(
+        coset_table(build_family("ns_plus", 13)), 2))
+    before = len(lift_calls)
+    pieces = decompose(ctx)
+    eigen_system(pieces[0], L=500)
+    assert len(lift_calls) == before
 
 
 def test_lift_to_sl2():

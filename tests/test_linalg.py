@@ -186,6 +186,9 @@ PLANTED = {
     # two cyclic blocks of x^2 + 1: one start vector spans only one
     "semisimple square": ([_companion(G2), _companion(G1), _companion(G2)],
                           [1, 2]),
+    # three cyclic blocks of x^2 + 1: each start vector spans one more
+    "three starts": ([_companion(G2), _companion(G2), _companion(G1),
+                      _companion(G2)], [1, 3]),
     # one cyclic block of (x^2 + 1)^2: g(m) is not zero on its component
     "companion of a square": ([_companion(G2 ** 2), _companion(G1)],
                               [1, 2]),

@@ -31,10 +31,10 @@ def manin_relation_defects(S):
         r = S.table.reps[i]
 
         def act(h):
-            return coords(S, S.manin_coords(sym_action(imat_adjugate(h), P),
-                                            mat_mul(r, h)))
+            return coords(S, S.reduce(S.add_manin(
+                {}, sym_action(imat_adjugate(h), P), mat_mul(r, h))))
 
-        x = coords(S, S.manin_coords(P, r))
+        x = coords(S, S.reduce(S.add_manin({}, P, r)))
         two = [a + b for a, b in zip(x, act(SIGMA))]
         three = [a + b + c for a, b, c in zip(x, act(TAU), act(tau2))]
         jrel = [a - b for a, b in zip(x, act(J))]

@@ -326,8 +326,6 @@ def _add_common(sub):
                      help="FAMILY PARAM, or N followed by generator 4-tuples")
     sub.add_argument("--weight", "-k", type=int, default=2,
                      help="weight k >= 2 (default 2)")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for all randomized choices (default 0)")
     sub.add_argument("--json", action="store_true",
                      help="machine-readable output")
 
@@ -365,6 +363,9 @@ def build_parser():
     e.add_argument("--alpha", action="append", metavar="a,b,c,d",
                    help="double-coset data for a prime dividing the level")
     e.set_defaults(func=cmd_eigensystem)
+    for sub in (dc, e):     # the commands with randomized choices
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed for all randomized choices (default 0)")
 
     b = subs.add_parser("bench", help="compare operator paths with timings")
     _add_common(b)

@@ -295,9 +295,27 @@ class CongruenceSubgroup:
     @cached_property
     def reps(self):
         """The lifts of reps_mod to SL2(Z), reps[0] the identity.  Only
-        gamma_generators and hecke's integer routes read them: double
-        cosets, coset_operator and degeneracy maps."""
+        generators and hecke's integer routes read them: double cosets,
+        coset_operator and degeneracy maps."""
         return [IDENT] + [lift_to_sl2(m, self.N) for m in self.reps_mod[1:]]
+
+    @cached_property
+    def generators(self):
+        """Generators of Gamma_G, integer matrices, by Schreier's lemma on
+        the action of S and T on the cosets.  Built on first read."""
+        gens = []
+        seen = set()
+        for gen_int, perm in ((S_MAT, self.perm_S), (T_MAT, self.perm_T)):
+            for i in range(self.index):
+                w = mat_mul(mat_mul(self.reps[i], gen_int),
+                            imat_adjugate(self.reps[perm[i]]))
+                if w != IDENT and w not in seen:
+                    if not self.contains(w):
+                        raise RuntimeError("Schreier generator %r is not in "
+                                           "the group" % (w,))
+                    seen.add(w)
+                    gens.append(w)
+        return gens
 
     def coset_index(self, x):
         """Index i with x in Gamma * reps[i]; x is an integer SL2 matrix."""
@@ -356,27 +374,6 @@ class CongruenceSubgroup:
 
 def coset_table(G, cap=GROUP_CAP):
     return CongruenceSubgroup(G, cap)
-
-
-def gamma_generators(Gamma):
-    """Generators of Gamma_G by Schreier's lemma on the sigma/T coset action."""
-    cached = getattr(Gamma, "_schreier_gens", None)
-    if cached is not None:
-        return cached
-    gens = []
-    seen = set()
-    for gen_int, perm in ((S_MAT, Gamma.perm_S), (T_MAT, Gamma.perm_T)):
-        for i in range(Gamma.index):
-            j = perm[i]
-            w = mat_mul(mat_mul(Gamma.reps[i], gen_int), imat_adjugate(Gamma.reps[j]))
-            if w != IDENT and w not in seen:
-                if not Gamma.contains(w):
-                    raise RuntimeError("Schreier generator %r is not in the "
-                                       "group" % (w,))
-                seen.add(w)
-                gens.append(w)
-    Gamma._schreier_gens = gens
-    return gens
 
 
 def crt_general(a, n1, b, n2):

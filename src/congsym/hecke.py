@@ -18,7 +18,7 @@ from math import gcd
 from .backend import divisors, is_prime
 from . import linalg as la
 from .groups import (mat_mod, mat_mul, mat_det, imat_adjugate, lift_to_sl2,
-                     gamma_generators, find_det_element, IDENT)
+                     find_det_element, IDENT)
 from .spaces import sym_action, monomial, cusp_normalize
 
 
@@ -86,7 +86,7 @@ def double_coset_reps(Gamma, alpha, Gamma_right=None):
     """Representatives of Gamma \\ Gamma alpha Gamma_right (Gamma_right
     defaults to Gamma), by breadth-first search over right multiplication by
     generators of Gamma_right."""
-    gens = gamma_generators(Gamma if Gamma_right is None else Gamma_right)
+    gens = (Gamma if Gamma_right is None else Gamma_right).generators
     gens = gens + [imat_adjugate(g) for g in gens]
     seen = {}
     h, j = _right_coset_key(Gamma, alpha)
@@ -409,7 +409,7 @@ def _conjugate_into(t, Gamma_high, Gamma_low):
     Gamma_high?"""
     n = mat_det(t)
     adj = imat_adjugate(t)
-    for g in gamma_generators(Gamma_high):
+    for g in Gamma_high.generators:
         w = mat_mul(mat_mul(adj, g), t)
         if any(x % n for x in w):
             return False

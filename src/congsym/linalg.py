@@ -12,13 +12,14 @@ polynomials charpoly returns.
 
 One sparse Gauss-Jordan (echelon) serves kernels and spaces.build_space.
 Products, restriction and Horner evaluation run on the integer rows, with
-one product routine (_mul_rows).  charpoly works modulo primes near 2^60;
-primary_components and cut_space work modulo primes near 2^61 (_PRIMES),
-lift by rational reconstruction and check the lift exactly.  All of it runs
-on plain Python integers: one Hessenberg reduction mod a prime
+one product routine (_mul_rows).  charpoly works modulo primes near 2^60.
+primary_components and cut_space form reduced echelon bases modulo primes
+near 2^61 (_PRIMES), and one loop (_lift_and_certify) lifts them by
+rational reconstruction and checks each lift exactly.  All of it runs on
+plain Python integers: one Hessenberg reduction mod a prime
 (_charpoly_mod) serves charpoly and the certificate of primary_components,
 and one packed elimination mod a prime (_rref_mod) serves the spans of
-primary_components and cut_space.
+primary_components and the kernels of cut_space.
 """
 
 from collections import defaultdict
@@ -257,11 +258,48 @@ def _horner(b, a, h):
     return out
 
 
-# the moduli of primary_components, primes 2^61 - d in decreasing order; at
+# the moduli of _lift_and_certify, primes 2^61 - d in decreasing order; at
 # most this many are tried before it gives up
 _PRIMES = tuple(2 ** 61 - d for d in (
     1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579,
     675, 759, 799, 819, 829, 843, 859, 939, 985, 1015, 1153, 1195))
+
+
+def _lift_and_certify(residues, check, n, bad):
+    """n bases over Q, each the reduced echelon basis (rows with a 1 at
+    distinct pivot columns, where every other row is 0) of a subspace known
+    by its reductions mod the primes of _PRIMES that do not divide bad.
+
+    residues(q, todo) gives, for indices i among todo, the bases not yet
+    certified, the pivots and residue rows of basis i mod q.  They are
+    combined by CRT with those of the earlier primes, or start afresh where
+    the pivots differ: one of the primes was bad for that basis.  The
+    combination is lifted by rational reconstruction (_rational_lift), and
+    a lift W is kept when check(i, W) proves it exact.  A subspace has one
+    reduced echelon basis, so the result depends on neither the primes nor
+    the random choices behind the residues.  RuntimeError when the primes
+    run out."""
+    lifts = {}      # i -> (pivots, residue rows, modulus)
+    out = [None] * n
+    for q in _PRIMES:
+        if bad % q == 0:
+            continue
+        todo = [i for i, W in enumerate(out) if W is None]
+        for i, (pivots, rows) in residues(q, todo).items():
+            mod = q
+            if i in lifts and lifts[i][0] == pivots:
+                _, old, mod = lifts[i]
+                t = pow(mod, -1, q)
+                rows = [[x + mod * ((y - x) * t % q) for x, y in zip(r, s)]
+                        for r, s in zip(old, rows)]
+                mod *= q
+            lifts[i] = pivots, rows, mod
+            W = _rational_lift(rows, mod)
+            if W is not None and check(i, W):
+                out[i] = W
+        if all(W is not None for W in out):
+            return out
+    raise RuntimeError("lift not certified at %d primes" % len(_PRIMES))
 
 
 def primary_components(m, factors, seed=0):
@@ -272,44 +310,31 @@ def primary_components(m, factors, seed=0):
 
     Mod a prime p near 2^61, the component is spanned by v, m v, m^2 v, ...
     for v = h(m) u, h the product of the other factors to their exponents
-    and u random; where m is not cyclic, further vectors u fill it.  The
-    echelon basis mod p is lifted by rational reconstruction, over more
-    primes by CRT where that fails.  A lift W is certified exactly
-    (_is_component): m leaves W invariant and has charpoly g^e on it, so W
-    lies in ker g(m)^e, has its dimension e deg g, and is that space; and a
-    subspace has one reduced echelon basis, so the result depends on neither
-    the primes nor the seed.  RuntimeError when the primes run out."""
+    and u random; where m is not cyclic, further vectors u fill it
+    (_spans_mod).  A lift W is certified exactly (_is_component): m leaves W
+    invariant and has charpoly g^e on it, so W lies in ker g(m)^e, has its
+    dimension e deg g, and is that space (_lift_and_certify)."""
     den, a = m
     # a prime dividing a denominator of m or of a factor is skipped
     bad = lcm(den, *(x.denominator for g, _ in factors for x in g.coeffs))
     rng = XorShift64(seed)
-    lifts = {}      # factor index -> (pivot columns, residue rows, modulus)
-    out = [None] * len(factors)
-    for p in _PRIMES:
-        if bad % p == 0:
-            continue
-        todo = [i for i, W in enumerate(out) if W is None]
-        for i, (pivots, rows) in _spans_mod(a, den, factors, todo, p,
-                                            rng).items():
-            g, e = factors[i]
-            if len(pivots) < e * g.degree:
-                continue
-            lifts[i] = _crt(lifts.get(i), pivots, rows, p)
-            W = _rational_lift(*lifts[i][1:])
-            others = [f for j, (f, _) in enumerate(factors) if j != i]
-            if W is not None and _is_component(m, W, g, e, others):
-                out[i] = W
-        if all(W is not None for W in out):
-            return out
-    raise RuntimeError("primary components not certified at %d primes"
-                       % len(_PRIMES))
+
+    def check(i, W):
+        g, e = factors[i]
+        others = [f for j, (f, _) in enumerate(factors) if j != i]
+        return _is_component(m, W, g, e, others)
+
+    return _lift_and_certify(
+        lambda p, todo: _spans_mod(a, den, factors, todo, p, rng),
+        check, len(factors), bad)
 
 
 def _spans_mod(a, den, factors, todo, p, rng):
     """For each index i in todo, with factors[i] = (g, e), the pivots and
-    rows mod p, in _crt's form (rows ending in a 1 at their pivots, where
-    every other row is 0), of a span of vectors m^j h(m) u, for m = a / den,
-    h the product of the other factors to their exponents and random u.
+    rows mod p, in reduced echelon form (rows ending in a 1 at their pivots,
+    where every other row is 0), of a span of vectors m^j h(m) u, for
+    m = a / den, h the product of the other factors to their exponents and
+    random u, where that span has dimension e deg g.
 
     A vector is packed as in _charpoly_mod, coordinate i in slot n - 1 - i,
     so m v is a sum of v_j times packed columns, and _rref_mod's first
@@ -364,7 +389,8 @@ def _spans_mod(a, den, factors, todo, p, rng):
             break
     return {i: ([n - 1 - c for c in reversed(pivots)],
                 [row[::-1] for row in reversed(rows)])
-            for i, (pivots, rows) in spans.items()}
+            for i, (pivots, rows) in spans.items()
+            if len(pivots) == dims[i]}
 
 
 def cut_space(V, ops, d):
@@ -381,13 +407,15 @@ def cut_space(V, ops, d):
     In the coordinates x of v = x V, v g(T) = 0 reads g(R) x^t = 0 for R
     the matrix of T^t on V.  Mod a prime q of _PRIMES, with the rows of K a
     basis of the kernel found so far, each pair cuts it by the kernel of
-    g(R) K^t (_horner_mod, _kernel_mod) until it has dimension d; the rows
-    of K V, in reduced echelon form mod q, are lifted by rational
-    reconstruction, over more primes by CRT where that fails.  Each lifted
-    v is then checked exactly: v is in the span of V and v g(T) = 0 for the
-    k pairs used, by sparse vector-matrix products.  That suffices: a rank
-    can only drop mod q, so D has dimension at most d, and d independent
-    vectors of D span it.  RuntimeError when the primes run out."""
+    g(R) K^t (_horner_mod) until it has dimension d: the rows of the
+    reduced echelon form of [(g(R) K^t)^t | K] that are 0 on the left
+    (_rref_mod) are the new K.  The rows of K V in reduced echelon form mod
+    q are lifted (_lift_and_certify), and each lifted v is checked exactly:
+    v is in the span of V and v g(T) = 0 for every pair drawn, by sparse
+    vector-matrix products.  That suffices: the pairs used at q cut V to
+    dimension d mod q, so to at most d over Q, as a rank can only drop mod
+    q; d independent vectors that they kill span that space, which is then
+    the subspace of dimension d that every g(T) kills."""
     dv, v_rows = V
     m = len(v_rows)
     units = _unit_columns(V)
@@ -407,10 +435,7 @@ def cut_space(V, ops, d):
                           t, _scaled_coeffs(g, dt)[1]))
         return conds[i]
 
-    lift = None
-    for q in _PRIMES:
-        if dv % q == 0:
-            continue
+    def residues(q, todo):
         K = [[int(i == j) for j in range(m)] for i in range(m)]
         used = 0
         try:
@@ -418,27 +443,26 @@ def cut_space(V, ops, d):
                 r, hr = condition(used)[:2]
                 used += 1
                 M = _horner_mod(r, hr, [list(c) for c in zip(*K)], q)
-                K = _mul_mod(_kernel_mod(M, len(K), q), K, q)
+                pivots, red = _rref_mod(
+                    [list(x) + k for x, k in zip(zip(*M), K)], q)
+                K = [row[m:] for c, row in zip(pivots, red) if c >= m]
         except StopIteration:
             pass
         if len(K) != d:
-            continue
+            return {}
         rows = _mul_rows([dict(enumerate(row)) for row in K], v_rows)
-        pivots, res = _rref_mod([[row.get(j, 0) % q for j in range(ncols)]
-                                 for row in rows], q)
-        lift = _crt(lift, pivots, res, q)
-        W = _rational_lift(*lift[1:])
-        if W is None:
-            continue
+        return {0: _rref_mod([[row.get(j, 0) % q for j in range(ncols)]
+                              for row in rows], q)}
+
+    def check(_, W):
         w = W[1]
         # v's coordinates in V are its entries at V's unit columns
         x = [{k: row[j] for k, j in enumerate(units) if j in row} for row in w]
-        if _mul_rows(x, v_rows) == [{j: dv * y for j, y in row.items()}
-                                    for row in w] and \
-                all(not any(_horner(w, t, ht))
-                    for _, _, t, ht in conds[:used]):
-            return W
-    raise RuntimeError("dual space not found at %d primes" % len(_PRIMES))
+        return _mul_rows(x, v_rows) == [{j: dv * y for j, y in row.items()}
+                                        for row in w] and \
+            all(not any(_horner(w, t, ht)) for _, _, t, ht in conds)
+
+    return _lift_and_certify(residues, check, 1, dv)[0]
 
 
 def _horner_mod(r, h, X, q):
@@ -456,26 +480,6 @@ def _horner_mod(r, h, X, q):
             sum(x % q * out[k] for k, x in row.items()) + c % q * xr, n, w)],
             w) for row, xr in zip(r, xs)]
     return [_unpack(y, n, w) for y in out]
-
-
-def _mul_mod(a, b, q):
-    """The rows of a b mod the prime q, for sparse integer rows a and rows
-    b of residues.  The rows of b are packed as in _rref_mod, so a row of
-    a b is one sum of big-integer products, its slots below len(b) q^2."""
-    n = len(b[0]) if b else 0
-    w = (2 * q.bit_length() + len(b).bit_length() + 8) // 8
-    bs = [_pack(row, w) for row in b]
-    return [[x % q for x in _unpack(sum(x % q * bs[k] for k, x in row.items()),
-                                    n, w)] for row in a]
-
-
-def _kernel_mod(rows, ncols, q):
-    """A basis of {y : rows y = 0 mod q} for rows of residues, as sparse
-    rows: for each free column j of the reduced echelon form red, y_j = 1,
-    y_c = -red[r][j] at the pivot c of row r and 0 elsewhere."""
-    pivots, red = _rref_mod(rows, q)
-    return [{j: 1, **{c: q - row[j] for c, row in zip(pivots, red) if row[j]}}
-            for j in sorted(set(range(ncols)) - set(pivots))]
 
 
 def _rref_mod(rows, q):
@@ -512,20 +516,6 @@ def _rref_mod(rows, q):
         piv[order[i]] = _pack([x % q for x in _unpack(r, ncols, w)], w)
     pivots = sorted(piv)
     return pivots, [_unpack(piv[c], ncols, w) for c in pivots]
-
-
-def _crt(lift, pivots, rows, p):
-    """(pivots, residue rows, modulus) for residue rows mod the prime p of a
-    reduced echelon basis with these pivot columns, combined by CRT with
-    lift, the same triple from earlier primes, where its pivots are these.
-    Residues of another echelon shape start afresh: one of the primes was
-    bad for this basis."""
-    if lift is None or lift[0] != pivots:
-        return pivots, rows, p
-    _, old, q = lift
-    t = pow(q, -1, p)
-    return pivots, [[x + q * ((y - x) * t % p) for x, y in zip(r, s)]
-                    for r, s in zip(old, rows)], q * p
 
 
 def _rational_lift(rows, mod):

@@ -140,6 +140,19 @@ def test_decompose_json(capsys):
     assert data["pieces"] == [{"dim": 1, "isotypic": False, "label": "x+2"}]
 
 
+def test_seed_only_where_it_is_read(capsys):
+    """Only decompose and eigensystem make randomized choices, so only they
+    take --seed; argparse rejects it elsewhere with exit 2."""
+    for argv in (["dims", "ns_plus", "13"], ["bench", "ns_plus", "13"],
+                 ["hecke", "ns_plus", "13", "-p", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == EXIT_PARSE
+    code, out, _ = run_cli(capsys, "decompose", "ns_plus", "17", "--seed", "0")
+    assert code == 0
+    assert out == run_cli(capsys, "decompose", "ns_plus", "17")[1]
+
+
 def test_eigensystem_output(capsys):
     code, out, _ = run_cli(capsys, "eigensystem", "gamma0", "11", "-L", "8")
     lines = out.splitlines()

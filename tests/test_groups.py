@@ -8,7 +8,7 @@ import pytest
 
 from congsym import groups, hecke
 from congsym.groups import (close_group, coset_table, lift_to_sl2,
-                            gamma_generators, is_real_type, find_det_element,
+                            is_real_type, find_det_element,
                             mat_det, mat_inv_mod, mat_mod, mat_mul,
                             GroupTooLarge, ETA_MAT, IDENT, S_MAT, T_MAT)
 from congsym.backend import factor_int, is_prime
@@ -308,9 +308,11 @@ def test_lift_to_sl2():
 
 
 def test_gamma_generators_membership():
+    """generators is built on its first read, once, and lies in Gamma."""
     Gamma = coset_table(build_family("gamma0", 11))
-    gens = gamma_generators(Gamma)
-    assert gens
+    assert "generators" not in vars(Gamma)
+    gens = Gamma.generators
+    assert gens and Gamma.generators is gens
     for w in gens:
         assert Gamma.contains(w)
 

@@ -226,6 +226,30 @@ def test_primary_components_skip_a_denominator_prime(monkeypatch):
         la.primary_components(m, fac)
 
 
+def test_primary_components_restart_where_the_pivots_change(monkeypatch):
+    """x - 3 is x - 1 mod 2, where the x - 3 component (1/2, 1) of m reads
+    (1, 0), the x - 1 component; the certificate rejects that lift.  The
+    next prime gives the component other pivots, so its residues start
+    afresh, not combined by CRT with those mod 2: the accepted lift is taken
+    mod that one prime."""
+    m = M([[1, 1], [0, 3]])
+    fac = factor_rational_poly(la.charpoly(m))
+    ref = la.primary_components(m, fac)
+    assert dict(zip((g for g, _ in fac), ref)) == \
+        {X - 3: M([[rat(1, 2), 1]]), X - 1: M([[1, 0]])}
+    moduli = []
+    rational_lift = la._rational_lift
+
+    def recorded(rows, mod):
+        moduli.append(mod)
+        return rational_lift(rows, mod)
+
+    monkeypatch.setattr(la, "_rational_lift", recorded)
+    monkeypatch.setattr(la, "_PRIMES", (2,) + la._PRIMES)
+    assert la.primary_components(m, fac) == ref
+    assert moduli == [2, 2, la._PRIMES[1]]
+
+
 def test_primary_components_over_small_primes(monkeypatch):
     """Primes near 1000 lift the larger entries only together, by CRT.  The
     component (-123457/99, 1) of x - 2 below lifts to -5/7, -517/522 and

@@ -113,7 +113,7 @@ def test_dual_vector_space_skips_a_bad_prime(monkeypatch):
     """A bad prime planted first: the dual of piece 0 of ns_plus 17 has
     entries from -3 to 2, which mod 3 reconstruct (|r|, s <= 1) to a wrong
     basis; the exact check rejects it, and the next prime, by CRT with 3,
-    gives the same dual."""
+    gives the same dual.  With 3 the only prime, the dual is not found."""
     ctx = spec.SpectralContext(space_for("ns_plus", 17))
     piece = spec.decompose(ctx)[0]
     ref = spec.dual_vector_space(ctx, piece)
@@ -129,6 +129,9 @@ def test_dual_vector_space_skips_a_bad_prime(monkeypatch):
     assert spec.dual_vector_space(ctx, piece) == ref
     assert [mod for mod, _ in lifts] == [3, 3 * la._PRIMES[1]]
     assert lifts[0][1] is not None and lifts[0][1] != ref
+    monkeypatch.setattr(la, "_PRIMES", (3,))
+    with pytest.raises(RuntimeError, match="not certified"):
+        spec.dual_vector_space(ctx, piece)
 
 
 def test_generator_of_an_irreducible_piece_has_an_irreducible_charpoly():
